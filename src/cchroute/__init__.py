@@ -13,7 +13,7 @@ from .preprocess import (Cch, SENTINEL, UpwardGraph, build_cch,
                          permute_to_rank_ids, reconstruct_separator_decomposition,
                          save_cch)
 from .customize import (Customized, CustomizedMetric, ReducedGraphs, SearchGraph,
-                        SearchGraphs, basic_batched, basic_sweep, build_reduced,
+                        SearchGraphs, basic_sweep, build_reduced,
                         customize, load_customized, perfect, query_input_graph,
                         respect, save_customized, search_graphs_full)
 from .query import (PoiIndex, QueryState, RphastState, astar_with_cch_potential,
@@ -33,7 +33,7 @@ __all__ = [
     "contract", "load_cch", "permute_to_rank_ids",
     "reconstruct_separator_decomposition", "save_cch",
     "Customized", "CustomizedMetric", "ReducedGraphs", "SearchGraph",
-    "SearchGraphs", "basic_batched", "basic_sweep", "build_reduced", "customize",
+    "SearchGraphs", "basic_sweep", "build_reduced", "customize",
     "load_customized", "perfect", "query_input_graph", "respect",
     "save_customized", "search_graphs_full",
     "PoiIndex", "QueryState", "RphastState", "astar_with_cch_potential",

@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-order", help="also write the improved order to this file")
     p.add_argument("--dump-decomposition", action="store_true",
                    help="print the separator decomposition as an indented tree")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("customize", help="compute a customized metric")
@@ -325,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output customized artifact")
     p.add_argument("--no-perfect", action="store_true",
                    help="stop after the basic customization")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and echoed; customization is sequential")
     p.add_argument("--json", action="store_true", help="machine-readable timing output")
     p.set_defaults(fn=cmd_customize)
 
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--no-perfect", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and echoed; customization is sequential")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
     return parser

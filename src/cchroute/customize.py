@@ -7,7 +7,8 @@ starting at INFINITY; the basic step enforces the lower triangle
 inequality bottom up; the optional perfect step shrinks every arc to the
 true distance between its endpoints top down, marking every arc-direction
 it changed as superfluous. Reduced per-direction search graphs drop the
-marked arcs.
+marked arcs. The pipeline ``respect`` -> ``basic_sweep`` -> ``perfect``
+-> ``build_reduced`` runs sequentially along one code path.
 
 Witness recording: whenever a relaxation strictly improves an arc, the
 two arcs of the improving triangle are stored so paths unpack in time
@@ -20,17 +21,12 @@ being unpacked.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, FormatError, StateError
 from .graph import INFINITY, InputGraph
-from .order import SeparatorDecomposition
 from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_u32, _Reader,
                          deserialize_cch, serialize_cch)
-
-DEFAULT_ALPHA = 32
-DEFAULT_BETA = 4
 
 CUSTOMIZED_MAGIC = b"CCHM"
 CUSTOMIZED_VERSION = 1
@@ -42,8 +38,8 @@ class CustomizedMetric:
 
     ``up_a``/``up_b`` witness the last strict improvement of ``l_up``
     (SENTINEL means the arc still carries its respected weight);
-    ``down_a``/``down_b`` likewise for ``l_down``. Deletion marks are
-    whole bytes so parallel tasks can write them without racing.
+    ``down_a``/``down_b`` likewise for ``l_down``. Deletion marks are one
+    byte per arc, stored as written in CCHM artifacts.
     """
 
     l_up: list[int]
@@ -90,8 +86,7 @@ def basic_sweep(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     For each arc uv the upper triangles (u, v, w) are found by sweeping
     v's neighborhood once: chordality makes u's upward neighborhood a
     subset of v's, so the sweep never backtracks. Each triangle relaxes
-    the opposite arc vw in both directions. Preferred when running
-    single-threaded.
+    the opposite arc vw in both directions.
     """
     first, head = ug.first_arc, ug.head
     l_up, l_down = m.l_up, m.l_down
@@ -121,145 +116,26 @@ def basic_sweep(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     return m
 
 
-def _batched_range(m: CustomizedMetric, ug: UpwardGraph, lo: int, hi: int,
-                   marks: list[int]) -> None:
-    """Relax, for every u in [lo, hi), the batch of triangles centered at u.
+def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
+    """Perfect customization: every arc weight becomes the exact distance
+    between its endpoints, and changed arc-directions are marked for
+    removal.
 
-    Upward neighbors of u are marked with their arc IDs; down-up paths
-    through u then complete triangles in constant time per edge. Only
-    arcs with tail u are written, which is what makes tasks disjoint.
+    Vertices are processed top down. Every triangle (u, v, w) above u
+    relaxes the two arcs incident to u: the upper triangle of uv and the
+    intermediate triangle of uw, both directions each. Arc-directions
+    that shrink are marked superfluous; witnesses stay untouched because
+    marked arcs are dropped anyway.
     """
-    first, head, tail = ug.first_arc, ug.head, ug.tail
-    down_first, down_arc = ug.down_first, ug.down_arc
-    l_up, l_down = m.l_up, m.l_down
-    up_a, up_b, down_a, down_b = m.up_a, m.up_b, m.down_a, m.down_b
-    for u in range(lo, hi):
-        a_lo, a_hi = first[u], first[u + 1]
-        for ei in range(a_lo, a_hi):
-            marks[head[ei]] = ei
-        for di in range(down_first[u], down_first[u + 1]):
-            ai = down_arc[di]
-            w = tail[ai]
-            ldown_ai = l_down[ai]
-            lup_ai = l_up[ai]
-            for ej in range(first[w + 1] - 1, first[w] - 1, -1):
-                v = head[ej]
-                if v <= u:
-                    break
-                target = marks[v]
-                if target != SENTINEL:
-                    cand = ldown_ai + l_up[ej]
-                    if cand < l_up[target]:
-                        l_up[target] = cand
-                        up_a[target] = ai
-                        up_b[target] = ej
-                    cand = lup_ai + l_down[ej]
-                    if cand < l_down[target]:
-                        l_down[target] = cand
-                        down_a[target] = ai
-                        down_b[target] = ej
-        for ei in range(a_lo, a_hi):
-            marks[head[ei]] = SENTINEL
-
-
-@dataclass
-class _Task:
-    lo: int
-    hi: int
-    pending: int
-    next_tasks: list["_Task"]
-
-
-def _collect_tasks(decomp: SeparatorDecomposition, threshold: int,
-                   bottom_up: bool) -> list[_Task]:
-    """Split the decomposition into range tasks with dependencies.
-
-    Nodes at or above the threshold contribute their separator range as a
-    task; smaller subtrees run as one sequential task over their whole
-    range. For bottom-up execution a separator task waits for its child
-    tasks; top-down reverses the edges.
-    """
-    tasks: list[_Task] = []
-
-    def walk(node: SeparatorDecomposition) -> _Task:
-        size = node.cell_hi - node.cell_lo
-        if size < threshold or not node.children:
-            task = _Task(node.cell_lo, node.cell_hi, 0, [])
-            tasks.append(task)
-            return task
-        task = _Task(node.sep_lo, node.cell_hi, 0, [])
-        tasks.append(task)
-        for child in node.children:
-            child_task = walk(child)
-            if bottom_up:
-                child_task.next_tasks.append(task)
-                task.pending += 1
-            else:
-                task.next_tasks.append(child_task)
-                child_task.pending += 1
-        return task
-
-    walk(decomp)
-    return tasks
-
-
-def _run_task_dag(tasks: list[_Task], threads: int, run) -> None:
-    ready = [t for t in tasks if t.pending == 0]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        in_flight = {}
-        while ready or in_flight:
-            for task in ready:
-                in_flight[pool.submit(run, task)] = task
-            ready = []
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            for fut in done:
-                task = in_flight.pop(fut)
-                fut.result()
-                for nxt in task.next_tasks:
-                    nxt.pending -= 1
-                    if nxt.pending == 0:
-                        ready.append(nxt)
-
-
-def basic_batched(m: CustomizedMetric, ug: UpwardGraph,
-                  decomp: SeparatorDecomposition | None = None,
-                  threads: int = 1, alpha: int = DEFAULT_ALPHA) -> CustomizedMetric:
-    """Basic customization via batched triangle relaxation.
-
-    Produces the same weights and witnesses as ``basic_sweep``: both
-    enumerate the lower triangles of every arc by ascending via vertex,
-    so the strict-improvement traces coincide. With ``threads > 1`` the
-    separator decomposition is processed as a bottom-up task tree;
-    subtrees smaller than n / (alpha * threads) run sequentially.
-    """
-    n = ug.vertex_count
-    if threads <= 1 or decomp is None or n == 0:
-        _batched_range(m, ug, 0, n, [SENTINEL] * n)
-        m.basic_done = True
-        return m
-    threshold = max(1, n // (alpha * threads))
-    tasks = _collect_tasks(decomp, threshold, bottom_up=True)
-
-    def run(task: _Task) -> None:
-        _batched_range(m, ug, task.lo, task.hi, [SENTINEL] * n)
-
-    _run_task_dag(tasks, threads, run)
-    m.basic_done = True
-    return m
-
-
-def _perfect_range(m: CustomizedMetric, ug: UpwardGraph, lo: int, hi: int) -> None:
-    """Perfect relaxations for vertices hi-1 down to lo.
-
-    Every triangle (u, v, w) above u relaxes the two arcs incident to u:
-    the upper triangle of uv and the intermediate triangle of uw, both
-    directions each. Arc-directions that shrink are marked superfluous;
-    witnesses stay untouched because marked arcs are dropped anyway.
-    """
+    if not m.basic_done:
+        # Without the basic step a shortcut could sit at INFINITY in both
+        # directions while a finite lower triangle exists below it; the
+        # relaxations here would then inflate distances silently.
+        raise StateError("perfect customization requires basic customization first")
     first, head = ug.first_arc, ug.head
     l_up, l_down = m.l_up, m.l_down
     delete_up, delete_down = m.delete_up, m.delete_down
-    for u in range(hi - 1, lo - 1, -1):
+    for u in range(ug.vertex_count - 1, -1, -1):
         a_lo, a_hi = first[u], first[u + 1]
         for ei in range(a_lo, a_hi):
             v = head[ei]
@@ -286,32 +162,6 @@ def _perfect_range(m: CustomizedMetric, ug: UpwardGraph, lo: int, hi: int) -> No
                 if cand < l_down[ej]:
                     l_down[ej] = cand
                     delete_down[ej] = 1
-    return None
-
-
-def perfect(m: CustomizedMetric, ug: UpwardGraph,
-            decomp: SeparatorDecomposition | None = None,
-            threads: int = 1, alpha: int = DEFAULT_ALPHA) -> CustomizedMetric:
-    """Perfect customization: every arc weight becomes the exact distance
-    between its endpoints, and changed arc-directions are marked for
-    removal. Parallel tasks run top down: a task processes its separator,
-    then spawns its children."""
-    if not m.basic_done:
-        # Without the basic step a shortcut could sit at INFINITY in both
-        # directions while a finite lower triangle exists below it; the
-        # relaxations here would then inflate distances silently.
-        raise StateError("perfect customization requires basic customization first")
-    n = ug.vertex_count
-    if threads <= 1 or decomp is None or n == 0:
-        _perfect_range(m, ug, 0, n)
-        return m
-    threshold = max(1, n // (alpha * threads))
-    tasks = _collect_tasks(decomp, threshold, bottom_up=False)
-
-    def run(task: _Task) -> None:
-        _perfect_range(m, ug, task.lo, task.hi)
-
-    _run_task_dag(tasks, threads, run)
     return m
 
 
@@ -363,129 +213,56 @@ def search_graphs_full(ug: UpwardGraph, m: CustomizedMetric) -> SearchGraphs:
     return SearchGraphs(forward=forward, backward=backward)
 
 
-def _chunk_starts(ug: UpwardGraph, chunk_count: int) -> list[int]:
-    """Chunk boundaries as vertex IDs: split by arc count, round by
-    neighborhood (the tail of the arc at each stride point)."""
-    n, m = ug.vertex_count, ug.arc_count
-    if m == 0 or chunk_count <= 1:
-        return [0]
-    stride = -(-m // chunk_count)
-    starts = [0]
-    for i in range(1, chunk_count):
-        idx = i * stride
-        if idx >= m:
-            break
-        v = ug.tail[idx]
-        if v > starts[-1]:
-            starts.append(v)
-    return starts
+def _reduce_direction(ug: UpwardGraph, deleted: bytearray, weight: list[int],
+                      old_a: list[int], old_b: list[int]) -> tuple[SearchGraph, list[int]]:
+    """Copy the arcs of one direction that are not marked deleted, keeping
+    their order; return the graph and the old-to-new arc mapping."""
+    first_arc, head = ug.first_arc, ug.head
+    new_first = [0] * (ug.vertex_count + 1)
+    new_head, new_tail, new_weight, new_a, new_b = [], [], [], [], []
+    mapping = [SENTINEL] * ug.arc_count
+    j = 0
+    for v in range(ug.vertex_count):
+        for e in range(first_arc[v], first_arc[v + 1]):
+            if deleted[e]:
+                continue
+            new_head.append(head[e])
+            new_tail.append(v)
+            new_weight.append(weight[e])
+            new_a.append(old_a[e])
+            new_b.append(old_b[e])
+            mapping[e] = j
+            j += 1
+        new_first[v + 1] = j
+    return SearchGraph(new_first, new_head, new_tail, new_weight, new_a, new_b), mapping
 
 
-def build_reduced(m: CustomizedMetric, ug: UpwardGraph, threads: int = 1,
-                  beta: int = DEFAULT_BETA) -> ReducedGraphs:
-    """Construct the per-direction reduced graphs in three passes.
+def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> ReducedGraphs:
+    """Construct the per-direction reduced graphs.
 
-    Pass one counts surviving arcs per chunk, a sequential prefix sum
-    fixes the chunk offsets, pass two copies arcs and records the old-
-    to-new arc mapping, pass three remaps the unpack witnesses through
-    the mappings of both directions. Chunking only affects the parallel
-    split; the output is identical for any thread count.
+    One pass per direction copies the surviving arcs and records the
+    old-to-new arc mapping; one more pass remaps the unpack witnesses of
+    both graphs through the mappings of both directions.
     """
-    n = ug.vertex_count
-    starts = _chunk_starts(ug, beta * max(1, threads))
-    bounds = starts + [n]
-    chunk_ranges = [(bounds[i], bounds[i + 1]) for i in range(len(starts))]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-    def for_chunks(fn):
-        if pool is None:
-            return [fn(r) for r in chunk_ranges]
-        return list(pool.map(fn, chunk_ranges))
-
-    try:
-        sides = {}
-        for name, deleted in (("up", m.delete_up), ("down", m.delete_down)):
-            first = ug.first_arc
-
-            def count(chunk, deleted=deleted, first=first):
-                v_lo, v_hi = chunk
-                return sum(1 for e in range(first[v_lo], first[v_hi]) if not deleted[e])
-
-            counts = for_chunks(count)
-            offsets = [0]
-            for c in counts:
-                offsets.append(offsets[-1] + c)
-            total = offsets[-1]
-            new_first = [0] * (n + 1)
-            new_head = [0] * total
-            new_tail = [0] * total
-            new_weight = [0] * total
-            new_a = [0] * total
-            new_b = [0] * total
-            mapping = [SENTINEL] * ug.arc_count
-            weight = m.l_up if name == "up" else m.l_down
-            old_a = m.up_a if name == "up" else m.down_b
-            old_b = m.up_b if name == "up" else m.down_a
-
-            def copy(args, deleted=deleted, weight=weight, old_a=old_a, old_b=old_b,
-                     new_first=new_first, new_head=new_head, new_tail=new_tail,
-                     new_weight=new_weight, new_a=new_a, new_b=new_b, mapping=mapping):
-                (v_lo, v_hi), offset = args
-                j = offset
-                for v in range(v_lo, v_hi):
-                    new_first[v] = j
-                    for e in range(ug.first_arc[v], ug.first_arc[v + 1]):
-                        if deleted[e]:
-                            continue
-                        new_head[j] = ug.head[e]
-                        new_tail[j] = v
-                        new_weight[j] = weight[e]
-                        new_a[j] = old_a[e]
-                        new_b[j] = old_b[e]
-                        mapping[e] = j
-                        j += 1
-
-            if pool is None:
-                for pair in zip(chunk_ranges, offsets):
-                    copy(pair)
-            else:
-                list(pool.map(copy, zip(chunk_ranges, offsets)))
-            new_first[n] = total
-            graph = SearchGraph(new_first, new_head, new_tail, new_weight, new_a, new_b)
-            sides[name] = (graph, mapping)
-
-        fwd, map_up = sides["up"]
-        bwd, map_down = sides["down"]
-
-        def remap(graph: SearchGraph) -> None:
-            unpack_a, unpack_b = graph.unpack_a, graph.unpack_b
-
-            def remap_range(bounds_pair):
-                j_lo, j_hi = bounds_pair
-                for j in range(j_lo, j_hi):
-                    a = unpack_a[j]
-                    if a != SENTINEL:
-                        na = map_down[a]
-                        nb = map_up[unpack_b[j]]
-                        if na == SENTINEL or nb == SENTINEL:
-                            raise ConsistencyError(
-                                "unpack witness of a surviving arc was deleted")
-                        unpack_a[j] = na
-                        unpack_b[j] = nb
-
-            total = graph.arc_count
-            if pool is None or total == 0:
-                remap_range((0, total))
-                return
-            step = -(-total // (beta * threads))
-            pieces = [(i, min(i + step, total)) for i in range(0, total, step)]
-            list(pool.map(remap_range, pieces))
-
-        remap(fwd)
-        remap(bwd)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    fwd, map_up = _reduce_direction(ug, m.delete_up, m.l_up, m.up_a, m.up_b)
+    bwd, map_down = _reduce_direction(ug, m.delete_down, m.l_down, m.down_b, m.down_a)
+    arc_count = ug.arc_count
+    for graph in (fwd, bwd):
+        unpack_a, unpack_b = graph.unpack_a, graph.unpack_b
+        for j in range(graph.arc_count):
+            a = unpack_a[j]
+            if a == SENTINEL:
+                continue
+            b = unpack_b[j]
+            if not (0 <= a < arc_count and 0 <= b < arc_count):
+                raise ConsistencyError(
+                    f"unpack witness ({a}, {b}) out of range [0, {arc_count})")
+            na = map_down[a]
+            nb = map_up[b]
+            if na == SENTINEL or nb == SENTINEL:
+                raise ConsistencyError("unpack witness of a surviving arc was deleted")
+            unpack_a[j] = na
+            unpack_b[j] = nb
     return ReducedGraphs(graphs=SearchGraphs(forward=fwd, backward=bwd),
                          map_up=map_up, map_down=map_down)
 
@@ -503,24 +280,20 @@ class Customized:
 
 
 def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
-              threads: int = 1, alpha: int = DEFAULT_ALPHA,
-              beta: int = DEFAULT_BETA, timings: dict | None = None) -> Customized:
+              threads: int = 1, timings: dict | None = None) -> Customized:
     """Run the customization pipeline for one weight function.
 
-    Respect, then basic customization (linear sweep when single-threaded,
-    batched triangle relaxation otherwise), then optionally the perfect
-    step plus reduced-graph construction. The same hierarchy can be
-    customized any number of times with different weights. Per-phase
-    wall-clock seconds land in ``timings`` when given.
+    Respect, then the basic sweep, then optionally the perfect step plus
+    reduced-graph construction, all sequential. The same hierarchy can be
+    customized any number of times with different weights. ``threads`` is
+    accepted for compatibility and selects nothing: results do not depend
+    on it. Per-phase wall-clock seconds land in ``timings`` when given.
     """
     ug = cch.ug
     t0 = time.perf_counter()
     metric = respect(ug, weights)
     t1 = time.perf_counter()
-    if threads <= 1:
-        basic_sweep(metric, ug)
-    else:
-        basic_batched(metric, ug, cch.decomposition, threads=threads, alpha=alpha)
+    basic_sweep(metric, ug)
     t2 = time.perf_counter()
     if not use_perfect:
         if timings is not None:
@@ -529,9 +302,9 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
         return Customized(cch=cch, metric=metric,
                           graphs=search_graphs_full(ug, metric),
                           reduced=None, perfect=False, input_weights=list(weights))
-    perfect(metric, ug, cch.decomposition, threads=threads, alpha=alpha)
+    perfect(metric, ug)
     t3 = time.perf_counter()
-    reduced = build_reduced(metric, ug, threads=threads, beta=beta)
+    reduced = build_reduced(metric, ug)
     t4 = time.perf_counter()
     if timings is not None:
         timings.update(respect=t1 - t0, basic=t2 - t1, perfect=t3 - t2,

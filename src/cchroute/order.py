@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ParseError
 from .graph import Coordinates, InputGraph
 
 DEFAULT_CELL_CUTOFF = 8
@@ -303,7 +303,7 @@ def import_order(path: str, n: int) -> RankOrder:
             try:
                 vertex_at.append(int(line))
             except ValueError:
-                raise ConsistencyError(f"line {lineno}: not a vertex ID: {line!r}") from None
+                raise ParseError(f"not a vertex ID: {line!r}", lineno) from None
     if len(vertex_at) != n:
         raise ConsistencyError(f"order file has {len(vertex_at)} lines, expected {n}")
     return RankOrder.from_vertex_at(vertex_at)

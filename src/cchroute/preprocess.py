@@ -32,20 +32,17 @@ VERSION = 1
 class UpwardGraph:
     """Chordal completion stored as upward arcs grouped by tail.
 
-    ``down_first``/``down_arc`` index the same arcs by head (the downward
-    incidence needed by the batched customization). ``orig_up[i]`` /
-    ``orig_down[i]`` give the input arc whose direction matches arc i's
-    tail->head (resp. head->tail) traversal, or SENTINEL for shortcuts
-    and missing one-way directions. ``input_arc_count`` is the length of
-    the weight functions this hierarchy can be customized with.
+    ``orig_up[i]`` / ``orig_down[i]`` give the input arc whose direction
+    matches arc i's tail->head (resp. head->tail) traversal, or SENTINEL
+    for shortcuts and missing one-way directions. ``input_arc_count`` is
+    the length of the weight functions this hierarchy can be customized
+    with.
     """
 
     vertex_count: int
     first_arc: list[int]
     head: list[int]
     tail: list[int]
-    down_first: list[int]
-    down_arc: list[int]
     orig_up: list[int]
     orig_down: list[int]
     input_arc_count: int
@@ -129,21 +126,7 @@ def contract(g: InputGraph) -> UpwardGraph:
         for e in range(first_arc[u], first_arc[u + 1]):
             tail[e] = u
 
-    # Downward incidence: arcs bucketed by head; arc IDs ascend within
-    # each bucket, so tails ascend too.
-    down_first = [0] * (n + 1)
-    for h in head:
-        down_first[h + 1] += 1
-    for v in range(n):
-        down_first[v + 1] += down_first[v]
-    down_arc = [0] * m
-    cursor = list(down_first)
-    for e in range(m):
-        h = head[e]
-        down_arc[cursor[h]] = e
-        cursor[h] += 1
-
-    ug = UpwardGraph(n, first_arc, head, tail, down_first, down_arc,
+    ug = UpwardGraph(n, first_arc, head, tail,
                      orig_up=[SENTINEL] * m, orig_down=[SENTINEL] * m,
                      input_arc_count=g.arc_count)
     for i in range(g.arc_count):
@@ -407,20 +390,7 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
     flat = r.u32s(4 * node_count)
     if reader is None and r.pos != len(r.data):
         raise FormatError("trailing bytes in artifact")
-
-    down_first = [0] * (n + 1)
-    for h in head:
-        down_first[h + 1] += 1
-    for v in range(n):
-        down_first[v + 1] += down_first[v]
-    down_arc = [0] * m
-    cursor = list(down_first)
-    for e in range(m):
-        h = head[e]
-        down_arc[cursor[h]] = e
-        cursor[h] += 1
-
-    ug = UpwardGraph(n, first_arc, head, tail, down_first, down_arc,
+    ug = UpwardGraph(n, first_arc, head, tail,
                      orig_up=orig_up, orig_down=orig_down,
                      input_arc_count=input_arc_count)
     order = RankOrder.from_vertex_at(vertex_at)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 
 from cchroute import INFINITY, dijkstra, load_cch, load_customized
 from cchroute.cli import main
@@ -59,6 +60,13 @@ class TestPreprocessCmd:
         # identity order is already a DFS post-order of the diamond's tree
         assert cch.order.vertex_at == [0, 1, 2, 3]
         assert cch.parent == [1, 2, 3, -1]
+
+    def test_non_integer_order_line_exits_2(self, tmp_path, capsys):
+        g, (gr, co) = diamond_files(tmp_path)
+        order_file = tmp_path / "order.txt"
+        order_file.write_text("0\n1\ntwo\n3\n")
+        assert main(["preprocess", "--graph", gr, "--order", str(order_file),
+                     "--out", str(tmp_path / "d.cchp")]) == 2
 
     def test_missing_file_exits_5(self, tmp_path, capsys):
         assert main(["preprocess", "--graph", str(tmp_path / "no.gr"),
@@ -174,6 +182,27 @@ class TestQueryCmd:
         pairs.write_text("0 9\n")
         assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 3
 
+
+    def test_out_of_range_witness_exits_3(self, tmp_path, capsys):
+        from cchroute.preprocess import serialize_cch
+        rng = random.Random(241)
+        g, coords = grid_graph(rng, 6, 6)
+        gr, co = write_instance(tmp_path, g, coords)
+        cchm = self._pipeline(tmp_path, gr, co)
+        c = load_customized(str(cchm))
+        m, ug = c.metric, c.cch.ug
+        arc = next(e for e in range(ug.arc_count)
+                   if not m.delete_up[e] and m.up_a[e] != -1)
+        # CCHM layout: magic, version, perfect flag, CCHP, input weights,
+        # l_up, l_down, up_a, ... as little-endian u32 arrays
+        offset = (6 + len(serialize_cch(c.cch)) + 4 * ug.input_arc_count
+                  + 8 * ug.arc_count + 4 * arc)
+        data = bytearray(cchm.read_bytes())
+        struct.pack_into("<I", data, offset, ug.arc_count)
+        cchm.write_bytes(bytes(data))
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("0 1\n")
+        assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 3
 
 class TestKnnCmd:
     def test_sep_and_dijkstra_agree(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cchroute import (ConsistencyError, INFINITY, InputGraph, RankOrder,
-                      StateError, basic_batched, basic_sweep, build_cch,
+                      StateError, basic_sweep, build_cch,
                       build_reduced, customize, dijkstra, perfect,
                       permute_to_rank_ids, respect)
 from cchroute.query import _expand_arcs
@@ -87,7 +87,7 @@ class TestBasic:
             arcs.append((leaf, 0, rng.randint(1, 50)))
         g = InputGraph.from_arcs(leaves + 1, arcs)
         cch = build_cch(g, order=RankOrder.identity(leaves + 1))
-        m = basic_batched(respect(cch.ug, list(g.weight)), cch.ug)
+        m = basic_sweep(respect(cch.ug, list(g.weight)), cch.ug)
         for i in range(1, leaves + 1):
             for j in range(i + 1, leaves + 1):
                 arc = cch.ug.arc_index(i, j)
@@ -95,17 +95,6 @@ class TestBasic:
                 want_down = g.weight[g.arc_index(j, 0)] + g.weight[g.arc_index(0, i)]
                 assert m.l_up[arc] == want_up
                 assert m.l_down[arc] == want_down
-
-    def test_sweep_equals_batched(self):
-        rng = random.Random(67)
-        for _ in range(12):
-            g, coords = random_connected_graph(rng, rng.randint(10, 100))
-            cch = build_cch(g, coords)
-            a = basic_sweep(respect(cch.ug, list(g.weight)), cch.ug)
-            b = basic_batched(respect(cch.ug, list(g.weight)), cch.ug)
-            assert a.l_up == b.l_up and a.l_down == b.l_down
-            assert a.up_a == b.up_a and a.up_b == b.up_b
-            assert a.down_a == b.down_a and a.down_b == b.down_b
 
     def test_lower_triangle_inequality_exhaustive(self):
         rng = random.Random(71)
@@ -165,15 +154,10 @@ class TestPerfect:
             perfect(m, cch.ug)
             ug = cch.ug
             p = permute_to_rank_ids(g, cch.order)
-            for u in range(ug.vertex_count):
-                dist = dijkstra(p, u)
-                for e in range(ug.first_arc[u], ug.first_arc[u + 1]):
-                    assert m.l_up[e] == dist[ug.head[e]]
-            for v in range(ug.vertex_count):
-                dist = dijkstra(p, v)
-                for di in range(ug.down_first[v], ug.down_first[v + 1]):
-                    e = ug.down_arc[di]
-                    assert m.l_down[e] == dist[ug.tail[e]]
+            dist_from = [dijkstra(p, v) for v in range(ug.vertex_count)]
+            for e in range(ug.arc_count):
+                assert m.l_up[e] == dist_from[ug.tail[e]][ug.head[e]]
+                assert m.l_down[e] == dist_from[ug.head[e]][ug.tail[e]]
             # deletion marks are exactly the strictly improved directions
             for e in range(ug.arc_count):
                 assert bool(m.delete_up[e]) == (m.l_up[e] < basic_up[e])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cchroute import (ConsistencyError, Coordinates, InputGraph, RankOrder,
+from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, RankOrder,
                       build_elimination_tree, contract, dfs_postorder_reorder,
                       export_order, import_order, inertial_flow_separator,
                       nested_dissection_order, permute_to_rank_ids)
@@ -157,6 +157,13 @@ class TestOrderFiles:
         p.write_text("0\n3\n1\n")
         with pytest.raises(ConsistencyError):
             import_order(str(p), 3)
+
+    def test_non_integer_line_is_parse_error(self, tmp_path):
+        p = tmp_path / "o.txt"
+        p.write_text("0\nx\n1\n")
+        with pytest.raises(ParseError) as info:
+            import_order(str(p), 3)
+        assert info.value.line == 2
 
     def test_wrong_line_count(self, tmp_path):
         p = tmp_path / "o.txt"

@@ -122,18 +122,6 @@ class TestContract:
             if od != -1:
                 assert (order.rank_of[g.tail[od]], order.rank_of[g.head[od]]) == (v, u)
 
-    def test_down_incidence_consistent(self):
-        rng = random.Random(41)
-        g, coords = random_connected_graph(rng, 50)
-        ug = contract(permute_to_rank_ids(g, nested_dissection_order(g, coords)))
-        seen = set()
-        for v in range(ug.vertex_count):
-            for di in range(ug.down_first[v], ug.down_first[v + 1]):
-                e = ug.down_arc[di]
-                assert ug.head[e] == v
-                seen.add(e)
-        assert seen == set(range(ug.arc_count))
-
 
 class TestEliminationTree:
     def test_diamond(self):
