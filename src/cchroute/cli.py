@@ -34,20 +34,22 @@ from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select
 BENCH_SCHEMA = "cchroute-bench/1"
 
 
+def _check_positive(value: int, name: str) -> int:
+    if value < 1:
+        raise ConsistencyError(f"{name} must be at least 1")
+    return value
+
+
 def _resolve_threads(flag: int | None) -> int:
     if flag is not None:
-        if flag < 1:
-            raise ConsistencyError("--threads must be at least 1")
-        return flag
+        return _check_positive(flag, "--threads")
     env = os.environ.get("CCH_THREADS")
     if env:
         try:
             value = int(env)
         except ValueError:
             raise ConsistencyError(f"CCH_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ConsistencyError("CCH_THREADS must be at least 1")
-        return value
+        return _check_positive(value, "CCH_THREADS")
     return os.cpu_count() or 1
 
 
@@ -184,6 +186,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_knn(args) -> int:
+    _check_positive(args.k, "-k")
     c = load_customized(args.customized)
     order = c.cch.order
     n = c.cch.ug.vertex_count
@@ -226,6 +229,7 @@ class BenchReport:
 def cmd_bench(args) -> int:
     import random
 
+    _check_positive(args.count, "--count")
     g = load_dimacs_gr(args.graph)
     n = g.vertex_count
     threads = _resolve_threads(args.threads)
@@ -266,13 +270,13 @@ def cmd_bench(args) -> int:
             "path_vertices": 0 if path is None else len(path),
         })
 
-    times_us = [s["ns"] / 1000.0 for s in samples] or [0.0]
+    times_us = [s["ns"] / 1000.0 for s in samples]
     stats = {
         "mean_us": statistics.fmean(times_us),
         "median_us": statistics.median(times_us),
-        "mean_visited": statistics.fmean(s["visited"] for s in samples) if samples else 0.0,
-        "mean_relaxed": statistics.fmean(s["relaxed"] for s in samples) if samples else 0.0,
-        "mean_path_vertices": statistics.fmean(s["path_vertices"] for s in samples) if samples else 0.0,
+        "mean_visited": statistics.fmean(s["visited"] for s in samples),
+        "mean_relaxed": statistics.fmean(s["relaxed"] for s in samples),
+        "mean_path_vertices": statistics.fmean(s["path_vertices"] for s in samples),
     }
     report = BenchReport(
         schema=BENCH_SCHEMA, seed=args.seed, threads=threads, count=args.count,

@@ -237,26 +237,48 @@ def _reduce_direction(ug: UpwardGraph, deleted: bytearray, weight: list[int],
     return SearchGraph(new_first, new_head, new_tail, new_weight, new_a, new_b), mapping
 
 
+def _witness_error(a: int, b: int) -> ConsistencyError:
+    return ConsistencyError(f"unpack witness ({a}, {b}) is not a lower triangle of its arc")
+
+
+def _check_witnesses(ug: UpwardGraph, graphs: SearchGraphs) -> None:
+    """Require every witness to be a lower triangle of its arc.
+
+    The down leg starts where the arc's traversal starts, the up leg ends
+    where it ends, and both legs share their lower end, which ranks below
+    both ends of the arc. Unpacking therefore recurses on strictly lower
+    tails and stops. Witness IDs here are hierarchy arc IDs.
+    """
+    arc_count, head, tail = ug.arc_count, ug.head, ug.tail
+    for graph, start, end in ((graphs.forward, tail, head), (graphs.backward, head, tail)):
+        for e, (a, b) in enumerate(zip(graph.unpack_a, graph.unpack_b)):
+            if a != SENTINEL and not (
+                    0 <= a < arc_count and 0 <= b < arc_count
+                    and head[a] == start[e] and head[b] == end[e] and tail[a] == tail[b]):
+                raise _witness_error(a, b)
+
+
 def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> ReducedGraphs:
     """Construct the per-direction reduced graphs.
 
     One pass per direction copies the surviving arcs and records the
-    old-to-new arc mapping; one more pass remaps the unpack witnesses of
-    both graphs through the mappings of both directions.
+    old-to-new arc mapping; one more pass checks the unpack witnesses of
+    both graphs as ``_check_witnesses`` does and remaps them through the
+    mappings of both directions.
     """
     fwd, map_up = _reduce_direction(ug, m.delete_up, m.l_up, m.up_a, m.up_b)
     bwd, map_down = _reduce_direction(ug, m.delete_down, m.l_down, m.down_b, m.down_a)
-    arc_count = ug.arc_count
-    for graph in (fwd, bwd):
+    arc_count, head, tail = ug.arc_count, ug.head, ug.tail
+    for graph, start, end in ((fwd, fwd.tail, fwd.head), (bwd, bwd.head, bwd.tail)):
         unpack_a, unpack_b = graph.unpack_a, graph.unpack_b
         for j in range(graph.arc_count):
             a = unpack_a[j]
             if a == SENTINEL:
                 continue
             b = unpack_b[j]
-            if not (0 <= a < arc_count and 0 <= b < arc_count):
-                raise ConsistencyError(
-                    f"unpack witness ({a}, {b}) out of range [0, {arc_count})")
+            if not (0 <= a < arc_count and 0 <= b < arc_count
+                    and head[a] == start[j] and head[b] == end[j] and tail[a] == tail[b]):
+                raise _witness_error(a, b)
             na = map_down[a]
             nb = map_up[b]
             if na == SENTINEL or nb == SENTINEL:
@@ -382,6 +404,7 @@ def load_customized(path: str) -> Customized:
         reduced = build_reduced(metric, cch.ug)
         return Customized(cch=cch, metric=metric, graphs=reduced.graphs,
                           reduced=reduced, perfect=True, input_weights=input_weights)
-    return Customized(cch=cch, metric=metric,
-                      graphs=search_graphs_full(cch.ug, metric),
+    graphs = search_graphs_full(cch.ug, metric)
+    _check_witnesses(cch.ug, graphs)
+    return Customized(cch=cch, metric=metric, graphs=graphs,
                       reduced=None, perfect=False, input_weights=input_weights)

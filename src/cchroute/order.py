@@ -3,8 +3,7 @@
 A rank order drives the contraction: vertices are eliminated by ascending
 rank, and separator vertices always rank above the cells they split. The
 recursion tree of the dissection is kept as a separator decomposition,
-which later phases reuse for parallel scheduling and nearest-neighbor
-pruning.
+the structure whose cells the nearest-neighbor search prunes.
 """
 
 from __future__ import annotations
@@ -75,75 +74,50 @@ class Separator:
     cells: list[list[int]]
 
 
-@dataclass
-class _FlowGraph:
-    """Unit-capacity residual network over a cell's undirected edges."""
+def _min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list[bool]:
+    """Source side of a minimum edge cut between two disjoint vertex sets.
 
-    first: list[int]
-    to: list[int]
-    cap: list[int]
-    twin: list[int]
-
-    @classmethod
-    def build(cls, local_adj: list[list[int]]) -> _FlowGraph:
-        first = [0] * (len(local_adj) + 1)
-        to: list[int] = []
-        cap: list[int] = []
-        arc_at: dict[tuple[int, int], int] = {}
-        for u, nbrs in enumerate(local_adj):
-            first[u + 1] = first[u] + len(nbrs)
-            for v in nbrs:
-                arc_at[(u, v)] = len(to)
-                to.append(v)
-                cap.append(1)
-        twin = [arc_at[(to[e], u)] for u in range(len(local_adj))
-                for e in range(first[u], first[u + 1])]
-        return cls(first=first, to=to, cap=cap, twin=twin)
-
-
-def _min_cut(flow: _FlowGraph, sources: list[int], sinks: list[int]) -> tuple[int, list[bool]]:
-    """Edmonds-Karp with contracted terminals.
-
-    Returns the cut value and the residual-reachable (source) side. Cut
-    values are tiny on road-like cells, so shortest augmenting paths are
-    plenty fast.
+    Edmonds-Karp on the unit-capacity undirected graph ``adj``, with the
+    sources contracted into one terminal and the sinks into another. The
+    flow is the set ``used`` of arcs (u, v) carrying a unit from u to v;
+    arc (u, v) has residual capacity exactly when it is not in ``used``.
+    Returns flags marking the vertices reachable from the sources in the
+    final residual graph: the smallest source side of a minimum cut, the
+    same for every maximum flow. Cut values are tiny on road-like cells,
+    so shortest augmenting paths are plenty fast.
     """
-    n = len(flow.first) - 1
-    first, to, cap, twin = flow.first, flow.to, flow.cap, flow.twin
-    is_source = [False] * n
+    n = len(adj)
     is_sink = [False] * n
-    for s in sources:
-        is_source[s] = True
     for t in sinks:
         is_sink[t] = True
-    value = 0
-    parent_arc = [-1] * n
+    used: set[tuple[int, int]] = set()
     while True:
-        for i in range(n):
-            parent_arc[i] = -1
+        reached = [False] * n
+        for s in sources:
+            reached[s] = True
+        pred = [-1] * n
         queue = deque(sources)
-        reached = None
-        visited = list(is_source)
+        sink = -1
         while queue:
             u = queue.popleft()
             if is_sink[u]:
-                reached = u
+                sink = u
                 break
-            for e in range(first[u], first[u + 1]):
-                v = to[e]
-                if not visited[v] and cap[e] > 0:
-                    visited[v] = True
-                    parent_arc[v] = e
+            for v in adj[u]:
+                if not reached[v] and (u, v) not in used:
+                    reached[v] = True
+                    pred[v] = u
                     queue.append(v)
-        if reached is None:
-            return value, visited
-        value += 1
-        v = reached
-        while not is_source[v]:
-            e = parent_arc[v]
-            cap[e] -= 1
-            cap[twin[e]] += 1
-            v = to[twin[e]]
+        if sink == -1:
+            return reached
+        v = sink
+        while pred[v] != -1:
+            u = pred[v]
+            if (v, u) in used:
+                used.remove((v, u))
+            else:
+                used.add((u, v))
+            v = u
 
 
 _AXES = ("sn", "we", "swne", "senw")
@@ -185,8 +159,7 @@ def inertial_flow_separator(g: InputGraph, coords: Coordinates,
         by_proj = sorted(cell, key=lambda v: (_projection(axis, coords, v), v))
         sources = [local_of[v] for v in by_proj[:quarter]]
         sinks = [local_of[v] for v in by_proj[-quarter:]]
-        flow = _FlowGraph.build(local_adj)
-        value, source_side = _min_cut(flow, sources, sinks)
+        source_side = _min_cut(local_adj, sources, sinks)
         side_a = sum(source_side)
         side_b = n - side_a
         take_source_side = side_a <= side_b
@@ -261,29 +234,19 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates,
             continue
         comps = _components(cell, adj)
         if len(comps) > 1:
-            node = SeparatorDecomposition(lo, hi, hi)
-            out.append(node)
-            offsets = []
-            off = lo
-            for comp in comps:
-                offsets.append(off)
-                off += len(comp)
-            for comp, comp_lo in zip(reversed(comps), reversed(offsets)):
-                stack.append((comp, comp_lo, node.children))
-            continue
-        sep = inertial_flow_separator(g, coords, cell)
+            sep = Separator(vertices=[], cells=comps)
+        else:
+            sep = inertial_flow_separator(g, coords, cell)
         sep_lo = hi - len(sep.vertices)
         for offset, v in enumerate(sep.vertices):
             rank_of[v] = sep_lo + offset
         node = SeparatorDecomposition(lo, hi, sep_lo)
         out.append(node)
-        offsets = []
-        off = lo
-        for child in sep.cells:
-            offsets.append(off)
-            off += len(child)
-        for child, child_lo in zip(reversed(sep.cells), reversed(offsets)):
-            stack.append((child, child_lo, node.children))
+        # The cells tile [lo, sep_lo) in order.
+        child_hi = sep_lo
+        for child in reversed(sep.cells):
+            child_hi -= len(child)
+            stack.append((child, child_hi, node.children))
 
     root = root_children[0]
     vertex_at = [-1] * n

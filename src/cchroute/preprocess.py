@@ -11,11 +11,13 @@ comparisons.
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
@@ -121,12 +123,7 @@ def contract(g: InputGraph) -> UpwardGraph:
         first_arc[u + 1] = len(head)
 
     m = len(head)
-    tail = [0] * m
-    for u in range(n):
-        for e in range(first_arc[u], first_arc[u + 1]):
-            tail[e] = u
-
-    ug = UpwardGraph(n, first_arc, head, tail,
+    ug = UpwardGraph(n, first_arc, head, _arc_tails(first_arc),
                      orig_up=[SENTINEL] * m, orig_down=[SENTINEL] * m,
                      input_arc_count=g.arc_count)
     for i in range(g.arc_count):
@@ -137,6 +134,32 @@ def contract(g: InputGraph) -> UpwardGraph:
         else:
             ug.orig_down[ug.arc_index(h, t)] = origin
     return ug
+
+
+def _arc_tails(first_arc: list[int]) -> list[int]:
+    """Tail of every arc, given each vertex's arc range."""
+    counts = map(operator.sub, first_arc[1:], first_arc)
+    return list(chain.from_iterable(map(repeat, range(len(first_arc) - 1), counts)))
+
+
+def _check_topology(ug: UpwardGraph, parent: list[int]) -> None:
+    """Reject a loaded hierarchy whose arcs or elimination tree are malformed.
+
+    Queries climb ``parent`` to a root and path unpacking recurses on arcs
+    with lower tails. Both end only if every arc points from its tail up
+    to an existing vertex and every parent is its child's first upward
+    head.
+    """
+    first_arc, head = ug.first_arc, ug.head
+    if (first_arc[0] != 0 or first_arc[-1] != ug.arc_count
+            or not all(map(operator.le, first_arc, first_arc[1:]))):
+        raise ConsistencyError("arc ranges do not run monotonically from 0 to the arc count")
+    if ug.tail != _arc_tails(first_arc):
+        raise ConsistencyError("arc tails disagree with the arc ranges")
+    if head and (max(head) >= ug.vertex_count or not all(map(operator.lt, ug.tail, head))):
+        raise ConsistencyError("arc head outside (tail, vertex count)")
+    if parent != build_elimination_tree(ug):
+        raise ConsistencyError("parent array is not the elimination tree of the arcs")
 
 
 def build_elimination_tree(ug: UpwardGraph) -> list[int]:
@@ -297,13 +320,17 @@ class _Reader:
         return chunk
 
     def u32s(self, count: int, signed_sentinel: bool = False) -> list[int]:
-        arr = array("I")
+        """Read ``count`` u32 values; with ``signed_sentinel``, 0xFFFFFFFF
+        reads as SENTINEL."""
+        arr = array("i" if signed_sentinel else "I")
         arr.frombytes(self.take(4 * count))
         if sys.byteorder != "little":  # pragma: no cover
             arr.byteswap()
-        if signed_sentinel:
-            return [v if v != 0xFFFFFFFF else -1 for v in arr]
-        return list(arr)
+        if signed_sentinel and count and min(arr) < SENTINEL:
+            # Any other value of 2**31 or more stays unsigned, so range
+            # checks see it as too large instead of as a negative index.
+            return [v if v == SENTINEL else v & 0xFFFFFFFF for v in arr]
+        return arr.tolist()
 
 
 def _flatten_decomposition(root: SeparatorDecomposition) -> list[int]:
@@ -393,6 +420,7 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
     ug = UpwardGraph(n, first_arc, head, tail,
                      orig_up=orig_up, orig_down=orig_down,
                      input_arc_count=input_arc_count)
+    _check_topology(ug, parent)
     order = RankOrder.from_vertex_at(vertex_at)
     decomposition = _unflatten_decomposition(flat)
     return Cch(ug=ug, parent=parent, decomposition=decomposition, order=order)

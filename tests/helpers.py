@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 from cchroute import Coordinates, InputGraph, INFINITY, build_cch, customize
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+"""The repository's sample instance (grid.gr, grid.co, query files)."""
 
 
 def diamond() -> InputGraph:
@@ -143,20 +147,31 @@ def naive_elimination_arcs(n: int, undirected_edges) -> set[tuple[int, int]]:
     return arcs
 
 
-def brute_force_min_cut(adj: list[list[int]], sources: set[int], sinks: set[int]) -> int:
-    """Minimum s-t edge cut by enumerating all vertex bipartitions."""
+def _bipartitions(adj: list[list[int]], sources: set[int], sinks: set[int]):
+    """Yield (cut edge count, source side) for every vertex bipartition
+    that puts all sources on one side and all sinks on the other."""
     n = len(adj)
     others = [v for v in range(n) if v not in sources and v not in sinks]
     edges = {(u, v) for u in range(n) for v in adj[u] if u < v}
-    best = len(edges) + 1
     for mask in range(1 << len(others)):
         side = set(sources)
         for i, v in enumerate(others):
             if mask >> i & 1:
                 side.add(v)
-        cut = sum(1 for (u, v) in edges if (u in side) != (v in side))
-        best = min(best, cut)
-    return best
+        yield sum(1 for (u, v) in edges if (u in side) != (v in side)), side
+
+
+def brute_force_min_cut(adj: list[list[int]], sources: set[int], sinks: set[int]) -> int:
+    """Minimum s-t edge cut by enumerating all vertex bipartitions."""
+    return min(cut for cut, _ in _bipartitions(adj, sources, sinks))
+
+
+def brute_force_min_cut_sides(adj: list[list[int]], sources: set[int],
+                              sinks: set[int]) -> list[set[int]]:
+    """Source sides of all minimum s-t edge cuts, by exhaustive enumeration."""
+    cuts = list(_bipartitions(adj, sources, sinks))
+    best = min(cut for cut, _ in cuts)
+    return [side for cut, side in cuts if cut == best]
 
 
 def turn_respecting_distance(g: InputGraph, turns, start_arc: int, end_arc: int) -> int:

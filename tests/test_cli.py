@@ -225,6 +225,17 @@ class TestKnnCmd:
         dij_out = capsys.readouterr().out
         assert sep_out == dij_out and sep_out.strip()
 
+    def test_non_positive_k_exits_3(self, tmp_path, capsys):
+        g, (gr, co) = diamond_files(tmp_path)
+        cchp, cchm = tmp_path / "d.cchp", tmp_path / "d.cchm"
+        main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
+        main(["customize", "--graph", gr, "--cch", str(cchp), "--out", str(cchm)])
+        ids = tmp_path / "ids.txt"
+        ids.write_text("0\n3\n")
+        for k in ("0", "-1"):
+            assert main(["knn", "--customized", str(cchm), "--sources", str(ids),
+                         "--targets", str(ids), "-k", k]) == 3
+
 
 class TestThreadResolution:
     def test_env_fallback(self, tmp_path, capsys, monkeypatch):
@@ -268,3 +279,8 @@ class TestBenchCmd:
             want = dijkstra(g, payload["s"])[payload["t"]]
             got = INFINITY if payload["distance"] is None else payload["distance"]
             assert got == want
+
+    def test_non_positive_count_exits_3(self, tmp_path, capsys):
+        g, (gr, co) = diamond_files(tmp_path)
+        for count in ("0", "-3"):
+            assert main(["bench", "--graph", gr, "--coords", co, "--count", count]) == 3

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
 from cchroute import (ConsistencyError, INFINITY, InputGraph, RankOrder,
                       StateError, basic_sweep, build_cch,
-                      build_reduced, customize, dijkstra, perfect,
-                      permute_to_rank_ids, respect)
+                      build_reduced, customize, dijkstra, load_customized,
+                      load_dimacs_co, load_dimacs_gr, perfect,
+                      permute_to_rank_ids, respect, save_customized)
+from cchroute.preprocess import serialize_cch
 from cchroute.query import _expand_arcs
-from helpers import diamond, random_connected_graph
+from helpers import SAMPLE, diamond, random_connected_graph
 
 
 def diamond_cch():
@@ -280,3 +283,61 @@ class TestCustomizeFacade:
         times = {}
         customize(cch, list(g.weight), timings=times)
         assert set(times) == {"respect", "basic", "perfect", "construct", "total"}
+
+
+class TestCorruptedArtifactRejected:
+    """A loaded CCHM whose topology or witnesses are broken must raise
+    instead of sending queries or path unpacking into endless loops."""
+    # CCHM: 4-byte magic, version, perfect flag, then the CCHP: 4-byte
+    # magic, version, four u32 counts, then first_arc, head, tail, parent.
+    FIRST_ARC = 6 + 21
+
+    def _sample(self, tmp_path, use_perfect=True):
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        c = customize(build_cch(g, coords), list(g.weight), use_perfect=use_perfect)
+        path = tmp_path / "sample.cchm"
+        save_customized(c, str(path))
+        return c, path
+
+    def _put_u32(self, path, offset, value):
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, offset, value)
+        path.write_bytes(bytes(data))
+
+    def test_first_arc_bit_flip(self, tmp_path):
+        _, path = self._sample(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[179] ^= 0x80  # low byte of first_arc[38]
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError):
+            load_customized(str(path))
+
+    def test_head_out_of_range(self, tmp_path):
+        c, path = self._sample(tmp_path)
+        n = c.cch.ug.vertex_count
+        self._put_u32(path, self.FIRST_ARC + 4 * (n + 1), n)
+        with pytest.raises(ConsistencyError):
+            load_customized(str(path))
+
+    def test_parent_points_downward(self, tmp_path):
+        c, path = self._sample(tmp_path)
+        ug = c.cch.ug
+        u = max(v for v, p in enumerate(c.cch.parent) if p != -1)
+        parent_at = self.FIRST_ARC + 4 * (ug.vertex_count + 1) + 8 * ug.arc_count
+        self._put_u32(path, parent_at + 4 * u, u - 1)
+        with pytest.raises(ConsistencyError):
+            load_customized(str(path))
+
+    @pytest.mark.parametrize("use_perfect", [True, False])
+    def test_witness_not_a_lower_triangle(self, tmp_path, use_perfect):
+        c, path = self._sample(tmp_path, use_perfect)
+        m, ug = c.metric, c.cch.ug
+        k = next(e for e in range(ug.arc_count)
+                 if ug.orig_up[e] == ug.orig_down[e] == -1
+                 and m.up_a[e] != -1 and not m.delete_up[e])
+        up_b_at = (6 + len(serialize_cch(c.cch)) + 4 * ug.input_arc_count
+                   + 12 * ug.arc_count)
+        self._put_u32(path, up_b_at + 4 * k, k)
+        with pytest.raises(ConsistencyError):
+            load_customized(str(path))

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, RankOrder,
-                      build_elimination_tree, contract, dfs_postorder_reorder,
-                      export_order, import_order, inertial_flow_separator,
-                      nested_dissection_order, permute_to_rank_ids)
-from helpers import brute_force_min_cut, grid_graph, random_connected_graph
+                      build_cch, build_elimination_tree, contract, dfs_postorder_reorder,
+                      export_order, import_order, inertial_flow_separator, load_dimacs_co,
+                      load_dimacs_gr, nested_dissection_order, permute_to_rank_ids)
+from cchroute.order import _min_cut
+from cchroute.preprocess import serialize_cch
+from helpers import (SAMPLE, brute_force_min_cut, brute_force_min_cut_sides, grid_graph,
+                     random_connected_graph)
 
 
 def line_coords(n):
@@ -81,6 +85,41 @@ class TestInertialFlowSeparator:
             assert sizes[-1] <= n - quarter
 
 
+def _random_cut_instances(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        density = rng.uniform(0.15, 0.6)
+        nbrs = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < density:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+        terminals = rng.sample(range(n), rng.randint(2, n))
+        split = rng.randint(1, len(terminals) - 1)
+        yield [sorted(s) for s in nbrs], terminals[:split], terminals[split:]
+
+
+class TestMinCut:
+    # The second augmenting path here runs against the first one's flow on
+    # edge 0-4, so the flow must cancel there; random small graphs rarely
+    # need that.
+    CANCELLING = ([[1, 4, 8, 10], [0, 6], [4, 6], [4, 8, 10], [0, 2, 3], [], [1, 2], [],
+                   [0, 3], [], [0, 3]], [3], [1])
+
+    def test_smallest_source_side_of_a_minimum_cut(self):
+        cases = [self.CANCELLING, *_random_cut_instances(random.Random(7), 150)]
+        for adj, sources, sinks in cases:
+            n = len(adj)
+            side = _min_cut(adj, sources, sinks)
+            assert all(side[s] for s in sources)
+            assert not any(side[t] for t in sinks)
+            cut = sum(1 for u in range(n) for v in adj[u] if side[u] and not side[v])
+            assert cut == brute_force_min_cut(adj, set(sources), set(sinks))
+            smallest = set.intersection(*brute_force_min_cut_sides(adj, set(sources), set(sinks)))
+            assert {v for v in range(n) if side[v]} == smallest
+
+
 class TestNestedDissection:
     def test_single_vertex(self):
         g = InputGraph.from_arcs(1, [])
@@ -132,6 +171,26 @@ class TestNestedDissection:
         decomp = order.decomposition
         assert decomp.sep_lo == decomp.cell_hi  # empty separator at the top
         assert len(decomp.children) == 2
+
+    def test_sample_outputs_pinned(self):
+        # Digests of the order, its recursion tree and the CCHP artifact of
+        # sample/grid.gr. How the cuts are computed may change; these
+        # outputs may not.
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        order = nested_dissection_order(g, coords)
+        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
+                for node in order.decomposition.preorder()]
+
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        assert digest(" ".join(map(str, order.vertex_at)).encode()) == (
+            "bd7d487b2a77b7bf9dd0c97308922ae57316943795a78ae4b966eb98b3879197")
+        assert digest(repr(tree).encode()) == (
+            "05a2d905775a4098145b5274f3e51e94c6fed1cdd6a75ae1cb9e423e124a7872")
+        assert digest(serialize_cch(build_cch(g, order=order))) == (
+            "5a94769f82548b200e38c9404a2d1eea59102d1e99223f2d41a8378f5621016b")
 
     def test_coordinate_length_mismatch(self):
         g = undirected(3, [(0, 1), (1, 2)])

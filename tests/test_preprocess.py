@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 
@@ -11,6 +12,7 @@ from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       dijkstra, load_cch, nested_dissection_order,
                       permute_to_rank_ids, reconstruct_separator_decomposition,
                       save_cch)
+from cchroute.preprocess import _Reader
 from helpers import (diamond, grid_graph, naive_elimination_arcs,
                      random_connected_graph, random_order)
 
@@ -255,3 +257,11 @@ class TestArtifacts:
         save_cch(Cch(ug=loaded.ug, parent=loaded.parent,
                      decomposition=loaded.decomposition, order=loaded.order), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sentinel_reads_as_minus_one(self):
+        # Only 0xFFFFFFFF is the sentinel; other large values must not turn
+        # into negative indices, which Python would accept silently.
+        data = struct.pack("<4I", 0xFFFFFFFF, 7, 0xFFFFFFFE, 0x80000000)
+        assert _Reader(data).u32s(4, signed_sentinel=True) == [-1, 7, 0xFFFFFFFE, 0x80000000]
+        assert _Reader(data).u32s(4) == [0xFFFFFFFF, 7, 0xFFFFFFFE, 0x80000000]
+        assert _Reader(data[:8]).u32s(2, signed_sentinel=True) == [-1, 7]
