@@ -12,10 +12,9 @@ from .preprocess import (Cch, SENTINEL, UpwardGraph, build_cch,
                          build_elimination_tree, contract, load_cch,
                          permute_to_rank_ids, reconstruct_separator_decomposition,
                          save_cch)
-from .customize import (Customized, CustomizedMetric, ReducedGraphs, SearchGraph,
-                        SearchGraphs, basic_sweep, build_reduced,
-                        customize, load_customized, perfect, query_input_graph,
-                        respect, save_customized, search_graphs_full)
+from .customize import (Customized, CustomizedMetric, SearchGraph, SearchGraphs,
+                        basic_sweep, build_reduced, customize, load_customized,
+                        perfect, query_input_graph, respect, save_customized)
 from .query import (PoiIndex, QueryState, RphastState, astar_with_cch_potential,
                     knn_dijkstra, knn_query, knn_select, query, rphast_distance,
                     rphast_source, unpack_path)
@@ -32,10 +31,9 @@ __all__ = [
     "Cch", "SENTINEL", "UpwardGraph", "build_cch", "build_elimination_tree",
     "contract", "load_cch", "permute_to_rank_ids",
     "reconstruct_separator_decomposition", "save_cch",
-    "Customized", "CustomizedMetric", "ReducedGraphs", "SearchGraph",
-    "SearchGraphs", "basic_sweep", "build_reduced", "customize",
-    "load_customized", "perfect", "query_input_graph", "respect",
-    "save_customized", "search_graphs_full",
+    "Customized", "CustomizedMetric", "SearchGraph", "SearchGraphs",
+    "basic_sweep", "build_reduced", "customize", "load_customized",
+    "perfect", "query_input_graph", "respect", "save_customized",
     "PoiIndex", "QueryState", "RphastState", "astar_with_cch_potential",
     "knn_dijkstra", "knn_query", "knn_select", "query", "rphast_distance",
     "rphast_source", "unpack_path",

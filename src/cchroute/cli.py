@@ -19,11 +19,10 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .customize import customize, load_customized, query_input_graph, save_customized
-from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric
+from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY
 from .order import export_order, import_order, nested_dissection_order
@@ -55,32 +54,24 @@ def _resolve_threads(flag: int | None) -> int:
 
 def _read_id_lines(path: str) -> list[int]:
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise ParseError(f"not a vertex ID: {line!r}", lineno) from None
+    for lineno, parts in _tokens(path):
+        try:
+            (v,) = parts
+            out.append(int(v))
+        except ValueError:
+            raise ParseError(f"not a vertex ID: {' '.join(parts)!r}", lineno) from None
     return out
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected '<s> <t>', got {line!r}", lineno)
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(f"non-integer pair {line!r}", lineno) from None
+    for lineno, parts in _tokens(path):
+        if len(parts) != 2:
+            raise ParseError(f"expected '<s> <t>', got {' '.join(parts)!r}", lineno)
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer pair {' '.join(parts)!r}", lineno) from None
     return pairs
 
 
@@ -212,20 +203,6 @@ def cmd_knn(args) -> int:
     return 0
 
 
-@dataclass
-class BenchReport:
-    """Per-phase timings and query statistics for one benchmark run."""
-
-    schema: str
-    seed: int
-    threads: int
-    count: int
-    perfect: bool
-    phase_seconds: dict
-    query_stats: dict
-    samples: list = field(default_factory=list)
-
-
 def cmd_bench(args) -> int:
     import random
 
@@ -278,29 +255,24 @@ def cmd_bench(args) -> int:
         "mean_relaxed": statistics.fmean(s["relaxed"] for s in samples),
         "mean_path_vertices": statistics.fmean(s["path_vertices"] for s in samples),
     }
-    report = BenchReport(
-        schema=BENCH_SCHEMA, seed=args.seed, threads=threads, count=args.count,
-        perfect=not args.no_perfect,
-        phase_seconds={"ordering": t1 - t0, "contraction": t2 - t1,
-                       "customization": t3 - t2},
-        query_stats=stats, samples=samples)
+    phase_seconds = {"ordering": t1 - t0, "contraction": t2 - t1, "customization": t3 - t2}
 
     if args.json:
-        print(json.dumps({"schema": report.schema, "kind": "bench",
-                          "seed": report.seed, "threads": report.threads,
-                          "count": report.count, "perfect": report.perfect,
-                          "phase_seconds": report.phase_seconds,
-                          "query_stats": report.query_stats}))
-        for sample in report.samples:
-            print(json.dumps({"schema": report.schema, "kind": "sample", **sample}))
+        print(json.dumps({"schema": BENCH_SCHEMA, "kind": "bench",
+                          "seed": args.seed, "threads": threads,
+                          "count": args.count, "perfect": not args.no_perfect,
+                          "phase_seconds": phase_seconds,
+                          "query_stats": stats}))
+        for sample in samples:
+            print(json.dumps({"schema": BENCH_SCHEMA, "kind": "sample", **sample}))
     else:
-        print(f"bench: seed={report.seed} threads={report.threads} "
-              f"count={report.count} mode={'perfect' if report.perfect else 'basic'}")
+        print(f"bench: seed={args.seed} threads={threads} "
+              f"count={args.count} mode={'basic' if args.no_perfect else 'perfect'}")
         print("phase          seconds")
-        for name, value in report.phase_seconds.items():
+        for name, value in phase_seconds.items():
             print(f"{name:<14} {value:8.3f}")
         print("query stat          value")
-        for name, value in report.query_stats.items():
+        for name, value in stats.items():
             print(f"{name:<18} {value:10.2f}")
     return 0
 

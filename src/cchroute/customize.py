@@ -6,22 +6,27 @@ cost downward. Respecting copies the input weights in, with shortcuts
 starting at INFINITY; the basic step enforces the lower triangle
 inequality bottom up; the optional perfect step shrinks every arc to the
 true distance between its endpoints top down, marking every arc-direction
-it changed as superfluous. Reduced per-direction search graphs drop the
-marked arcs. The pipeline ``respect`` -> ``basic_sweep`` -> ``perfect``
--> ``build_reduced`` runs sequentially along one code path.
+it changed as superfluous. Per-direction search graphs drop the marked
+arcs. The pipeline ``respect`` -> ``basic_sweep`` -> ``perfect`` ->
+``build_reduced`` runs sequentially along one code path; without the
+perfect step nothing is marked and the search graphs hold the whole
+hierarchy.
 
 Witness recording: whenever a relaxation strictly improves an arc, the
 two arcs of the improving triangle are stored so paths unpack in time
 proportional to their length. For an arc (x, y) the pair is (arc joining
 the lower via vertex to x, arc joining it to y); the first leg is always
 traversed downward and the second upward, regardless of the direction
-being unpacked.
+being unpacked. Witnesses are hierarchy arc IDs everywhere, in memory
+and in CCHM artifacts; each search arc carries its hierarchy arc ID to
+reach them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 from .errors import ConsistencyError, FormatError, StateError
 from .graph import INFINITY, InputGraph
@@ -167,22 +172,19 @@ def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
 
 @dataclass
 class SearchGraph:
-    """One direction of the query topology.
+    """One direction of the query topology: the hierarchy arcs that survive
+    in this direction, grouped by tail as in the hierarchy.
 
-    ``weight[j]`` is the cost of traversing arc j in this graph's
+    ``weight[j]`` is the cost of traversing search arc j in this graph's
     direction (tail->head for the forward graph, head->tail for the
-    backward graph). ``unpack_a`` names the arc of the downward leg of
-    the witness triangle (an ID in the backward graph), ``unpack_b`` the
-    upward leg (an ID in the forward graph); SENTINEL means the arc is an
-    input edge and unpacks to itself.
+    backward graph); ``arc[j]`` is its hierarchy arc ID, through which path
+    unpacking reads the arc's tail and its witnesses.
     """
 
     first_arc: list[int]
     head: list[int]
-    tail: list[int]
     weight: list[int]
-    unpack_a: list[int]
-    unpack_b: list[int]
+    arc: list[int]
 
     @property
     def arc_count(self) -> int:
@@ -191,102 +193,69 @@ class SearchGraph:
 
 @dataclass
 class SearchGraphs:
+    """Both search graphs plus the hierarchy and metric they were cut from.
+
+    Witnesses stay hierarchy arc IDs: the forward graph unpacks arc e via
+    ``metric.up_a[e]``/``up_b[e]``, the backward graph via
+    ``metric.down_b[e]``/``down_a[e]`` (down leg first, then up leg).
+    """
+
     forward: SearchGraph
     backward: SearchGraph
+    ug: UpwardGraph
+    metric: CustomizedMetric
 
 
-@dataclass
-class ReducedGraphs:
-    """Per-direction search graphs with superfluous arcs removed."""
-
-    graphs: SearchGraphs
-    map_up: list[int]
-    map_down: list[int]
+_KEEP = bytes([1]) + bytes(255)
+"""``bytes.translate`` table turning deletion marks into keep flags."""
 
 
-def search_graphs_full(ug: UpwardGraph, m: CustomizedMetric) -> SearchGraphs:
-    """Views of the whole hierarchy (used when perfect customization is off)."""
-    forward = SearchGraph(ug.first_arc, ug.head, ug.tail, m.l_up,
-                          unpack_a=m.up_a, unpack_b=m.up_b)
-    backward = SearchGraph(ug.first_arc, ug.head, ug.tail, m.l_down,
-                           unpack_a=m.down_b, unpack_b=m.down_a)
-    return SearchGraphs(forward=forward, backward=backward)
-
-
-def _reduce_direction(ug: UpwardGraph, deleted: bytearray, weight: list[int],
-                      old_a: list[int], old_b: list[int]) -> tuple[SearchGraph, list[int]]:
+def _search_direction(ug: UpwardGraph, deleted: bytearray, weight: list[int]) -> SearchGraph:
     """Copy the arcs of one direction that are not marked deleted, keeping
-    their order; return the graph and the old-to-new arc mapping."""
-    first_arc, head = ug.first_arc, ug.head
-    new_first = [0] * (ug.vertex_count + 1)
-    new_head, new_tail, new_weight, new_a, new_b = [], [], [], [], []
-    mapping = [SENTINEL] * ug.arc_count
-    j = 0
-    for v in range(ug.vertex_count):
-        for e in range(first_arc[v], first_arc[v + 1]):
-            if deleted[e]:
-                continue
-            new_head.append(head[e])
-            new_tail.append(v)
-            new_weight.append(weight[e])
-            new_a.append(old_a[e])
-            new_b.append(old_b[e])
-            mapping[e] = j
-            j += 1
-        new_first[v + 1] = j
-    return SearchGraph(new_first, new_head, new_tail, new_weight, new_a, new_b), mapping
+    their order."""
+    keep = deleted.translate(_KEEP)
+    kept_before = [0, *accumulate(keep)]
+    return SearchGraph(first_arc=list(map(kept_before.__getitem__, ug.first_arc)),
+                       head=list(compress(ug.head, keep)),
+                       weight=list(compress(weight, keep)),
+                       arc=list(compress(range(ug.arc_count), keep)))
 
 
-def _witness_error(a: int, b: int) -> ConsistencyError:
-    return ConsistencyError(f"unpack witness ({a}, {b}) is not a lower triangle of its arc")
+def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> SearchGraphs:
+    """Construct the per-direction search graphs without the arcs marked
+    deleted; with no deletion marks they hold the whole hierarchy."""
+    return SearchGraphs(forward=_search_direction(ug, m.delete_up, m.l_up),
+                        backward=_search_direction(ug, m.delete_down, m.l_down),
+                        ug=ug, metric=m)
 
 
-def _check_witnesses(ug: UpwardGraph, graphs: SearchGraphs) -> None:
-    """Require every witness to be a lower triangle of its arc.
+def _check_witnesses(graphs: SearchGraphs) -> None:
+    """Require every witness of a search arc to be a lower triangle of its
+    arc whose legs survive in the directions they are traversed.
 
     The down leg starts where the arc's traversal starts, the up leg ends
     where it ends, and both legs share their lower end, which ranks below
     both ends of the arc. Unpacking therefore recurses on strictly lower
-    tails and stops. Witness IDs here are hierarchy arc IDs.
+    tails and, since the down leg is a backward search arc and the up leg
+    a forward one, reaches only arcs checked here.
     """
+    ug, m = graphs.ug, graphs.metric
     arc_count, head, tail = ug.arc_count, ug.head, ug.tail
-    for graph, start, end in ((graphs.forward, tail, head), (graphs.backward, head, tail)):
-        for e, (a, b) in enumerate(zip(graph.unpack_a, graph.unpack_b)):
-            if a != SENTINEL and not (
-                    0 <= a < arc_count and 0 <= b < arc_count
-                    and head[a] == start[e] and head[b] == end[e] and tail[a] == tail[b]):
-                raise _witness_error(a, b)
-
-
-def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> ReducedGraphs:
-    """Construct the per-direction reduced graphs.
-
-    One pass per direction copies the surviving arcs and records the
-    old-to-new arc mapping; one more pass checks the unpack witnesses of
-    both graphs as ``_check_witnesses`` does and remaps them through the
-    mappings of both directions.
-    """
-    fwd, map_up = _reduce_direction(ug, m.delete_up, m.l_up, m.up_a, m.up_b)
-    bwd, map_down = _reduce_direction(ug, m.delete_down, m.l_down, m.down_b, m.down_a)
-    arc_count, head, tail = ug.arc_count, ug.head, ug.tail
-    for graph, start, end in ((fwd, fwd.tail, fwd.head), (bwd, bwd.head, bwd.tail)):
-        unpack_a, unpack_b = graph.unpack_a, graph.unpack_b
-        for j in range(graph.arc_count):
-            a = unpack_a[j]
+    delete_up, delete_down = m.delete_up, m.delete_down
+    for graph, down_leg, up_leg, start, end in (
+            (graphs.forward, m.up_a, m.up_b, tail, head),
+            (graphs.backward, m.down_b, m.down_a, head, tail)):
+        for e in graph.arc:
+            a = down_leg[e]
             if a == SENTINEL:
                 continue
-            b = unpack_b[j]
+            b = up_leg[e]
             if not (0 <= a < arc_count and 0 <= b < arc_count
-                    and head[a] == start[j] and head[b] == end[j] and tail[a] == tail[b]):
-                raise _witness_error(a, b)
-            na = map_down[a]
-            nb = map_up[b]
-            if na == SENTINEL or nb == SENTINEL:
+                    and head[a] == start[e] and head[b] == end[e] and tail[a] == tail[b]):
+                raise ConsistencyError(
+                    f"unpack witness ({a}, {b}) is not a lower triangle of its arc")
+            if delete_down[a] or delete_up[b]:
                 raise ConsistencyError("unpack witness of a surviving arc was deleted")
-            unpack_a[j] = na
-            unpack_b[j] = nb
-    return ReducedGraphs(graphs=SearchGraphs(forward=fwd, backward=bwd),
-                         map_up=map_up, map_down=map_down)
 
 
 @dataclass
@@ -296,7 +265,6 @@ class Customized:
     cch: Cch
     metric: CustomizedMetric
     graphs: SearchGraphs
-    reduced: ReducedGraphs | None
     perfect: bool
     input_weights: list[int]
 
@@ -305,8 +273,8 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
               threads: int = 1, timings: dict | None = None) -> Customized:
     """Run the customization pipeline for one weight function.
 
-    Respect, then the basic sweep, then optionally the perfect step plus
-    reduced-graph construction, all sequential. The same hierarchy can be
+    Respect, then the basic sweep, then optionally the perfect step, then
+    search-graph construction, all sequential. The same hierarchy can be
     customized any number of times with different weights. ``threads`` is
     accepted for compatibility and selects nothing: results do not depend
     on it. Per-phase wall-clock seconds land in ``timings`` when given.
@@ -317,22 +285,16 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
     t1 = time.perf_counter()
     basic_sweep(metric, ug)
     t2 = time.perf_counter()
-    if not use_perfect:
-        if timings is not None:
-            timings.update(respect=t1 - t0, basic=t2 - t1, perfect=0.0,
-                           construct=0.0, total=t2 - t0)
-        return Customized(cch=cch, metric=metric,
-                          graphs=search_graphs_full(ug, metric),
-                          reduced=None, perfect=False, input_weights=list(weights))
-    perfect(metric, ug)
+    if use_perfect:
+        perfect(metric, ug)
     t3 = time.perf_counter()
-    reduced = build_reduced(metric, ug)
+    graphs = build_reduced(metric, ug)
     t4 = time.perf_counter()
     if timings is not None:
         timings.update(respect=t1 - t0, basic=t2 - t1, perfect=t3 - t2,
                        construct=t4 - t3, total=t4 - t0)
-    return Customized(cch=cch, metric=metric, graphs=reduced.graphs,
-                      reduced=reduced, perfect=True, input_weights=list(weights))
+    return Customized(cch=cch, metric=metric, graphs=graphs,
+                      perfect=use_perfect, input_weights=list(weights))
 
 
 def query_input_graph(c: Customized) -> InputGraph:
@@ -400,11 +362,9 @@ def load_customized(path: str) -> Customized:
         basic_done=True)
     if r.pos != len(data):
         raise FormatError("trailing bytes in customized artifact")
-    if perfect_flag:
-        reduced = build_reduced(metric, cch.ug)
-        return Customized(cch=cch, metric=metric, graphs=reduced.graphs,
-                          reduced=reduced, perfect=True, input_weights=input_weights)
-    graphs = search_graphs_full(cch.ug, metric)
-    _check_witnesses(cch.ug, graphs)
+    if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
+        raise ConsistencyError("basic-only customized artifact carries deletion marks")
+    graphs = build_reduced(metric, cch.ug)
+    _check_witnesses(graphs)
     return Customized(cch=cch, metric=metric, graphs=graphs,
-                      reduced=None, perfect=False, input_weights=input_weights)
+                      perfect=bool(perfect_flag), input_weights=input_weights)

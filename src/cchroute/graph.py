@@ -97,9 +97,6 @@ class InputGraph:
             return i
         return None
 
-    def out_range(self, u: int) -> range:
-        return range(self.first_out[u], self.first_out[u + 1])
-
     def undirected_adjacency(self) -> list[list[int]]:
         """Sorted neighbor lists of the undirected topology (cached)."""
         if self._undirected is None:

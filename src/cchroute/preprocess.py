@@ -148,7 +148,8 @@ def _check_topology(ug: UpwardGraph, parent: list[int]) -> None:
     Queries climb ``parent`` to a root and path unpacking recurses on arcs
     with lower tails. Both end only if every arc points from its tail up
     to an existing vertex and every parent is its child's first upward
-    head.
+    head. Customization reads the input weight of every ``orig_up`` and
+    ``orig_down`` entry, so each must be SENTINEL or an input arc ID.
     """
     first_arc, head = ug.first_arc, ug.head
     if (first_arc[0] != 0 or first_arc[-1] != ug.arc_count
@@ -160,6 +161,9 @@ def _check_topology(ug: UpwardGraph, parent: list[int]) -> None:
         raise ConsistencyError("arc head outside (tail, vertex count)")
     if parent != build_elimination_tree(ug):
         raise ConsistencyError("parent array is not the elimination tree of the arcs")
+    for orig in (ug.orig_up, ug.orig_down):
+        if orig and (min(orig) < SENTINEL or max(orig) >= ug.input_arc_count):
+            raise ConsistencyError("input arc ID outside [0, input arc count)")
 
 
 def build_elimination_tree(ug: UpwardGraph) -> list[int]:

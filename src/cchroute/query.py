@@ -145,24 +145,29 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
 
 
 def _expand_arcs(graphs: SearchGraphs, side_up: bool, arc: int, out: list[int]) -> None:
-    """Append the expansion of one arc (excluding its start vertex).
+    """Append the expansion of one search arc (excluding its start vertex).
 
-    An arc with no witness is an input edge; otherwise the downward leg
-    expands in the backward graph and the upward leg in the forward
-    graph, left to right.
+    ``arc`` is an arc ID in the forward graph if ``side_up``, else in the
+    backward graph. Expansion continues on hierarchy arc IDs: an arc with
+    no witness is an input edge; otherwise its downward leg expands
+    downward and its upward leg upward, left to right.
     """
-    fwd, bwd = graphs.forward, graphs.backward
-    work = [(side_up, arc)]
+    ug, m = graphs.ug, graphs.metric
+    head, tail = ug.head, ug.tail
+    up_a, up_b, down_a, down_b = m.up_a, m.up_b, m.down_a, m.down_b
+    work = [(side_up, (graphs.forward if side_up else graphs.backward).arc[arc])]
     while work:
         up, a = work.pop()
-        g = fwd if up else bwd
-        wa = g.unpack_a[a]
-        if wa == SENTINEL:
-            out.append(g.head[a] if up else g.tail[a])
+        if up:
+            down_leg, up_leg = up_a[a], up_b[a]
+        else:
+            down_leg, up_leg = down_b[a], down_a[a]
+        if down_leg == SENTINEL:
+            out.append(head[a] if up else tail[a])
         else:
             # emit down leg first, then up leg (LIFO order)
-            work.append((True, g.unpack_b[a]))
-            work.append((False, wa))
+            work.append((True, up_leg))
+            work.append((False, down_leg))
 
 
 def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
@@ -178,12 +183,14 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
         return None
     if s == t:
         return [s]
+    tail = graphs.ug.tail
+    fwd_arc, bwd_arc = graphs.forward.arc, graphs.backward.arc
     up_chain = []
     v = meet
     while v != s:
         e = state.parent_up[v]
         up_chain.append(e)
-        v = graphs.forward.tail[e]
+        v = tail[fwd_arc[e]]
     path = [s]
     for e in reversed(up_chain):
         _expand_arcs(graphs, True, e, path)
@@ -191,7 +198,7 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
     while v != t:
         e = state.parent_down[v]
         _expand_arcs(graphs, False, e, path)
-        v = graphs.backward.tail[e]
+        v = tail[bwd_arc[e]]
     return path
 
 

@@ -23,7 +23,6 @@ class TurnExpansion:
     graph: InputGraph
     vertex_of_arc: list[int]
     arc_of_vertex: list[int]
-    turn_table: dict[tuple[int, int], int]
 
 
 def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpansion:
@@ -57,7 +56,7 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
             expanded_arcs.append((a, b, la + cost))
     expanded = InputGraph.from_arcs(m, expanded_arcs)
     return TurnExpansion(graph=expanded, vertex_of_arc=vertex_of_arc,
-                         arc_of_vertex=arc_of_vertex, turn_table=dict(turns))
+                         arc_of_vertex=arc_of_vertex)
 
 
 def expanded_coordinates(g: InputGraph, coords, expansion: TurnExpansion):

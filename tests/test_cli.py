@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import struct
 
+import pytest
+
 from cchroute import INFINITY, dijkstra, load_cch, load_customized
 from cchroute.cli import main
-from helpers import diamond, grid_graph
+from helpers import SAMPLE, diamond, grid_graph
 
 
 def write_instance(tmp_path, g, coords, prefix="g"):
@@ -109,7 +112,9 @@ class TestCustomizeCmd:
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(cchm), "--no-perfect"]) == 0
         c = load_customized(str(cchm))
-        assert c.perfect is False and c.reduced is None
+        assert c.perfect is False
+        everything = list(range(c.cch.ug.arc_count))
+        assert c.graphs.forward.arc == c.graphs.backward.arc == everything
 
     def test_weight_graph_mismatch_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -120,6 +125,23 @@ class TestCustomizeCmd:
         gr2, _ = write_instance(tmp_path, g2, coords2, "other")
         assert main(["customize", "--graph", gr2, "--cch", str(cchp),
                      "--out", str(tmp_path / "x.cchm")]) == 3
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["orig_up", "orig_down"])
+    def test_input_arc_id_out_of_range_exits_3(self, tmp_path, capsys, index):
+        gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+        cchp = tmp_path / "s.cchp"
+        main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
+        ug = load_cch(str(cchp)).ug
+        n, m = ug.vertex_count, ug.arc_count
+        # CCHP layout: magic, version, four u32 counts, then the u32 arrays
+        # first_arc, head, tail, parent, vertex_at, orig_up, orig_down
+        offset = 5 + 16 + 4 * (n + 1) + 8 * m + 8 * n + 4 * m * index
+        data = bytearray(cchp.read_bytes())
+        struct.pack_into("<I", data, offset, 1_000_000)
+        cchp.write_bytes(bytes(data))
+        assert main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(tmp_path / "s.cchm")]) == 3
+        assert "input arc ID" in capsys.readouterr().err
 
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -167,6 +189,25 @@ class TestQueryCmd:
         line = capsys.readouterr().out.strip()
         s, t, d, path = line.split("\t")
         assert path.split() == ["0", "1", "3"] and d == "2"
+
+    @pytest.mark.parametrize("extra, cchm_digest", [
+        ((), "76f543e5b15eec312699298b693da451b607cbdff193a90ffe68ef92a563027a"),
+        (("--no-perfect",), "da141e541145f54ef91c3fde4798410bbfd91629c9b419c7dab93351d661c955"),
+    ], ids=["perfect", "no-perfect"])
+    def test_sample_paths_pinned(self, tmp_path, capsys, extra, cchm_digest):
+        # Digests of sample/grid.gr's CCHM and of `query --paths` on 300
+        # seeded pairs. How search graphs are built and paths unpacked may
+        # change; these outputs may not.
+        cchm = self._pipeline(tmp_path, str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co"), extra)
+        rng = random.Random(7)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("".join(f"{rng.randrange(200)} {rng.randrange(200)}\n" for _ in range(300)))
+        capsys.readouterr()
+        assert main(["query", "--customized", str(cchm), "--pairs", str(pairs), "--paths"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(cchm.read_bytes()).hexdigest() == cchm_digest
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7e8965ef87281b383c50cedc35959227b506544ce8993765f323414850548e9f")
 
     def test_malformed_batch_exits_2(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)

@@ -14,7 +14,7 @@ from cchroute import (ConsistencyError, INFINITY, InputGraph, RankOrder,
                       permute_to_rank_ids, respect, save_customized)
 from cchroute.preprocess import serialize_cch
 from cchroute.query import _expand_arcs
-from helpers import SAMPLE, diamond, random_connected_graph
+from helpers import SAMPLE, diamond, grid_graph, random_connected_graph
 
 
 def diamond_cch():
@@ -203,20 +203,23 @@ class TestBuildReduced:
         g, cch = diamond_cch()
         m = metric_after_basic(cch, list(g.weight))
         red = build_reduced(m, cch.ug)
-        assert red.graphs.forward.head == cch.ug.head
-        assert red.graphs.forward.first_arc == cch.ug.first_arc
-        assert red.map_up == list(range(cch.ug.arc_count))
-        assert red.map_down == list(range(cch.ug.arc_count))
+        for graph in (red.forward, red.backward):
+            assert graph.head == cch.ug.head
+            assert graph.first_arc == cch.ug.first_arc
+            assert graph.arc == list(range(cch.ug.arc_count))
+        assert red.forward.weight == m.l_up and red.backward.weight == m.l_down
 
     def test_diamond_reduction(self):
         g, cch = diamond_cch()
         m = metric_after_basic(cch, list(g.weight))
         perfect(m, cch.ug)
         red = build_reduced(m, cch.ug)
-        fwd_arcs = set(zip(red.graphs.forward.tail, red.graphs.forward.head))
-        bwd_arcs = set(zip(red.graphs.backward.tail, red.graphs.backward.head))
-        assert fwd_arcs == {(0, 1), (1, 3), (2, 3)}
-        assert bwd_arcs == {(0, 1), (1, 3), (2, 3)}
+        ug = cch.ug
+        for graph, weight in ((red.forward, m.l_up), (red.backward, m.l_down)):
+            assert {(ug.tail[e], ug.head[e]) for e in graph.arc} == {(0, 1), (1, 3), (2, 3)}
+            assert graph.head == [ug.head[e] for e in graph.arc]
+            assert graph.weight == [weight[e] for e in graph.arc]
+            assert graph.first_arc == [0, 1, 2, 3, 3]
 
     def test_surviving_witnesses_expand_to_arc_weight(self):
         rng = random.Random(89)
@@ -230,7 +233,7 @@ class TestBuildReduced:
                 for j in range(graph.arc_count):
                     if graph.weight[j] == INFINITY:
                         continue
-                    start = graph.tail[j] if side_up else graph.head[j]
+                    start = cch.ug.tail[graph.arc[j]] if side_up else graph.head[j]
                     out = [start]
                     _expand_arcs(c.graphs, side_up, j, out)
                     total = 0
@@ -238,6 +241,26 @@ class TestBuildReduced:
                         assert (a, b) in warcs, (a, b)
                         total += warcs[(a, b)]
                     assert total == graph.weight[j]
+
+    def test_surviving_arcs_keep_their_witness_legs(self):
+        # Unpacking a search arc follows its witness into the search graphs:
+        # the down leg into the backward graph, the up leg into the forward
+        # graph. Perfect customization must therefore never delete a leg of
+        # an arc-direction it keeps, including under closed arcs.
+        rng = random.Random(103)
+        for trial in range(8):
+            if trial % 2:
+                g, coords = grid_graph(rng, 9, 9, one_way=0.3)
+            else:
+                g, coords = random_connected_graph(rng, 90)
+            weights = [INFINITY if rng.random() < 0.05 else w for w in g.weight]
+            m = customize(build_cch(g, coords), weights, use_perfect=True).metric
+            for deleted, down_leg, up_leg in ((m.delete_up, m.up_a, m.up_b),
+                                              (m.delete_down, m.down_b, m.down_a)):
+                for e in range(len(deleted)):
+                    if not deleted[e] and down_leg[e] != -1:
+                        assert not m.delete_down[down_leg[e]], (trial, e)
+                        assert not m.delete_up[up_leg[e]], (trial, e)
 
 
 class TestParallelDeterminism:
@@ -261,9 +284,7 @@ class TestParallelDeterminism:
                 sg, bg = getattr(c.graphs, side), getattr(base.graphs, side)
                 assert sg.first_arc == bg.first_arc and sg.head == bg.head, threads
                 assert sg.weight == bg.weight, threads
-                assert sg.unpack_a == bg.unpack_a and sg.unpack_b == bg.unpack_b, threads
-            assert c.reduced.map_up == base.reduced.map_up
-            assert c.reduced.map_down == base.reduced.map_down
+                assert sg.arc == bg.arc, threads
 
 
 class TestCustomizeFacade:
@@ -276,7 +297,9 @@ class TestCustomizeFacade:
         second = [max(1, w // 2) for w in g.weight]
         c2 = customize(cch, second, use_perfect=False)
         assert cch.ug.head == head_before
-        assert c2.perfect is False and c2.reduced is None
+        assert c2.perfect is False
+        everything = list(range(cch.ug.arc_count))
+        assert c2.graphs.forward.arc == c2.graphs.backward.arc == everything
 
     def test_timings_recorded(self):
         g, cch = diamond_cch()
@@ -299,6 +322,12 @@ class TestCorruptedArtifactRejected:
         path = tmp_path / "sample.cchm"
         save_customized(c, str(path))
         return c, path
+
+    def _delete_up_at(self, c):
+        # after the CCHP: input weights, then six u32 arrays per arc (l_up,
+        # l_down, up_a, up_b, down_a, down_b), then delete_up, delete_down
+        ug = c.cch.ug
+        return 6 + len(serialize_cch(c.cch)) + 4 * ug.input_arc_count + 24 * ug.arc_count
 
     def _put_u32(self, path, offset, value):
         data = bytearray(path.read_bytes())
@@ -340,4 +369,22 @@ class TestCorruptedArtifactRejected:
                    + 12 * ug.arc_count)
         self._put_u32(path, up_b_at + 4 * k, k)
         with pytest.raises(ConsistencyError):
+            load_customized(str(path))
+
+    def test_witness_leg_deleted(self, tmp_path):
+        c, path = self._sample(tmp_path)
+        m, ug = c.metric, c.cch.ug
+        e = next(e for e in range(ug.arc_count) if not m.delete_up[e] and m.up_a[e] != -1)
+        data = bytearray(path.read_bytes())
+        data[self._delete_up_at(c) + ug.arc_count + m.up_a[e]] = 1  # delete_down of the down leg
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError, match="deleted"):
+            load_customized(str(path))
+
+    def test_basic_only_artifact_with_deletion_mark(self, tmp_path):
+        c, path = self._sample(tmp_path, use_perfect=False)
+        data = bytearray(path.read_bytes())
+        data[self._delete_up_at(c)] = 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError, match="deletion marks"):
             load_customized(str(path))
