@@ -7,31 +7,45 @@ starting at INFINITY; the basic step enforces the lower triangle
 inequality bottom up; the optional perfect step shrinks every arc to the
 true distance between its endpoints top down, marking every arc-direction
 it changed as superfluous. Per-direction search graphs drop the marked
-arcs. The pipeline ``respect`` -> ``basic_sweep`` -> ``perfect`` ->
-``build_reduced`` runs sequentially along one code path; without the
-perfect step nothing is marked and the search graphs hold the whole
-hierarchy.
+arcs; without the perfect step nothing is marked and the search graphs
+hold the whole hierarchy.
 
-Witness recording: whenever a relaxation strictly improves an arc, the
-two arcs of the improving triangle are stored so paths unpack in time
-proportional to their length. For an arc (x, y) the pair is (arc joining
-the lower via vertex to x, arc joining it to y); the first leg is always
-traversed downward and the second upward, regardless of the direction
-being unpacked. Witnesses are hierarchy arc IDs everywhere, in memory
-and in CCHM artifacts; each search arc carries its hierarchy arc ID to
-reach them.
+``customize()`` runs respect, basic and perfect as numpy kernels
+(``kernels.py``), one elimination-tree level at a time, then
+``build_reduced``. The basic step goes bottom up by height: the
+triangles below a vertex read its own arcs, final once every vertex of
+smaller height has run, and relax the arcs between its upward neighbors,
+all of greater height, so the vertices of one level never touch each
+other's arcs. The perfect step goes top down by depth: an arc out of u
+becomes exact from the basic weights of u's arcs and the exact weights
+between u's upward neighbors, whose tails are of smaller depth. The loop
+functions ``respect``, ``basic_sweep`` and ``perfect`` compute the same
+metric one triangle at a time; they stay as test oracles and nothing
+selects them at run time.
+
+Witness recording: an arc improved by the basic step stores the two
+arcs of its improving triangle, so paths unpack in time proportional to
+their length. For an arc (x, y) the pair is (arc joining the lower via
+vertex to x, arc joining it to y); the first leg is always traversed
+downward and the second upward, regardless of the direction being
+unpacked. The triangle is the one the sequential sweep settles on: the
+smallest candidate, ties going to the lowest via vertex, and only when
+it lies strictly below the respected weight. Witnesses are hierarchy arc
+IDs everywhere, in memory and in CCHM artifacts; each search arc carries
+its hierarchy arc ID to reach them.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress
 
 from .errors import ConsistencyError, FormatError, StateError
 from .graph import INFINITY, InputGraph
-from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_u32, _Reader,
-                         deserialize_cch, serialize_cch)
+from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_array, _encode_u32,
+                         _Reader, deserialize_cch, serialize_cch)
 
 CUSTOMIZED_MAGIC = b"CCHM"
 CUSTOMIZED_VERSION = 1
@@ -41,18 +55,21 @@ CUSTOMIZED_VERSION = 1
 class CustomizedMetric:
     """Weights, unpack witnesses, and deletion marks per upward arc.
 
-    ``up_a``/``up_b`` witness the last strict improvement of ``l_up``
-    (SENTINEL means the arc still carries its respected weight);
-    ``down_a``/``down_b`` likewise for ``l_down``. Deletion marks are one
-    byte per arc, stored as written in CCHM artifacts.
+    ``up_a``/``up_b`` witness the strict improvement of ``l_up`` by the
+    basic step (SENTINEL means the arc still carries its respected weight);
+    ``down_a``/``down_b`` likewise for ``l_down``. ``customize()`` and
+    ``load_customized()`` store weights as ``array('I')`` and witnesses as
+    ``array('i')``, whose bytes are the CCHM encoding; the loop oracles
+    fill plain lists. Deletion marks are one byte per arc, stored as
+    written in CCHM artifacts.
     """
 
-    l_up: list[int]
-    l_down: list[int]
-    up_a: list[int]
-    up_b: list[int]
-    down_a: list[int]
-    down_b: list[int]
+    l_up: array | list[int]
+    l_down: array | list[int]
+    up_a: array | list[int]
+    up_b: array | list[int]
+    down_a: array | list[int]
+    down_b: array | list[int]
     delete_up: bytearray
     delete_down: bytearray
     basic_done: bool = False
@@ -62,7 +79,8 @@ def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
     """Initialize the metric from input arc weights.
 
     Original arcs get their input weight per direction, missing one-way
-    directions and shortcuts get INFINITY, witnesses are cleared.
+    directions and shortcuts get INFINITY, witnesses are cleared. Test
+    oracle of ``customize()``.
     """
     if len(weights) != ug.input_arc_count:
         raise ConsistencyError(
@@ -91,7 +109,7 @@ def basic_sweep(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     For each arc uv the upper triangles (u, v, w) are found by sweeping
     v's neighborhood once: chordality makes u's upward neighborhood a
     subset of v's, so the sweep never backtracks. Each triangle relaxes
-    the opposite arc vw in both directions.
+    the opposite arc vw in both directions. Test oracle of ``customize()``.
     """
     first, head = ug.first_arc, ug.head
     l_up, l_down = m.l_up, m.l_down
@@ -130,7 +148,7 @@ def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     relaxes the two arcs incident to u: the upper triangle of uv and the
     intermediate triangle of uw, both directions each. Arc-directions
     that shrink are marked superfluous; witnesses stay untouched because
-    marked arcs are dropped anyway.
+    marked arcs are dropped anyway. Test oracle of ``customize()``.
     """
     if not m.basic_done:
         # Without the basic step a shortcut could sit at INFINITY in both
@@ -273,26 +291,31 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
               threads: int = 1, timings: dict | None = None) -> Customized:
     """Run the customization pipeline for one weight function.
 
-    Respect, then the basic sweep, then optionally the perfect step, then
-    search-graph construction, all sequential. The same hierarchy can be
-    customized any number of times with different weights. ``threads`` is
-    accepted for compatibility and selects nothing: results do not depend
-    on it. Per-phase wall-clock seconds land in ``timings`` when given.
+    Respect, then the basic step, then optionally the perfect step, as
+    level-synchronous numpy kernels, then search-graph construction, all
+    sequential. The same hierarchy can be customized any number of times
+    with different weights. ``threads`` is accepted for compatibility and
+    selects nothing: results do not depend on it. Per-phase wall-clock
+    seconds land in ``timings`` when given; ``construct`` covers packing
+    the metric into arrays and building the search graphs.
     """
+    from .kernels import metric_columns  # numpy loads only on this path
+
     ug = cch.ug
+    if len(weights) != ug.input_arc_count:
+        raise ConsistencyError(
+            f"weight array has {len(weights)} entries, hierarchy expects {ug.input_arc_count}")
+    # The kernels store weights as 32-bit unsigned ints, so anything else
+    # would wrap around silently.
+    if weights and (min(weights) < 0 or max(weights) > INFINITY):
+        raise ConsistencyError(f"weight outside [0, {INFINITY}]")
+    phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    metric = respect(ug, weights)
-    t1 = time.perf_counter()
-    basic_sweep(metric, ug)
-    t2 = time.perf_counter()
-    if use_perfect:
-        perfect(metric, ug)
-    t3 = time.perf_counter()
+    metric = CustomizedMetric(*metric_columns(ug, weights, use_perfect, phases), basic_done=True)
     graphs = build_reduced(metric, ug)
-    t4 = time.perf_counter()
+    total = time.perf_counter() - t0
     if timings is not None:
-        timings.update(respect=t1 - t0, basic=t2 - t1, perfect=t3 - t2,
-                       construct=t4 - t3, total=t4 - t0)
+        timings.update(phases, construct=total - sum(phases.values()), total=total)
     return Customized(cch=cch, metric=metric, graphs=graphs,
                       perfect=use_perfect, input_weights=list(weights))
 
@@ -327,12 +350,7 @@ def serialize_customized(c: Customized) -> bytes:
     parts = [CUSTOMIZED_MAGIC, bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])]
     parts.append(serialize_cch(c.cch))
     parts.append(_encode_u32(c.input_weights))
-    parts.append(_encode_u32(m.l_up))
-    parts.append(_encode_u32(m.l_down))
-    parts.append(_encode_u32(m.up_a, signed_sentinel=True))
-    parts.append(_encode_u32(m.up_b, signed_sentinel=True))
-    parts.append(_encode_u32(m.down_a, signed_sentinel=True))
-    parts.append(_encode_u32(m.down_b, signed_sentinel=True))
+    parts.extend(map(_encode_array, (m.l_up, m.l_down, m.up_a, m.up_b, m.down_a, m.down_b)))
     parts.append(bytes(m.delete_up))
     parts.append(bytes(m.delete_down))
     return b"".join(parts)
@@ -350,13 +368,15 @@ def load_customized(path: str) -> Customized:
     cch = deserialize_cch(data, reader=r)
     arc_count = cch.ug.arc_count
     input_weights = r.u32s(cch.ug.input_arc_count)
+    # Witnesses read as int32: 0xFFFFFFFF is SENTINEL, and any other value
+    # of 2**31 or more turns negative, which the witness check rejects.
     metric = CustomizedMetric(
-        l_up=r.u32s(arc_count),
-        l_down=r.u32s(arc_count),
-        up_a=r.u32s(arc_count, signed_sentinel=True),
-        up_b=r.u32s(arc_count, signed_sentinel=True),
-        down_a=r.u32s(arc_count, signed_sentinel=True),
-        down_b=r.u32s(arc_count, signed_sentinel=True),
+        l_up=r.array("I", arc_count),
+        l_down=r.array("I", arc_count),
+        up_a=r.array("i", arc_count),
+        up_b=r.array("i", arc_count),
+        down_a=r.array("i", arc_count),
+        down_b=r.array("i", arc_count),
         delete_up=bytearray(r.take(arc_count)),
         delete_down=bytearray(r.take(arc_count)),
         basic_done=True)

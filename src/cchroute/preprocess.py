@@ -299,15 +299,21 @@ def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None,
                initial_order=order)
 
 
+def _encode_array(arr: array) -> bytes:
+    """Little-endian bytes of a 4-byte ``array``."""
+    if sys.byteorder != "little":  # pragma: no cover
+        arr = array(arr.typecode, arr)
+        arr.byteswap()
+    return arr.tobytes()
+
+
 def _encode_u32(values, signed_sentinel: bool = False) -> bytes:
     if signed_sentinel:
         values = [v & 0xFFFFFFFF for v in values]
     arr = array("I", values)
     if arr.itemsize != 4:  # pragma: no cover - exotic platforms
         return struct.pack(f"<{len(values)}I", *values)
-    if sys.byteorder != "little":  # pragma: no cover
-        arr.byteswap()
-    return arr.tobytes()
+    return _encode_array(arr)
 
 
 class _Reader:
@@ -323,13 +329,18 @@ class _Reader:
         self.pos = end
         return chunk
 
-    def u32s(self, count: int, signed_sentinel: bool = False) -> list[int]:
-        """Read ``count`` u32 values; with ``signed_sentinel``, 0xFFFFFFFF
-        reads as SENTINEL."""
-        arr = array("i" if signed_sentinel else "I")
+    def array(self, typecode: str, count: int) -> array:
+        """Read ``count`` little-endian 4-byte values into an ``array``."""
+        arr = array(typecode)
         arr.frombytes(self.take(4 * count))
         if sys.byteorder != "little":  # pragma: no cover
             arr.byteswap()
+        return arr
+
+    def u32s(self, count: int, signed_sentinel: bool = False) -> list[int]:
+        """Read ``count`` u32 values; with ``signed_sentinel``, 0xFFFFFFFF
+        reads as SENTINEL."""
+        arr = self.array("i" if signed_sentinel else "I", count)
         if signed_sentinel and count and min(arr) < SENTINEL:
             # Any other value of 2**31 or more stays unsigned, so range
             # checks see it as too large instead of as a negative index.
@@ -344,35 +355,45 @@ def _flatten_decomposition(root: SeparatorDecomposition) -> list[int]:
     return flat
 
 
-def _unflatten_decomposition(flat: list[int]) -> SeparatorDecomposition:
-    pos = 0
-
-    def read_node() -> SeparatorDecomposition:
-        nonlocal pos
+def _unflatten_decomposition(flat: list[int], n: int) -> SeparatorDecomposition:
+    """Rebuild the decomposition from its preorder entries (cell_lo,
+    cell_hi, sep_lo, child count), rejecting one whose cells do not tile
+    the ranks: the root cell is [0, n), and every cell holds its separator
+    [sep_lo, cell_hi) above child cells that tile [cell_lo, sep_lo) in
+    order."""
+    if len(flat) < 4:
+        raise FormatError("truncated separator decomposition")
+    lo, hi, sep_lo, n_children = flat[:4]
+    if (lo, hi) != (0, n):
+        raise ConsistencyError("root cell of the separator decomposition is not [0, n)")
+    root = SeparatorDecomposition(lo, hi, sep_lo)
+    pos = 4
+    # per open node: the node, children still to read, where the next starts
+    stack = [[root, n_children, lo]]
+    while stack:
+        top = stack[-1]
+        node, remaining, start = top
+        if remaining == 0:
+            if not start == node.sep_lo <= node.cell_hi:
+                raise ConsistencyError("separator decomposition: child cells do not tile "
+                                       "the ranks below their separator")
+            stack.pop()
+            continue
         if pos + 4 > len(flat):
             raise FormatError("truncated separator decomposition")
         lo, hi, sep_lo, n_children = flat[pos:pos + 4]
         pos += 4
-        node = SeparatorDecomposition(lo, hi, sep_lo)
-        stack = [(node, n_children)]
-        while stack:
-            parent_node, remaining = stack.pop()
-            if remaining == 0:
-                continue
-            stack.append((parent_node, remaining - 1))
-            if pos + 4 > len(flat):
-                raise FormatError("truncated separator decomposition")
-            c_lo, c_hi, c_sep, c_children = flat[pos:pos + 4]
-            pos += 4
-            child = SeparatorDecomposition(c_lo, c_hi, c_sep)
-            parent_node.children.append(child)
-            stack.append((child, c_children))
-        return node
-
-    node = read_node()
+        if lo != start:
+            raise ConsistencyError("separator decomposition: child cells do not tile "
+                                   "the ranks below their separator")
+        top[1] = remaining - 1
+        top[2] = hi
+        child = SeparatorDecomposition(lo, hi, sep_lo)
+        node.children.append(child)
+        stack.append([child, n_children, lo])
     if pos != len(flat):
         raise FormatError("trailing data after separator decomposition")
-    return node
+    return root
 
 
 def save_cch(cch: Cch, path: str) -> None:
@@ -426,5 +447,5 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
                      input_arc_count=input_arc_count)
     _check_topology(ug, parent)
     order = RankOrder.from_vertex_at(vertex_at)
-    decomposition = _unflatten_decomposition(flat)
+    decomposition = _unflatten_decomposition(flat, n)
     return Cch(ug=ug, parent=parent, decomposition=decomposition, order=order)

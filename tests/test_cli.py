@@ -143,6 +143,24 @@ class TestCustomizeCmd:
                      "--out", str(tmp_path / "s.cchm")]) == 3
         assert "input arc ID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node, field", [(0, 1), (1, 0), (-1, 2)],
+                             ids=["root-cell-hi", "child-cell-lo", "leaf-sep-lo"])
+    def test_decomposition_not_tiling_ranks_exits_3(self, tmp_path, capsys, node, field):
+        gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+        cchp = tmp_path / "s.cchp"
+        main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
+        nodes = sum(1 for _ in load_cch(str(cchp)).decomposition.preorder())
+        # the CCHP ends with the decomposition in preorder: per node the u32s
+        # cell_lo, cell_hi, sep_lo, child count
+        data = bytearray(cchp.read_bytes())
+        offset = len(data) - 16 * nodes + 16 * (node % nodes) + 4 * field
+        (value,) = struct.unpack_from("<I", data, offset)
+        struct.pack_into("<I", data, offset, value + 1)
+        cchp.write_bytes(bytes(data))
+        assert main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(tmp_path / "s.cchm")]) == 3
+        assert "separator decomposition" in capsys.readouterr().err
+
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
         cchp = tmp_path / "d.cchp"

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cchroute import (ConsistencyError, INFINITY, InputGraph, RankOrder,
                       StateError, basic_sweep, build_cch,
@@ -263,6 +266,65 @@ class TestBuildReduced:
                         assert not m.delete_up[up_leg[e]], (trial, e)
 
 
+METRIC_FIELDS = ("l_up", "l_down", "up_a", "up_b", "down_a", "down_b",
+                 "delete_up", "delete_down")
+
+
+def assert_matches_loop_oracles(cch, weights, use_perfect):
+    """``customize()`` must reproduce the loop functions element for element:
+    weights, witnesses and deletion marks."""
+    got = customize(cch, weights, use_perfect=use_perfect).metric
+    want = basic_sweep(respect(cch.ug, weights), cch.ug)
+    if use_perfect:
+        perfect(want, cch.ug)
+    for name in METRIC_FIELDS:
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+
+
+# Small weights make ties frequent, between triangles and with the
+# respected weight; near-overflow and closed weights make sums of two legs
+# exceed 32 bits, and INFINITY legs must never improve an arc.
+METRIC_WEIGHTS = st.one_of(st.integers(0, 3), st.sampled_from([1000, INFINITY - 1, INFINITY]))
+
+
+@st.composite
+def hierarchies_with_metrics(draw):
+    """A random graph of up to 12 vertices (one-way and two-way arcs, often
+    disconnected) contracted under a random order, and a weight per arc."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arcs = []
+    for t, h, both in draw(st.lists(st.tuples(vertex, vertex, st.booleans()), max_size=3 * n)):
+        arcs.append((t, h, 1))
+        if both:
+            arcs.append((h, t, 1))
+    g = InputGraph.from_arcs(n, arcs)
+    order = RankOrder.from_vertex_at(list(draw(st.permutations(range(n)))))
+    weights = draw(st.lists(METRIC_WEIGHTS, min_size=g.arc_count, max_size=g.arc_count))
+    return build_cch(g, order=order), weights
+
+
+class TestKernelsMatchLoopOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_metrics(), st.booleans())
+    def test_random_small_graphs(self, instance, use_perfect):
+        cch, weights = instance
+        assert_matches_loop_oracles(cch, weights, use_perfect)
+
+    @pytest.mark.parametrize("use_perfect", [True, False])
+    def test_seeded_grid_with_closures(self, use_perfect):
+        # a traffic metric as in the benchmark: a fifth of the arcs slowed
+        # down by x1.2 to x4, one percent closed
+        rng = random.Random(107)
+        g, coords = grid_graph(rng, 30, 30, one_way=0.1)
+        weights = list(g.weight)
+        for i in rng.sample(range(g.arc_count), g.arc_count // 5):
+            weights[i] = weights[i] * rng.randint(12, 40) // 10
+        for i in rng.sample(range(g.arc_count), g.arc_count // 100):
+            weights[i] = INFINITY
+        assert_matches_loop_oracles(build_cch(g, coords), weights, use_perfect)
+
+
 class TestParallelDeterminism:
     def test_thread_counts_bitwise_identical(self):
         rng = random.Random(97)
@@ -306,6 +368,33 @@ class TestCustomizeFacade:
         times = {}
         customize(cch, list(g.weight), timings=times)
         assert set(times) == {"respect", "basic", "perfect", "construct", "total"}
+
+    @pytest.mark.parametrize("bad", [-1, INFINITY + 1])
+    def test_weight_out_of_range(self, bad):
+        g, cch = diamond_cch()
+        weights = list(g.weight)
+        weights[3] = bad
+        with pytest.raises(ConsistencyError, match="outside"):
+            customize(cch, weights)
+
+    def test_loading_and_querying_do_not_import_numpy(self, tmp_path):
+        # numpy costs a serving process memory and start-up time, and only
+        # customization needs it
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        path = tmp_path / "sample.cchm"
+        save_customized(customize(build_cch(g, coords), list(g.weight)), str(path))
+        script = (
+            "import sys\n"
+            "from cchroute import QueryState, load_customized, query, unpack_path\n"
+            f"c = load_customized({str(path)!r})\n"
+            "st = QueryState.for_vertex_count(c.cch.ug.vertex_count)\n"
+            "query(0, c.cch.ug.vertex_count - 1, st, c.graphs, c.cch.parent)\n"
+            "unpack_path(st, c.graphs)\n"
+            "print('numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, env={"PYTHONPATH": ":".join(sys.path)})
+        assert out.stdout.strip() == "False"
 
 
 class TestCorruptedArtifactRejected:
@@ -369,6 +458,17 @@ class TestCorruptedArtifactRejected:
                    + 12 * ug.arc_count)
         self._put_u32(path, up_b_at + 4 * k, k)
         with pytest.raises(ConsistencyError):
+            load_customized(str(path))
+
+    def test_witness_with_bit_31_set(self, tmp_path):
+        # witnesses load as int32, so such a value reads as negative and
+        # must still be rejected rather than index from the end
+        c, path = self._sample(tmp_path)
+        m, ug = c.metric, c.cch.ug
+        e = next(e for e in range(ug.arc_count) if not m.delete_up[e] and m.up_a[e] != -1)
+        up_a_at = 6 + len(serialize_cch(c.cch)) + 4 * ug.input_arc_count + 8 * ug.arc_count
+        self._put_u32(path, up_a_at + 4 * e, 0x80000000 | m.up_a[e])
+        with pytest.raises(ConsistencyError, match="lower triangle"):
             load_customized(str(path))
 
     def test_witness_leg_deleted(self, tmp_path):
