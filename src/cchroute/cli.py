@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .customize import customize, load_customized, query_input_graph, save_customized
-from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric
+from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY
 from .order import export_order, import_order, nested_dissection_order
@@ -50,17 +50,6 @@ def _resolve_threads(flag: int | None) -> int:
             raise ConsistencyError(f"CCH_THREADS must be an integer, got {env!r}") from None
         return _check_positive(value, "CCH_THREADS")
     return os.cpu_count() or 1
-
-
-def _read_id_lines(path: str) -> list[int]:
-    out = []
-    for lineno, parts in _tokens(path):
-        try:
-            (v,) = parts
-            out.append(int(v))
-        except ValueError:
-            raise ParseError(f"not a vertex ID: {' '.join(parts)!r}", lineno) from None
-    return out
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
@@ -181,8 +170,8 @@ def cmd_knn(args) -> int:
     c = load_customized(args.customized)
     order = c.cch.order
     n = c.cch.ug.vertex_count
-    sources = _read_id_lines(args.sources)
-    targets = _read_id_lines(args.targets)
+    sources = read_id_lines(args.sources)
+    targets = read_id_lines(args.targets)
     for v in sources + targets:
         _check_vertex(v, n, "vertex")
     rank_targets = [order.rank_of[v] for v in targets]

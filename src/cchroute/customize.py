@@ -44,8 +44,8 @@ from itertools import accumulate, compress
 
 from .errors import ConsistencyError, FormatError, StateError
 from .graph import INFINITY, InputGraph
-from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_array, _encode_u32,
-                         _Reader, deserialize_cch, serialize_cch)
+from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_array, _Reader,
+                         deserialize_cch, serialize_cch)
 
 CUSTOMIZED_MAGIC = b"CCHM"
 CUSTOMIZED_VERSION = 1
@@ -59,9 +59,10 @@ class CustomizedMetric:
     basic step (SENTINEL means the arc still carries its respected weight);
     ``down_a``/``down_b`` likewise for ``l_down``. ``customize()`` and
     ``load_customized()`` store weights as ``array('I')`` and witnesses as
-    ``array('i')``, whose bytes are the CCHM encoding; the loop oracles
-    fill plain lists. Deletion marks are one byte per arc, stored as
-    written in CCHM artifacts.
+    ``array('i')``, whose bytes are the CCHM encoding: like every column of
+    both artifacts, they are written by ``_encode_array`` and read by
+    ``_Reader.array``. The loop oracles fill plain lists. Deletion marks
+    are one byte per arc, stored as written in CCHM artifacts.
     """
 
     l_up: array | list[int]
@@ -278,13 +279,16 @@ def _check_witnesses(graphs: SearchGraphs) -> None:
 
 @dataclass
 class Customized:
-    """A hierarchy joined with one customized metric, ready for queries."""
+    """A hierarchy joined with one customized metric, ready for queries.
+
+    ``input_weights`` is an ``array('I')``, whose bytes are the CCHM
+    encoding."""
 
     cch: Cch
     metric: CustomizedMetric
     graphs: SearchGraphs
     perfect: bool
-    input_weights: list[int]
+    input_weights: array
 
 
 def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
@@ -317,7 +321,7 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
     if timings is not None:
         timings.update(phases, construct=total - sum(phases.values()), total=total)
     return Customized(cch=cch, metric=metric, graphs=graphs,
-                      perfect=use_perfect, input_weights=list(weights))
+                      perfect=use_perfect, input_weights=array("I", weights))
 
 
 def query_input_graph(c: Customized) -> InputGraph:
@@ -349,8 +353,8 @@ def serialize_customized(c: Customized) -> bytes:
     m = c.metric
     parts = [CUSTOMIZED_MAGIC, bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])]
     parts.append(serialize_cch(c.cch))
-    parts.append(_encode_u32(c.input_weights))
-    parts.extend(map(_encode_array, (m.l_up, m.l_down, m.up_a, m.up_b, m.down_a, m.down_b)))
+    parts.extend(map(_encode_array, (c.input_weights, m.l_up, m.l_down,
+                                     m.up_a, m.up_b, m.down_a, m.down_b)))
     parts.append(bytes(m.delete_up))
     parts.append(bytes(m.delete_down))
     return b"".join(parts)
@@ -365,9 +369,11 @@ def load_customized(path: str) -> Customized:
     version, perfect_flag = r.take(2)
     if version != CUSTOMIZED_VERSION:
         raise FormatError(f"unsupported customized artifact version {version}")
+    if perfect_flag not in (0, 1):
+        raise FormatError(f"perfect flag is {perfect_flag}, not 0 or 1")
     cch = deserialize_cch(data, reader=r)
     arc_count = cch.ug.arc_count
-    input_weights = r.u32s(cch.ug.input_arc_count)
+    input_weights = r.array("I", cch.ug.input_arc_count)
     # Witnesses read as int32: 0xFFFFFFFF is SENTINEL, and any other value
     # of 2**31 or more turns negative, which the witness check rejects.
     metric = CustomizedMetric(

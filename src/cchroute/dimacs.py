@@ -2,7 +2,8 @@
 
 Vertex IDs are 1-based in DIMACS files and 0-based everywhere in memory.
 Order files are the exception: they are 0-based on disk as well (line r
-holds the vertex at rank r).
+holds the vertex at rank r). Every text format is UTF-8, and blank lines
+and lines starting with ``c`` are skipped.
 """
 
 from __future__ import annotations
@@ -16,11 +17,26 @@ FORBIDDEN = -1
 
 def _tokens(path: str):
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            yield lineno, line.split()
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.strip()
+                if not line or line.startswith("c"):
+                    continue
+                yield lineno, line.split()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def read_id_lines(path: str) -> list[int]:
+    """Read one integer per line (order files, source/target lists)."""
+    out = []
+    for lineno, parts in _tokens(path):
+        try:
+            (v,) = parts
+            out.append(int(v))
+        except ValueError:
+            raise ParseError(f"not a vertex ID: {' '.join(parts)!r}", lineno) from None
+    return out
 
 
 def load_dimacs_gr(path: str) -> InputGraph:

@@ -9,9 +9,11 @@ the structure whose cells the nearest-neighbor search prunes.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError, ParseError
+from .dimacs import read_id_lines
+from .errors import ConsistencyError
 from .graph import Coordinates, InputGraph
 
 DEFAULT_CELL_CUTOFF = 8
@@ -48,7 +50,7 @@ class RankOrder:
     decomposition: SeparatorDecomposition | None = None
 
     @classmethod
-    def from_vertex_at(cls, vertex_at: list[int],
+    def from_vertex_at(cls, vertex_at: Sequence[int],
                        decomposition: SeparatorDecomposition | None = None) -> RankOrder:
         n = len(vertex_at)
         rank_of = [-1] * n
@@ -257,16 +259,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates,
 
 def import_order(path: str, n: int) -> RankOrder:
     """Read an order file: n lines, line r holds the vertex at rank r."""
-    vertex_at = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                vertex_at.append(int(line))
-            except ValueError:
-                raise ParseError(f"not a vertex ID: {line!r}", lineno) from None
+    vertex_at = read_id_lines(path)
     if len(vertex_at) != n:
         raise ConsistencyError(f"order file has {len(vertex_at)} lines, expected {n}")
     return RankOrder.from_vertex_at(vertex_at)
@@ -278,7 +271,7 @@ def export_order(order: RankOrder, path: str) -> None:
             f.write(f"{v}\n")
 
 
-def dfs_postorder_reorder(order: RankOrder, parent: list[int]) -> RankOrder:
+def dfs_postorder_reorder(order: RankOrder, parent: Sequence[int]) -> RankOrder:
     """Improve an order to a DFS post-order of its elimination tree.
 
     Children of each tree node are visited in ascending old-rank order,

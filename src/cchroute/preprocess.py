@@ -12,12 +12,11 @@ comparisons.
 from __future__ import annotations
 
 import operator
-import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
@@ -34,6 +33,7 @@ VERSION = 1
 class UpwardGraph:
     """Chordal completion stored as upward arcs grouped by tail.
 
+    Every column is an ``array('i')``, whose bytes are the CCHP encoding.
     ``orig_up[i]`` / ``orig_down[i]`` give the input arc whose direction
     matches arc i's tail->head (resp. head->tail) traversal, or SENTINEL
     for shortcuts and missing one-way directions. ``input_arc_count`` is
@@ -42,11 +42,11 @@ class UpwardGraph:
     """
 
     vertex_count: int
-    first_arc: list[int]
-    head: list[int]
-    tail: list[int]
-    orig_up: list[int]
-    orig_down: list[int]
+    first_arc: array
+    head: array
+    tail: array
+    orig_up: array
+    orig_down: array
     input_arc_count: int
 
     @property
@@ -110,8 +110,8 @@ def contract(g: InputGraph) -> UpwardGraph:
             pending[t].append(h)
         else:
             pending[h].append(t)
-    first_arc = [0] * (n + 1)
-    head: list[int] = []
+    first_arc = array("i", [0]) * (n + 1)
+    head = array("i")
     for u in range(n):
         nb = pending[u]
         if nb:
@@ -124,7 +124,7 @@ def contract(g: InputGraph) -> UpwardGraph:
 
     m = len(head)
     ug = UpwardGraph(n, first_arc, head, _arc_tails(first_arc),
-                     orig_up=[SENTINEL] * m, orig_down=[SENTINEL] * m,
+                     orig_up=array("i", [SENTINEL]) * m, orig_down=array("i", [SENTINEL]) * m,
                      input_arc_count=g.arc_count)
     for i in range(g.arc_count):
         t, h = g.tail[i], g.head[i]
@@ -136,13 +136,15 @@ def contract(g: InputGraph) -> UpwardGraph:
     return ug
 
 
-def _arc_tails(first_arc: list[int]) -> list[int]:
+def _arc_tails(first_arc: array) -> array:
     """Tail of every arc, given each vertex's arc range."""
-    counts = map(operator.sub, first_arc[1:], first_arc)
-    return list(chain.from_iterable(map(repeat, range(len(first_arc) - 1), counts)))
+    tails = array("i")
+    for u, count in enumerate(map(operator.sub, first_arc[1:], first_arc)):
+        tails += array("i", [u]) * count
+    return tails
 
 
-def _check_topology(ug: UpwardGraph, parent: list[int]) -> None:
+def _check_topology(ug: UpwardGraph, parent: array) -> None:
     """Reject a loaded hierarchy whose arcs or elimination tree are malformed.
 
     Queries climb ``parent`` to a root and path unpacking recurses on arcs
@@ -166,17 +168,13 @@ def _check_topology(ug: UpwardGraph, parent: list[int]) -> None:
             raise ConsistencyError("input arc ID outside [0, input arc count)")
 
 
-def build_elimination_tree(ug: UpwardGraph) -> list[int]:
+def build_elimination_tree(ug: UpwardGraph) -> array:
     """Parent array: each vertex's lowest upward neighbor, or SENTINEL."""
-    parent = [SENTINEL] * ug.vertex_count
-    for u in range(ug.vertex_count):
-        lo, hi = ug.first_arc[u], ug.first_arc[u + 1]
-        if lo < hi:
-            parent[u] = ug.head[lo]
-    return parent
+    first, head = ug.first_arc, ug.head
+    return array("i", [head[lo] if lo < hi else SENTINEL for lo, hi in zip(first, first[1:])])
 
 
-def subtree_sizes(parent: list[int]) -> list[int]:
+def subtree_sizes(parent: Sequence[int]) -> list[int]:
     """Subtree size per vertex; a single ascending pass works because
     every parent outranks its children."""
     n = len(parent)
@@ -190,7 +188,7 @@ def subtree_sizes(parent: list[int]) -> list[int]:
     return size
 
 
-def reconstruct_separator_decomposition(parent: list[int]) -> SeparatorDecomposition:
+def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
     """Rebuild the separator decomposition from an elimination tree.
 
     Requires ranks to be a DFS post-order of the tree (each subtree a
@@ -267,11 +265,12 @@ class Cch:
     ``order`` is the improved (DFS post-order) ranking the hierarchy was
     contracted with; ``initial_order`` keeps the dissection order and its
     recorded decomposition (rank ranges in its own rank space) when the
-    order was computed rather than imported.
+    order was computed rather than imported. ``parent`` is an
+    ``array('i')`` like the hierarchy's columns.
     """
 
     ug: UpwardGraph
-    parent: list[int]
+    parent: array
     decomposition: SeparatorDecomposition
     order: RankOrder
     initial_order: RankOrder | None = None
@@ -307,16 +306,11 @@ def _encode_array(arr: array) -> bytes:
     return arr.tobytes()
 
 
-def _encode_u32(values, signed_sentinel: bool = False) -> bytes:
-    if signed_sentinel:
-        values = [v & 0xFFFFFFFF for v in values]
-    arr = array("I", values)
-    if arr.itemsize != 4:  # pragma: no cover - exotic platforms
-        return struct.pack(f"<{len(values)}I", *values)
-    return _encode_array(arr)
-
-
 class _Reader:
+    """Cursor over an artifact's bytes. ``array`` reads every column of
+    both artifacts, the inverse of ``_encode_array``; ``take`` reads the
+    magic, version and flag bytes and the deletion marks."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
@@ -337,25 +331,15 @@ class _Reader:
             arr.byteswap()
         return arr
 
-    def u32s(self, count: int, signed_sentinel: bool = False) -> list[int]:
-        """Read ``count`` u32 values; with ``signed_sentinel``, 0xFFFFFFFF
-        reads as SENTINEL."""
-        arr = self.array("i" if signed_sentinel else "I", count)
-        if signed_sentinel and count and min(arr) < SENTINEL:
-            # Any other value of 2**31 or more stays unsigned, so range
-            # checks see it as too large instead of as a negative index.
-            return [v if v == SENTINEL else v & 0xFFFFFFFF for v in arr]
-        return arr.tolist()
 
-
-def _flatten_decomposition(root: SeparatorDecomposition) -> list[int]:
-    flat: list[int] = []
+def _flatten_decomposition(root: SeparatorDecomposition) -> array:
+    flat = array("I")
     for node in root.preorder():
         flat.extend((node.cell_lo, node.cell_hi, node.sep_lo, len(node.children)))
     return flat
 
 
-def _unflatten_decomposition(flat: list[int], n: int) -> SeparatorDecomposition:
+def _unflatten_decomposition(flat: array, n: int) -> SeparatorDecomposition:
     """Rebuild the decomposition from its preorder entries (cell_lo,
     cell_hi, sep_lo, child count), rejecting one whose cells do not tile
     the ranks: the root cell is [0, n), and every cell holds its separator
@@ -397,7 +381,7 @@ def _unflatten_decomposition(flat: list[int], n: int) -> SeparatorDecomposition:
 
 
 def save_cch(cch: Cch, path: str) -> None:
-    """Serialize the preprocessing artifact (little-endian u32 arrays)."""
+    """Serialize the preprocessing artifact (little-endian 4-byte columns)."""
     with open(path, "wb") as f:
         f.write(serialize_cch(cch))
 
@@ -406,17 +390,10 @@ def serialize_cch(cch: Cch) -> bytes:
     ug = cch.ug
     n, m = ug.vertex_count, ug.arc_count
     flat = _flatten_decomposition(cch.decomposition)
-    parts = [MAGIC, bytes([VERSION])]
-    parts.append(_encode_u32([n, m, ug.input_arc_count, len(flat) // 4]))
-    parts.append(_encode_u32(ug.first_arc))
-    parts.append(_encode_u32(ug.head))
-    parts.append(_encode_u32(ug.tail))
-    parts.append(_encode_u32(cch.parent, signed_sentinel=True))
-    parts.append(_encode_u32(cch.order.vertex_at))
-    parts.append(_encode_u32(ug.orig_up, signed_sentinel=True))
-    parts.append(_encode_u32(ug.orig_down, signed_sentinel=True))
-    parts.append(_encode_u32(flat))
-    return b"".join(parts)
+    header = array("I", (n, m, ug.input_arc_count, len(flat) // 4))
+    columns = (header, ug.first_arc, ug.head, ug.tail, cch.parent,
+               array("I", cch.order.vertex_at), ug.orig_up, ug.orig_down, flat)
+    return b"".join([MAGIC, bytes([VERSION]), *map(_encode_array, columns)])
 
 
 def load_cch(path: str) -> Cch:
@@ -431,15 +408,15 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
     version = r.take(1)[0]
     if version != VERSION:
         raise FormatError(f"unsupported artifact version {version}")
-    n, m, input_arc_count, node_count = r.u32s(4)
-    first_arc = r.u32s(n + 1)
-    head = r.u32s(m)
-    tail = r.u32s(m)
-    parent = r.u32s(n, signed_sentinel=True)
-    vertex_at = r.u32s(n)
-    orig_up = r.u32s(m, signed_sentinel=True)
-    orig_down = r.u32s(m, signed_sentinel=True)
-    flat = r.u32s(4 * node_count)
+    n, m, input_arc_count, node_count = r.array("I", 4)
+    first_arc = r.array("i", n + 1)
+    head = r.array("i", m)
+    tail = r.array("i", m)
+    parent = r.array("i", n)
+    vertex_at = r.array("I", n)
+    orig_up = r.array("i", m)
+    orig_down = r.array("i", m)
+    flat = r.array("I", 4 * node_count)
     if reader is None and r.pos != len(r.data):
         raise FormatError("trailing bytes in artifact")
     ug = UpwardGraph(n, first_arc, head, tail,

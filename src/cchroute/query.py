@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .customize import SearchGraphs
@@ -51,7 +52,7 @@ class QueryState:
 
 
 def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
-          parent: list[int], prune: bool = True) -> int:
+          parent: Sequence[int], prune: bool = True) -> int:
     """Exact s-to-t distance under the customized metric.
 
     Climbs the two root paths interleaved by rank until they meet, then
@@ -214,7 +215,7 @@ class RphastState:
     """
 
     graphs: SearchGraphs
-    parent: list[int]
+    parent: Sequence[int]
     reverse: bool = False
     d_climb: list[int] = field(default_factory=list)
     known: list[int] = field(default_factory=list)

@@ -27,6 +27,17 @@ def write_instance(tmp_path, g, coords, prefix="g"):
     return str(gr), str(co)
 
 
+@pytest.fixture(scope="module")
+def sample_artifacts(tmp_path_factory):
+    """Paths of sample/grid.gr, grid.co and their CCHP and perfect CCHM."""
+    d = tmp_path_factory.mktemp("sample")
+    gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+    cchp, cchm = d / "s.cchp", d / "s.cchm"
+    assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)]) == 0
+    assert main(["customize", "--graph", gr, "--cch", str(cchp), "--out", str(cchm)]) == 0
+    return gr, co, cchp, cchm
+
+
 def diamond_files(tmp_path):
     from cchroute import Coordinates
     g = diamond()
@@ -44,7 +55,7 @@ class TestPreprocessCmd:
         cch = load_cch(str(out))
         ug = cch.ug
         for u in range(ug.vertex_count):
-            heads = ug.head[ug.first_arc[u]:ug.first_arc[u + 1]]
+            heads = list(ug.head[ug.first_arc[u]:ug.first_arc[u + 1]])
             assert heads == sorted(set(heads))
             for i, a in enumerate(heads):
                 for b in heads[i + 1:]:
@@ -62,7 +73,7 @@ class TestPreprocessCmd:
         cch = load_cch(str(out))
         # identity order is already a DFS post-order of the diamond's tree
         assert cch.order.vertex_at == [0, 1, 2, 3]
-        assert cch.parent == [1, 2, 3, -1]
+        assert list(cch.parent) == [1, 2, 3, -1]
 
     def test_non_integer_order_line_exits_2(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -142,6 +153,29 @@ class TestCustomizeCmd:
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(tmp_path / "s.cchm")]) == 3
         assert "input arc ID" in capsys.readouterr().err
+
+    # CCHP columns after magic, version and four u32 counts, in file order
+    CCHP_COLUMNS = ["first_arc", "head", "tail", "parent", "vertex_at", "orig_up", "orig_down"]
+
+    @pytest.mark.parametrize("value", [0x80000000, 0xFFFFFFFE, 0x7FFFFFFF])
+    @pytest.mark.parametrize("column", CCHP_COLUMNS)
+    def test_large_column_value_rejected(self, tmp_path, capsys, sample_artifacts,
+                                         column, value):
+        # Signed columns read a value of 2**31 or more as negative; no such
+        # value may slip through as an index, whichever column holds it.
+        gr, _, clean, _ = sample_artifacts
+        ug = load_cch(str(clean)).ug
+        n, m = ug.vertex_count, ug.arc_count
+        lengths = [n + 1, m, m, n, n, m, m]
+        i = self.CCHP_COLUMNS.index(column)
+        offset = 5 + 16 + 4 * sum(lengths[:i]) + 4 * (lengths[i] // 2)
+        data = bytearray(clean.read_bytes())
+        struct.pack_into("<I", data, offset, value)
+        cchp = tmp_path / "s.cchp"
+        cchp.write_bytes(bytes(data))
+        assert main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(tmp_path / "s.cchm")]) in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("node, field", [(0, 1), (1, 0), (-1, 2)],
                              ids=["root-cell-hi", "child-cell-lo", "leaf-sep-lo"])
@@ -233,6 +267,15 @@ class TestQueryCmd:
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("0\n")
         assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 2
+
+    def test_perfect_flag_not_0_or_1_exits_2(self, tmp_path, capsys, sample_artifacts):
+        cchm = tmp_path / "s.cchm"
+        data = bytearray(sample_artifacts[3].read_bytes())
+        data[5] = 7  # after magic and version
+        cchm.write_bytes(bytes(data))
+        assert main(["query", "--customized", str(cchm),
+                     "--pairs", str(SAMPLE / "queries.txt")]) == 2
+        assert "perfect flag" in capsys.readouterr().err
 
     def test_out_of_range_vertex_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -343,3 +386,28 @@ class TestBenchCmd:
         g, (gr, co) = diamond_files(tmp_path)
         for count in ("0", "-3"):
             assert main(["bench", "--graph", gr, "--coords", co, "--count", count]) == 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("preprocess", "--graph"), ("preprocess", "--coords"), ("preprocess", "--order"),
+    ("customize", "--weights"), ("query", "--pairs"), ("knn", "--sources"), ("knn", "--targets"),
+])
+def test_non_utf8_text_input_exits_2(tmp_path, capsys, sample_artifacts, command, flag):
+    gr, co, cchp, cchm = map(str, sample_artifacts)
+    out = str(tmp_path / "out")
+    argv = {
+        "preprocess": ["preprocess", "--graph", gr, "--coords", co, "--out", out],
+        "customize": ["customize", "--graph", gr, "--cch", cchp, "--out", out],
+        "query": ["query", "--customized", cchm, "--pairs", str(SAMPLE / "queries.txt")],
+        "knn": ["knn", "--customized", cchm, "--sources", str(SAMPLE / "sources.txt"),
+                "--targets", str(SAMPLE / "targets.txt"), "-k", "2"],
+    }[command]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("0 1\n".encode("utf-16"))  # starts with the byte-order mark ff fe
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err

@@ -10,11 +10,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cchroute import (ConsistencyError, INFINITY, InputGraph, RankOrder,
-                      StateError, basic_sweep, build_cch,
-                      build_reduced, customize, dijkstra, load_customized,
+from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QueryState,
+                      RankOrder, StateError, basic_sweep, build_cch,
+                      build_reduced, customize, dijkstra, load_cch, load_customized,
                       load_dimacs_co, load_dimacs_gr, perfect,
-                      permute_to_rank_ids, respect, save_customized)
+                      permute_to_rank_ids, query, respect, save_cch, save_customized,
+                      unpack_path)
 from cchroute.preprocess import serialize_cch
 from cchroute.query import _expand_arcs
 from helpers import SAMPLE, diamond, grid_graph, random_connected_graph
@@ -207,8 +208,8 @@ class TestBuildReduced:
         m = metric_after_basic(cch, list(g.weight))
         red = build_reduced(m, cch.ug)
         for graph in (red.forward, red.backward):
-            assert graph.head == cch.ug.head
-            assert graph.first_arc == cch.ug.first_arc
+            assert graph.head == list(cch.ug.head)
+            assert graph.first_arc == list(cch.ug.first_arc)
             assert graph.arc == list(range(cch.ug.arc_count))
         assert red.forward.weight == m.l_up and red.backward.weight == m.l_down
 
@@ -358,7 +359,7 @@ class TestCustomizeFacade:
         customize(cch, list(g.weight))
         second = [max(1, w // 2) for w in g.weight]
         c2 = customize(cch, second, use_perfect=False)
-        assert cch.ug.head == head_before
+        assert list(cch.ug.head) == head_before
         assert c2.perfect is False
         everything = list(range(cch.ug.arc_count))
         assert c2.graphs.forward.arc == c2.graphs.backward.arc == everything
@@ -488,3 +489,47 @@ class TestCorruptedArtifactRejected:
         path.write_bytes(bytes(data))
         with pytest.raises(ConsistencyError, match="deletion marks"):
             load_customized(str(path))
+
+
+class TestCorruptionFuzz:
+    """Seeded byte corruption of the sample artifacts: loading, customizing
+    and answering must either raise a ``CchError`` or answer, never fail
+    any other way. Weights and deletion marks carry no checksum, so some
+    corrupted artifacts still answer."""
+
+    @pytest.mark.parametrize("kind", ["cchp", "perfect", "no-perfect"])
+    def test_corrupted_artifact_raises_cch_error_or_answers(self, tmp_path, kind):
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        cch = build_cch(g, coords)
+        path = tmp_path / "artifact"
+        if kind == "cchp":
+            save_cch(cch, str(path))
+        else:
+            save_customized(customize(cch, list(g.weight), use_perfect=kind == "perfect"),
+                            str(path))
+        clean = path.read_bytes()
+        pairs = [tuple(map(int, line.split()))
+                 for line in (SAMPLE / "queries.txt").read_text().splitlines() if line.strip()]
+        rng = random.Random(11)
+        for case in range(100):
+            data = bytearray(clean)
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+            path.write_bytes(bytes(data))
+            try:
+                if kind == "cchp":
+                    c = customize(load_cch(str(path)), list(g.weight))
+                else:
+                    c = load_customized(str(path))
+                n = c.cch.ug.vertex_count
+                rank_of = c.cch.order.rank_of
+                state = QueryState.for_vertex_count(n)
+                for s, t in pairs:
+                    if s < n and t < n:
+                        query(rank_of[s], rank_of[t], state, c.graphs, c.cch.parent)
+                        unpack_path(state, c.graphs)
+            except CchError:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"case {case} raised {type(exc).__name__}") from exc
