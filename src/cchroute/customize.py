@@ -7,8 +7,9 @@ starting at INFINITY; the basic step enforces the lower triangle
 inequality bottom up; the optional perfect step shrinks every arc to the
 true distance between its endpoints top down, marking every arc-direction
 it changed as superfluous. Per-direction search graphs drop the marked
-arcs; without the perfect step nothing is marked and the search graphs
-hold the whole hierarchy.
+arcs and hold the rest as one list of ``(head, weight)`` tuples per tail,
+which is what the query loops iterate; without the perfect step nothing
+is marked and the search graphs hold the whole hierarchy.
 
 ``customize()`` runs respect, basic and perfect as numpy kernels
 (``kernels.py``), one elimination-tree level at a time, then
@@ -31,16 +32,17 @@ downward and the second upward, regardless of the direction being
 unpacked. The triangle is the one the sequential sweep settles on: the
 smallest candidate, ties going to the lowest via vertex, and only when
 it lies strictly below the respected weight. Witnesses are hierarchy arc
-IDs everywhere, in memory and in CCHM artifacts; each search arc carries
-its hierarchy arc ID to reach them.
+IDs everywhere, in memory and in CCHM artifacts; path unpacking reaches
+them from a search hop (p, v) through ``UpwardGraph.arc_index(p, v)``.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, pairwise, repeat
 
 from .errors import ConsistencyError, FormatError, StateError
 from .graph import INFINITY, InputGraph
@@ -194,28 +196,27 @@ class SearchGraph:
     """One direction of the query topology: the hierarchy arcs that survive
     in this direction, grouped by tail as in the hierarchy.
 
-    ``weight[j]`` is the cost of traversing search arc j in this graph's
-    direction (tail->head for the forward graph, head->tail for the
-    backward graph); ``arc[j]`` is its hierarchy arc ID, through which path
-    unpacking reads the arc's tail and its witnesses.
+    ``adj[u]`` lists a ``(head, weight)`` tuple per kept arc out of u, heads
+    ascending, where ``weight`` is the cost of traversing the arc in this
+    graph's direction (tail->head for the forward graph, head->tail for the
+    backward graph). Queries iterate these tuples; path unpacking finds a
+    hop's hierarchy arc ID through ``UpwardGraph.arc_index``.
     """
 
-    first_arc: list[int]
-    head: list[int]
-    weight: list[int]
-    arc: list[int]
+    adj: list[list[tuple[int, int]]]
 
     @property
     def arc_count(self) -> int:
-        return len(self.head)
+        return sum(map(len, self.adj))
 
 
 @dataclass
 class SearchGraphs:
     """Both search graphs plus the hierarchy and metric they were cut from.
 
-    Witnesses stay hierarchy arc IDs: the forward graph unpacks arc e via
-    ``metric.up_a[e]``/``up_b[e]``, the backward graph via
+    Witnesses stay hierarchy arc IDs: a hop (p, v) of the forward graph
+    unpacks its hierarchy arc e = ``ug.arc_index(p, v)`` via
+    ``metric.up_a[e]``/``up_b[e]``, one of the backward graph via
     ``metric.down_b[e]``/``down_a[e]`` (down leg first, then up leg).
     """
 
@@ -229,23 +230,33 @@ _KEEP = bytes([1]) + bytes(255)
 """``bytes.translate`` table turning deletion marks into keep flags."""
 
 
-def _search_direction(ug: UpwardGraph, deleted: bytearray, weight: list[int]) -> SearchGraph:
-    """Copy the arcs of one direction that are not marked deleted, keeping
-    their order."""
+def _search_direction(ug: UpwardGraph, deleted: bytearray, weight: array | list[int],
+                      vertices: list[int]) -> SearchGraph:
+    """Group the arcs of one direction that are not marked deleted by tail,
+    keeping their order. Heads are taken from ``vertices`` so that every
+    adjacency list shares one int per vertex."""
     keep = deleted.translate(_KEEP)
-    kept_before = [0, *accumulate(keep)]
-    return SearchGraph(first_arc=list(map(kept_before.__getitem__, ug.first_arc)),
-                       head=list(compress(ug.head, keep)),
-                       weight=list(compress(weight, keep)),
-                       arc=list(compress(range(ug.arc_count), keep)))
+    arcs = list(zip(map(vertices.__getitem__, compress(ug.head, keep)), compress(weight, keep)))
+    first = ug.first_arc
+    bounds = [0, *accumulate(map(keep.count, repeat(1), first, first[1:]))]
+    return SearchGraph(adj=[arcs[lo:hi] for lo, hi in pairwise(bounds)])
 
 
 def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> SearchGraphs:
     """Construct the per-direction search graphs without the arcs marked
     deleted; with no deletion marks they hold the whole hierarchy."""
-    return SearchGraphs(forward=_search_direction(ug, m.delete_up, m.l_up),
-                        backward=_search_direction(ug, m.delete_down, m.l_down),
-                        ug=ug, metric=m)
+    vertices = list(range(ug.vertex_count))
+    # The adjacency is some 170k fresh tuples on a 10k-vertex grid, and
+    # each collection the allocations trigger would walk all of them.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return SearchGraphs(forward=_search_direction(ug, m.delete_up, m.l_up, vertices),
+                            backward=_search_direction(ug, m.delete_down, m.l_down, vertices),
+                            ug=ug, metric=m)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _check_witnesses(graphs: SearchGraphs) -> None:
@@ -261,10 +272,10 @@ def _check_witnesses(graphs: SearchGraphs) -> None:
     ug, m = graphs.ug, graphs.metric
     arc_count, head, tail = ug.arc_count, ug.head, ug.tail
     delete_up, delete_down = m.delete_up, m.delete_down
-    for graph, down_leg, up_leg, start, end in (
-            (graphs.forward, m.up_a, m.up_b, tail, head),
-            (graphs.backward, m.down_b, m.down_a, head, tail)):
-        for e in graph.arc:
+    for deleted, down_leg, up_leg, start, end in (
+            (delete_up, m.up_a, m.up_b, tail, head),
+            (delete_down, m.down_b, m.down_a, head, tail)):
+        for e in compress(range(arc_count), deleted.translate(_KEEP)):
             a = down_leg[e]
             if a == SENTINEL:
                 continue

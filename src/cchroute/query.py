@@ -33,8 +33,10 @@ class QueryState:
     """Reusable point-to-point workspace.
 
     Between queries every tentative distance equals INFINITY; the query
-    itself restores that invariant while it runs. Parent arcs are only
-    meaningful along the chains written by the most recent query.
+    itself restores that invariant while it runs. ``parent_up[v]`` and
+    ``parent_down[v]`` hold the vertex whose search arc last improved v;
+    they are only meaningful along the chains written by the most recent
+    query.
     """
 
     d_up: list[int]
@@ -64,9 +66,7 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
         state.last = (s, t, 0, s)
         return 0
     orig_s, orig_t = s, t
-    fwd, bwd = graphs.forward, graphs.backward
-    f_first, f_head, f_weight = fwd.first_arc, fwd.head, fwd.weight
-    b_first, b_head, b_weight = bwd.first_arc, bwd.head, bwd.weight
+    f_adj, b_adj = graphs.forward.adj, graphs.backward.adj
     d_up, d_down = state.d_up, state.d_down
     p_up, p_down = state.parent_up, state.parent_down
     d_up[s] = 0
@@ -79,28 +79,26 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
         if t == SENTINEL or (s != SENTINEL and s < t):
             d = d_up[s]
             if d != INFINITY:
-                lo, hi = f_first[s], f_first[s + 1]
-                relaxed += hi - lo
-                for e in range(lo, hi):
-                    v = f_head[e]
-                    nd = d + f_weight[e]
+                arcs = f_adj[s]
+                relaxed += len(arcs)
+                for v, w in arcs:
+                    nd = d + w
                     if nd < d_up[v]:
                         d_up[v] = nd
-                        p_up[v] = e
+                        p_up[v] = s
             d_up[s] = INFINITY
             visited += 1
             s = parent[s]
         else:
             d = d_down[t]
             if d != INFINITY:
-                lo, hi = b_first[t], b_first[t + 1]
-                relaxed += hi - lo
-                for e in range(lo, hi):
-                    v = b_head[e]
-                    nd = d + b_weight[e]
+                arcs = b_adj[t]
+                relaxed += len(arcs)
+                for v, w in arcs:
+                    nd = d + w
                     if nd < d_down[v]:
                         d_down[v] = nd
-                        p_down[v] = e
+                        p_down[v] = t
             d_down[t] = INFINITY
             visited += 1
             t = parent[t]
@@ -117,24 +115,22 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
                 mu = total
                 meet = u
         if du < mu or (not prune and du != INFINITY):
-            lo, hi = f_first[u], f_first[u + 1]
-            relaxed += hi - lo
-            for e in range(lo, hi):
-                v = f_head[e]
-                nd = du + f_weight[e]
+            arcs = f_adj[u]
+            relaxed += len(arcs)
+            for v, w in arcs:
+                nd = du + w
                 if nd < d_up[v]:
                     d_up[v] = nd
-                    p_up[v] = e
+                    p_up[v] = u
         d_up[u] = INFINITY
         if dd < mu or (not prune and dd != INFINITY):
-            lo, hi = b_first[u], b_first[u + 1]
-            relaxed += hi - lo
-            for e in range(lo, hi):
-                v = b_head[e]
-                nd = dd + b_weight[e]
+            arcs = b_adj[u]
+            relaxed += len(arcs)
+            for v, w in arcs:
+                nd = dd + w
                 if nd < d_down[v]:
                     d_down[v] = nd
-                    p_down[v] = e
+                    p_down[v] = u
         d_down[u] = INFINITY
         visited += 1
         u = parent[u]
@@ -146,17 +142,18 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
 
 
 def _expand_arcs(graphs: SearchGraphs, side_up: bool, arc: int, out: list[int]) -> None:
-    """Append the expansion of one search arc (excluding its start vertex).
+    """Append the expansion of one hierarchy arc (excluding the vertex its
+    traversal starts from).
 
-    ``arc`` is an arc ID in the forward graph if ``side_up``, else in the
-    backward graph. Expansion continues on hierarchy arc IDs: an arc with
-    no witness is an input edge; otherwise its downward leg expands
-    downward and its upward leg upward, left to right.
+    The arc is traversed upward (tail to head) if ``side_up``, else
+    downward. An arc with no witness in that direction is an input edge;
+    otherwise its downward leg expands downward and its upward leg upward,
+    left to right.
     """
     ug, m = graphs.ug, graphs.metric
     head, tail = ug.head, ug.tail
     up_a, up_b, down_a, down_b = m.up_a, m.up_b, m.down_a, m.down_b
-    work = [(side_up, (graphs.forward if side_up else graphs.backward).arc[arc])]
+    work = [(side_up, arc)]
     while work:
         up, a = work.pop()
         if up:
@@ -171,11 +168,21 @@ def _expand_arcs(graphs: SearchGraphs, side_up: bool, arc: int, out: list[int]) 
             work.append((False, down_leg))
 
 
+def _hop_arc(graphs: SearchGraphs, p: int, v: int) -> int:
+    """Hierarchy arc ID of the search-path hop between parent p and v."""
+    e = graphs.ug.arc_index(p, v)
+    if e is None:
+        raise ConsistencyError(f"search path hop ({p}, {v}) is not a hierarchy arc")
+    return e
+
+
 def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
     """Vertex sequence of the most recent query's shortest path.
 
     Returns None when the pair was unreachable. The sequence is an
-    input-graph walk whose weight equals the returned distance.
+    input-graph walk whose weight equals the returned distance. Each hop
+    (p, v) of the search path is the hierarchy arc ``ug.arc_index(p, v)``,
+    unique since a vertex's heads are distinct.
     """
     if state.last is None:
         raise StateError("no query has been run on this state")
@@ -184,22 +191,21 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
         return None
     if s == t:
         return [s]
-    tail = graphs.ug.tail
-    fwd_arc, bwd_arc = graphs.forward.arc, graphs.backward.arc
+    parent_up, parent_down = state.parent_up, state.parent_down
     up_chain = []
     v = meet
     while v != s:
-        e = state.parent_up[v]
-        up_chain.append(e)
-        v = tail[fwd_arc[e]]
+        p = parent_up[v]
+        up_chain.append(_hop_arc(graphs, p, v))
+        v = p
     path = [s]
     for e in reversed(up_chain):
         _expand_arcs(graphs, True, e, path)
     v = meet
     while v != t:
-        e = state.parent_down[v]
-        _expand_arcs(graphs, False, e, path)
-        v = tail[bwd_arc[e]]
+        p = parent_down[v]
+        _expand_arcs(graphs, False, _hop_arc(graphs, p, v), path)
+        v = p
     return path
 
 
@@ -236,8 +242,7 @@ def rphast_source(s: int, state: RphastState) -> None:
         state.known[v] = UNKNOWN
     state._touched.clear()
     state.source = s
-    climb = state.graphs.backward if state.reverse else state.graphs.forward
-    first, head, weight = climb.first_arc, climb.head, climb.weight
+    adj = (state.graphs.backward if state.reverse else state.graphs.forward).adj
     d_climb = state.d_climb
     parent = state.parent
     d_climb[s] = 0
@@ -246,11 +251,10 @@ def rphast_source(s: int, state: RphastState) -> None:
         state._touched.append(v)
         d = d_climb[v]
         if d != INFINITY:
-            lo, hi = first[v], first[v + 1]
-            state.relaxations += hi - lo
-            for e in range(lo, hi):
-                w = head[e]
-                nd = d + weight[e]
+            arcs = adj[v]
+            state.relaxations += len(arcs)
+            for w, wt in arcs:
+                nd = d + wt
                 if nd < d_climb[w]:
                     d_climb[w] = nd
         v = parent[v]
@@ -268,8 +272,7 @@ def rphast_distance(t: int, state: RphastState) -> int:
     known = state.known
     if known[t] != UNKNOWN:
         return known[t]
-    descend = state.graphs.forward if state.reverse else state.graphs.backward
-    first, head, weight = descend.first_arc, descend.head, descend.weight
+    adj = (state.graphs.forward if state.reverse else state.graphs.backward).adj
     d_climb = state.d_climb
     parent = state.parent
     stack = []
@@ -284,10 +287,10 @@ def rphast_distance(t: int, state: RphastState) -> int:
     relaxations = 0
     for v in reversed(stack):
         d = d_climb[v]
-        lo, hi = first[v], first[v + 1]
-        relaxations += hi - lo
-        for e in range(lo, hi):
-            cand = weight[e] + known[head[e]]
+        arcs = adj[v]
+        relaxations += len(arcs)
+        for w, wt in arcs:
+            cand = wt + known[w]
             if cand < d:
                 d = cand
         known[v] = d

@@ -11,7 +11,9 @@ import random
 from itertools import combinations
 from pathlib import Path
 
-from cchroute import Coordinates, InputGraph, INFINITY, build_cch, customize
+from hypothesis import strategies as st
+
+from cchroute import Coordinates, InputGraph, INFINITY, RankOrder, build_cch, customize
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 """The repository's sample instance (grid.gr, grid.co, query files)."""
@@ -96,6 +98,35 @@ def random_order(rng: random.Random, n: int):
     vertex_at = list(range(n))
     rng.shuffle(vertex_at)
     return RankOrder.from_vertex_at(vertex_at)
+
+
+# Small weights make ties frequent, between triangles and with the
+# respected weight; near-overflow and closed weights make sums of two legs
+# exceed 32 bits, and INFINITY legs must never improve an arc.
+METRIC_WEIGHTS = st.one_of(st.integers(0, 3), st.sampled_from([1000, INFINITY - 1, INFINITY]))
+
+
+@st.composite
+def hierarchies_with_metrics(draw):
+    """A random graph of up to 12 vertices (one-way and two-way arcs, often
+    disconnected) contracted under a random order, and a weight per arc."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    arcs = []
+    for t, h, both in draw(st.lists(st.tuples(vertex, vertex, st.booleans()), max_size=3 * n)):
+        arcs.append((t, h, 1))
+        if both:
+            arcs.append((h, t, 1))
+    g = InputGraph.from_arcs(n, arcs)
+    order = RankOrder.from_vertex_at(list(draw(st.permutations(range(n)))))
+    weights = draw(st.lists(METRIC_WEIGHTS, min_size=g.arc_count, max_size=g.arc_count))
+    return build_cch(g, order=order), weights
+
+
+def search_arcs(graph) -> list[tuple[int, int, int]]:
+    """``(tail, head, weight)`` of every arc of a search graph, grouped by
+    tail in adjacency order."""
+    return [(u, v, w) for u, arcs in enumerate(graph.adj) for v, w in arcs]
 
 
 def build_customized(g, coords, use_perfect=True, threads=1):

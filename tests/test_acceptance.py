@@ -236,8 +236,7 @@ def test_parallel_determinism():
             for side in ("forward", "backward"):
                 sg = getattr(c.graphs, side)
                 bg = getattr(base.graphs, side)
-                assert (sg.first_arc, sg.head, sg.weight, sg.arc) == \
-                    (bg.first_arc, bg.head, bg.weight, bg.arc)
+                assert (sg.adj, sg.arc_count) == (bg.adj, bg.arc_count)
     print("\nPASS parallel determinism: threads 1/2/4/8 bitwise-identical on "
           f"{len(instances)} instances (weights, witnesses, flags, reduced graphs)")
 

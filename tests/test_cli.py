@@ -11,7 +11,7 @@ import pytest
 
 from cchroute import INFINITY, dijkstra, load_cch, load_customized
 from cchroute.cli import main
-from helpers import SAMPLE, diamond, grid_graph
+from helpers import SAMPLE, diamond, grid_graph, search_arcs
 
 
 def write_instance(tmp_path, g, coords, prefix="g"):
@@ -124,8 +124,11 @@ class TestCustomizeCmd:
                      "--out", str(cchm), "--no-perfect"]) == 0
         c = load_customized(str(cchm))
         assert c.perfect is False
-        everything = list(range(c.cch.ug.arc_count))
-        assert c.graphs.forward.arc == c.graphs.backward.arc == everything
+        ug = c.cch.ug
+        everything = list(zip(ug.tail, ug.head))
+        for graph in (c.graphs.forward, c.graphs.backward):
+            assert [(u, v) for u, v, _ in search_arcs(graph)] == everything
+            assert graph.arc_count == ug.arc_count
 
     def test_weight_graph_mismatch_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -327,6 +330,25 @@ class TestKnnCmd:
         dij_out = capsys.readouterr().out
         assert sep_out == dij_out and sep_out.strip()
 
+    @pytest.mark.parametrize("extra", [(), ("--no-perfect",)], ids=["perfect", "no-perfect"])
+    def test_sample_knn_pinned(self, tmp_path, capsys, extra):
+        # Digest of `knn --algo sep` on the sample sources and targets with
+        # k = 4 (pruned cells) and k = 15 (every target), the same in both
+        # modes. How the searches iterate the search graphs may change;
+        # this output may not.
+        gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+        cchp, cchm = tmp_path / "s.cchp", tmp_path / "s.cchm"
+        assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)]) == 0
+        assert main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(cchm), *extra]) == 0
+        capsys.readouterr()
+        for k in ("4", "15"):
+            assert main(["knn", "--customized", str(cchm), "--sources", str(SAMPLE / "sources.txt"),
+                         "--targets", str(SAMPLE / "targets.txt"), "-k", k, "--algo", "sep"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0d5a30fdcdd9213f4907036841f90f4dae08203fc60e581981656bfe48ce06ab")
+
     def test_non_positive_k_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
         cchp, cchm = tmp_path / "d.cchp", tmp_path / "d.cchm"
@@ -381,6 +403,22 @@ class TestBenchCmd:
             want = dijkstra(g, payload["s"])[payload["t"]]
             got = INFINITY if payload["distance"] is None else payload["distance"]
             assert got == want
+
+    @pytest.mark.parametrize("extra, digest", [
+        ((), "68da712bd4ca4f12cadf2535e7777bd99b00ee5602a1e1a1631682ce7fb40346"),
+        (("--no-perfect",), "26d3e6c2b38c2b0cc33a60938bd0875488aa301fdc3c2a97ef92ca10284f0734"),
+    ], ids=["perfect", "no-perfect"])
+    def test_sample_counters_pinned(self, tmp_path, capsys, extra, digest):
+        # Digest of every bench sample on sample/grid.gr without its timing:
+        # pair, distance, vertices visited, arcs relaxed and path length.
+        capsys.readouterr()
+        assert main(["bench", "--graph", str(SAMPLE / "grid.gr"), "--coords", str(SAMPLE / "grid.co"),
+                     "--seed", "3", "--count", "200", "--json", *extra]) == 0
+        samples = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        samples = [{k: v for k, v in p.items() if k != "ns"} for p in samples if p["kind"] == "sample"]
+        assert len(samples) == 200
+        blob = json.dumps(samples, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_non_positive_count_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)

@@ -16,9 +16,10 @@ from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QuerySta
                       load_dimacs_co, load_dimacs_gr, perfect,
                       permute_to_rank_ids, query, respect, save_cch, save_customized,
                       unpack_path)
-from cchroute.preprocess import serialize_cch
+from cchroute.preprocess import deserialize_cch, serialize_cch
 from cchroute.query import _expand_arcs
-from helpers import SAMPLE, diamond, grid_graph, random_connected_graph
+from helpers import (SAMPLE, diamond, grid_graph, hierarchies_with_metrics, random_connected_graph,
+                     search_arcs)
 
 
 def diamond_cch():
@@ -207,11 +208,12 @@ class TestBuildReduced:
         g, cch = diamond_cch()
         m = metric_after_basic(cch, list(g.weight))
         red = build_reduced(m, cch.ug)
-        for graph in (red.forward, red.backward):
-            assert graph.head == list(cch.ug.head)
-            assert graph.first_arc == list(cch.ug.first_arc)
-            assert graph.arc == list(range(cch.ug.arc_count))
-        assert red.forward.weight == m.l_up and red.backward.weight == m.l_down
+        ug = cch.ug
+        for graph, weight in ((red.forward, m.l_up), (red.backward, m.l_down)):
+            assert search_arcs(graph) == list(zip(ug.tail, ug.head, weight))
+            assert [len(arcs) for arcs in graph.adj] == \
+                [hi - lo for lo, hi in zip(ug.first_arc, ug.first_arc[1:])]
+            assert graph.arc_count == ug.arc_count
 
     def test_diamond_reduction(self):
         g, cch = diamond_cch()
@@ -220,10 +222,30 @@ class TestBuildReduced:
         red = build_reduced(m, cch.ug)
         ug = cch.ug
         for graph, weight in ((red.forward, m.l_up), (red.backward, m.l_down)):
-            assert {(ug.tail[e], ug.head[e]) for e in graph.arc} == {(0, 1), (1, 3), (2, 3)}
-            assert graph.head == [ug.head[e] for e in graph.arc]
-            assert graph.weight == [weight[e] for e in graph.arc]
-            assert graph.first_arc == [0, 1, 2, 3, 3]
+            arcs = search_arcs(graph)
+            assert [(u, v) for u, v, _ in arcs] == [(0, 1), (1, 3), (2, 3)]
+            assert [w for _, _, w in arcs] == [weight[ug.arc_index(u, v)] for u, v, _ in arcs]
+            assert [len(a) for a in graph.adj] == [1, 1, 1, 0]
+            assert graph.arc_count == 3
+
+    def test_adjacency_is_the_unmarked_arcs(self):
+        # every direction keeps exactly the arcs without a deletion mark,
+        # with their weights, and arc_count counts them
+        rng = random.Random(83)
+        g, coords = grid_graph(rng, 9, 9, one_way=0.3)
+        weights = [INFINITY if rng.random() < 0.05 else w for w in g.weight]
+        cch = build_cch(g, coords)
+        ug = cch.ug
+        for use_perfect in (True, False):
+            c = customize(cch, weights, use_perfect=use_perfect)
+            m = c.metric
+            for graph, deleted, weight in ((c.graphs.forward, m.delete_up, m.l_up),
+                                           (c.graphs.backward, m.delete_down, m.l_down)):
+                assert search_arcs(graph) == [(ug.tail[e], ug.head[e], weight[e])
+                                              for e in range(ug.arc_count) if not deleted[e]]
+                assert graph.arc_count == deleted.count(0)
+            if use_perfect:
+                assert c.graphs.forward.arc_count < ug.arc_count
 
     def test_surviving_witnesses_expand_to_arc_weight(self):
         rng = random.Random(89)
@@ -234,17 +256,17 @@ class TestBuildReduced:
             p = permute_to_rank_ids(g, cch.order)
             warcs = {(p.tail[i], p.head[i]): p.weight[i] for i in range(p.arc_count)}
             for side_up, graph in ((True, c.graphs.forward), (False, c.graphs.backward)):
-                for j in range(graph.arc_count):
-                    if graph.weight[j] == INFINITY:
+                for u, v, weight in search_arcs(graph):
+                    if weight == INFINITY:
                         continue
-                    start = cch.ug.tail[graph.arc[j]] if side_up else graph.head[j]
-                    out = [start]
-                    _expand_arcs(c.graphs, side_up, j, out)
+                    out = [u if side_up else v]
+                    _expand_arcs(c.graphs, side_up, cch.ug.arc_index(u, v), out)
+                    assert out[-1] == (v if side_up else u)
                     total = 0
                     for a, b in zip(out, out[1:]):
                         assert (a, b) in warcs, (a, b)
                         total += warcs[(a, b)]
-                    assert total == graph.weight[j]
+                    assert total == weight
 
     def test_surviving_arcs_keep_their_witness_legs(self):
         # Unpacking a search arc follows its witness into the search graphs:
@@ -280,29 +302,6 @@ def assert_matches_loop_oracles(cch, weights, use_perfect):
         perfect(want, cch.ug)
     for name in METRIC_FIELDS:
         assert list(getattr(got, name)) == list(getattr(want, name)), name
-
-
-# Small weights make ties frequent, between triangles and with the
-# respected weight; near-overflow and closed weights make sums of two legs
-# exceed 32 bits, and INFINITY legs must never improve an arc.
-METRIC_WEIGHTS = st.one_of(st.integers(0, 3), st.sampled_from([1000, INFINITY - 1, INFINITY]))
-
-
-@st.composite
-def hierarchies_with_metrics(draw):
-    """A random graph of up to 12 vertices (one-way and two-way arcs, often
-    disconnected) contracted under a random order, and a weight per arc."""
-    n = draw(st.integers(1, 12))
-    vertex = st.integers(0, n - 1)
-    arcs = []
-    for t, h, both in draw(st.lists(st.tuples(vertex, vertex, st.booleans()), max_size=3 * n)):
-        arcs.append((t, h, 1))
-        if both:
-            arcs.append((h, t, 1))
-    g = InputGraph.from_arcs(n, arcs)
-    order = RankOrder.from_vertex_at(list(draw(st.permutations(range(n)))))
-    weights = draw(st.lists(METRIC_WEIGHTS, min_size=g.arc_count, max_size=g.arc_count))
-    return build_cch(g, order=order), weights
 
 
 class TestKernelsMatchLoopOracles:
@@ -345,9 +344,8 @@ class TestParallelDeterminism:
             assert bytes(m.delete_down) == bytes(bm.delete_down), threads
             for side in ("forward", "backward"):
                 sg, bg = getattr(c.graphs, side), getattr(base.graphs, side)
-                assert sg.first_arc == bg.first_arc and sg.head == bg.head, threads
-                assert sg.weight == bg.weight, threads
-                assert sg.arc == bg.arc, threads
+                assert sg.adj == bg.adj, threads
+                assert sg.arc_count == bg.arc_count, threads
 
 
 class TestCustomizeFacade:
@@ -361,8 +359,10 @@ class TestCustomizeFacade:
         c2 = customize(cch, second, use_perfect=False)
         assert list(cch.ug.head) == head_before
         assert c2.perfect is False
-        everything = list(range(cch.ug.arc_count))
-        assert c2.graphs.forward.arc == c2.graphs.backward.arc == everything
+        everything = list(zip(cch.ug.tail, cch.ug.head))
+        for graph in (c2.graphs.forward, c2.graphs.backward):
+            assert [(u, v) for u, v, _ in search_arcs(graph)] == everything
+            assert graph.arc_count == cch.ug.arc_count
 
     def test_timings_recorded(self):
         g, cch = diamond_cch()
@@ -387,11 +387,18 @@ class TestCustomizeFacade:
         save_customized(customize(build_cch(g, coords), list(g.weight)), str(path))
         script = (
             "import sys\n"
-            "from cchroute import QueryState, load_customized, query, unpack_path\n"
+            "from cchroute import (QueryState, RphastState, knn_query, knn_select,\n"
+            "                      load_customized, query, rphast_distance, rphast_source,\n"
+            "                      unpack_path)\n"
             f"c = load_customized({str(path)!r})\n"
-            "st = QueryState.for_vertex_count(c.cch.ug.vertex_count)\n"
-            "query(0, c.cch.ug.vertex_count - 1, st, c.graphs, c.cch.parent)\n"
+            "n = c.cch.ug.vertex_count\n"
+            "st = QueryState.for_vertex_count(n)\n"
+            "query(0, n - 1, st, c.graphs, c.cch.parent)\n"
             "unpack_path(st, c.graphs)\n"
+            "rs = RphastState(c.graphs, c.cch.parent)\n"
+            "rphast_source(0, rs)\n"
+            "rphast_distance(n - 1, rs)\n"
+            "knn_query(0, 3, knn_select(range(0, n, 7), n), c.cch.decomposition, rs)\n"
             "print('numpy' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True, env={"PYTHONPATH": ":".join(sys.path)})
@@ -412,6 +419,39 @@ class TestCorruptedArtifactRejected:
         path = tmp_path / "sample.cchm"
         save_customized(c, str(path))
         return c, path
+
+    def test_heads_out_of_order_answer_or_raise(self, tmp_path):
+        # Swapping two heads of vertex 0 (its parent, the first head, stays)
+        # passes every load check, but a parent hop found by bisecting the
+        # unsorted heads may be missing. Unpacking must then raise a
+        # CchError, and the CLI exit 3, never fail with another exception.
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        ug = build_cch(g, coords).ug
+        n = ug.vertex_count
+        assert ug.first_arc[1] >= 3
+        data = bytearray(serialize_cch(build_cch(g, coords)))
+        at = 21 + 4 * (n + 1) + 4  # magic, version, four u32 counts, first_arc, head[0]
+        data[at:at + 4], data[at + 4:at + 8] = data[at + 4:at + 8], data[at:at + 4]
+        c = customize(deserialize_cch(bytes(data)), list(g.weight))
+        st = QueryState.for_vertex_count(n)
+        for s in range(n):
+            for t in range(n):
+                try:
+                    query(s, t, st, c.graphs, c.cch.parent)
+                    unpack_path(st, c.graphs)
+                except CchError:
+                    pass
+        cchm = tmp_path / "swapped.cchm"
+        save_customized(c, str(cchm))
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("".join(f"{s} {t}\n" for s in range(n) for t in range(n)))
+        out = subprocess.run([sys.executable, "-m", "cchroute.cli", "query", "--customized",
+                              str(cchm), "--pairs", str(pairs), "--paths"],
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": ":".join(sys.path)})
+        assert out.returncode in (0, 3), out.stderr
+        assert "Traceback" not in out.stderr
 
     def _delete_up_at(self, c):
         # after the CCHP: input weights, then six u32 arrays per arc (l_up,

@@ -5,14 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from cchroute import (ConsistencyError, INFINITY, InputGraph, QueryState,
                       RankOrder, RphastState, StateError,
                       astar_with_cch_potential, build_cch, customize, dijkstra,
                       expand_turns, knn_dijkstra, knn_query, knn_select,
-                      permute_to_rank_ids, query, rphast_distance,
-                      rphast_source, unpack_path)
-from helpers import diamond, grid_graph, random_connected_graph
+                      load_customized, permute_to_rank_ids, query,
+                      query_input_graph, rphast_distance, rphast_source,
+                      save_customized, unpack_path)
+from helpers import diamond, grid_graph, hierarchies_with_metrics, random_connected_graph
 
 
 def customized_diamond(use_perfect=True):
@@ -424,3 +426,53 @@ class TestTurnExpandedPipeline:
             dist = dijkstra(exp.graph, s)
             for t in rng.sample(range(exp.graph.vertex_count), 20):
                 assert query(r[s], r[t], st, c.graphs, cch.parent) == dist[t]
+
+
+def assert_every_query_matches_dijkstra(c, k, targets):
+    """All pairs through ``query``/``unpack_path``, forward and reverse
+    RPHAST rows and k-NN from every source, against plain Dijkstra on the
+    customized input graph."""
+    cch = c.cch
+    n = cch.ug.vertex_count
+    g = query_input_graph(c)
+    dist = [dijkstra(g, s) for s in range(n)]
+    st = QueryState.for_vertex_count(n)
+    fwd = RphastState(c.graphs, cch.parent)
+    bwd = RphastState(c.graphs, cch.parent, reverse=True)
+    poi = knn_select(targets, n)
+    for s in range(n):
+        for t in range(n):
+            assert query(s, t, st, c.graphs, cch.parent) == dist[s][t], (s, t)
+            path = unpack_path(st, c.graphs)
+            if dist[s][t] == INFINITY:
+                assert path is None
+            else:
+                assert path[0] == s and path[-1] == t
+                assert path_weight(g, path) == dist[s][t], (s, t, path)
+        rphast_source(s, fwd)
+        rphast_source(s, bwd)
+        for t in range(n):
+            assert rphast_distance(t, fwd) == dist[s][t], (s, t)
+            assert rphast_distance(t, bwd) == dist[t][s], (t, s)
+        nearest = sorted((dist[s][x], x) for x in targets if dist[s][x] != INFINITY)[:k]
+        got = knn_query(s, k, poi, cch.decomposition, fwd)
+        assert got == [(x, d) for d, x in nearest], s
+        # knn_dijkstra stops at the k-th target it settles, so across a
+        # zero-weight arc a tie may go to the larger ID; distances agree
+        assert [d for _, d in knn_dijkstra(g, s, k, targets)] == [d for d, _ in nearest], s
+
+
+class TestEveryQueryMatchesDijkstra:
+    @settings(max_examples=300, deadline=None)
+    @given(hierarchies_with_metrics(), strategies.booleans(), strategies.integers(1, 4),
+           strategies.sets(strategies.integers(0, 11)))
+    def test_random_small_graphs(self, tmp_path_factory, instance, use_perfect, k, targets):
+        # one-way arcs, INFINITY weights and disconnected parts; every
+        # example is queried fresh and after a CCHM save/load round trip
+        cch, weights = instance
+        targets = sorted(v for v in targets if v < cch.ug.vertex_count)
+        c = customize(cch, weights, use_perfect=use_perfect)
+        assert_every_query_matches_dijkstra(c, k, targets)
+        path = tmp_path_factory.mktemp("cchm") / "c.cchm"
+        save_customized(c, str(path))
+        assert_every_query_matches_dijkstra(load_customized(str(path)), k, targets)
