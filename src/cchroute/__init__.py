@@ -13,8 +13,8 @@ from .preprocess import (Cch, SENTINEL, UpwardGraph, build_cch,
                          permute_to_rank_ids, reconstruct_separator_decomposition,
                          save_cch)
 from .customize import (Customized, CustomizedMetric, SearchGraph, SearchGraphs,
-                        basic_sweep, build_reduced, customize, load_customized,
-                        perfect, query_input_graph, respect, save_customized)
+                        build_reduced, customize, load_customized, query_input_graph,
+                        save_customized)
 from .query import (PoiIndex, QueryState, RphastState, astar_with_cch_potential,
                     knn_dijkstra, knn_query, knn_select, query, rphast_distance,
                     rphast_source, unpack_path)
@@ -32,8 +32,8 @@ __all__ = [
     "contract", "load_cch", "permute_to_rank_ids",
     "reconstruct_separator_decomposition", "save_cch",
     "Customized", "CustomizedMetric", "SearchGraph", "SearchGraphs",
-    "basic_sweep", "build_reduced", "customize", "load_customized",
-    "perfect", "query_input_graph", "respect", "save_customized",
+    "build_reduced", "customize", "load_customized", "query_input_graph",
+    "save_customized",
     "PoiIndex", "QueryState", "RphastState", "astar_with_cch_potential",
     "knn_dijkstra", "knn_query", "knn_select", "query", "rphast_distance",
     "rphast_source", "unpack_path",

@@ -19,10 +19,12 @@ smaller height has run, and relax the arcs between its upward neighbors,
 all of greater height, so the vertices of one level never touch each
 other's arcs. The perfect step goes top down by depth: an arc out of u
 becomes exact from the basic weights of u's arcs and the exact weights
-between u's upward neighbors, whose tails are of smaller depth. The loop
-functions ``respect``, ``basic_sweep`` and ``perfect`` compute the same
-metric one triangle at a time; they stay as test oracles and nothing
-selects them at run time.
+between u's upward neighbors, whose tails are of smaller depth. What the
+kernels need of the hierarchy alone, its level schedules and the opposite
+arc of every triangle, is built by the first ``customize()`` on a ``Cch``
+and kept on it; that call counts the build under ``respect``, and later
+calls reuse it. The loop oracles in ``tests/oracles.py`` compute the same
+metric one triangle at a time.
 
 Witness recording: an arc improved by the basic step stores the two
 arcs of its improving triangle, so paths unpack in time proportional to
@@ -44,7 +46,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress, pairwise, repeat
 
-from .errors import ConsistencyError, FormatError, StateError
+from .errors import ConsistencyError, FormatError
 from .graph import INFINITY, InputGraph
 from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_array, _Reader,
                          deserialize_cch, serialize_cch)
@@ -63,7 +65,8 @@ class CustomizedMetric:
     ``load_customized()`` store weights as ``array('I')`` and witnesses as
     ``array('i')``, whose bytes are the CCHM encoding: like every column of
     both artifacts, they are written by ``_encode_array`` and read by
-    ``_Reader.array``. The loop oracles fill plain lists. Deletion marks
+    ``_Reader.array``. The loop oracles of the tests fill plain lists and
+    check ``basic_done``. Deletion marks
     are one byte per arc, stored as written in CCHM artifacts.
     """
 
@@ -76,119 +79,6 @@ class CustomizedMetric:
     delete_up: bytearray
     delete_down: bytearray
     basic_done: bool = False
-
-
-def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
-    """Initialize the metric from input arc weights.
-
-    Original arcs get their input weight per direction, missing one-way
-    directions and shortcuts get INFINITY, witnesses are cleared. Test
-    oracle of ``customize()``.
-    """
-    if len(weights) != ug.input_arc_count:
-        raise ConsistencyError(
-            f"weight array has {len(weights)} entries, hierarchy expects {ug.input_arc_count}")
-    m = ug.arc_count
-    l_up = [INFINITY] * m
-    l_down = [INFINITY] * m
-    orig_up, orig_down = ug.orig_up, ug.orig_down
-    for i in range(m):
-        o = orig_up[i]
-        if o != SENTINEL:
-            l_up[i] = weights[o]
-        o = orig_down[i]
-        if o != SENTINEL:
-            l_down[i] = weights[o]
-    return CustomizedMetric(
-        l_up=l_up, l_down=l_down,
-        up_a=[SENTINEL] * m, up_b=[SENTINEL] * m,
-        down_a=[SENTINEL] * m, down_b=[SENTINEL] * m,
-        delete_up=bytearray(m), delete_down=bytearray(m))
-
-
-def basic_sweep(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
-    """Basic customization via upper-triangle enumeration with a linear sweep.
-
-    For each arc uv the upper triangles (u, v, w) are found by sweeping
-    v's neighborhood once: chordality makes u's upward neighborhood a
-    subset of v's, so the sweep never backtracks. Each triangle relaxes
-    the opposite arc vw in both directions. Test oracle of ``customize()``.
-    """
-    first, head = ug.first_arc, ug.head
-    l_up, l_down = m.l_up, m.l_down
-    up_a, up_b, down_a, down_b = m.up_a, m.up_b, m.down_a, m.down_b
-    for u in range(ug.vertex_count):
-        lo, hi = first[u], first[u + 1]
-        for ei in range(lo, hi):
-            v = head[ei]
-            k = first[v]
-            lup_ei = l_up[ei]
-            ldown_ei = l_down[ei]
-            for ej in range(ei + 1, hi):
-                w = head[ej]
-                while head[k] != w:
-                    k += 1
-                cand = ldown_ei + l_up[ej]
-                if cand < l_up[k]:
-                    l_up[k] = cand
-                    up_a[k] = ei
-                    up_b[k] = ej
-                cand = lup_ei + l_down[ej]
-                if cand < l_down[k]:
-                    l_down[k] = cand
-                    down_a[k] = ei
-                    down_b[k] = ej
-    m.basic_done = True
-    return m
-
-
-def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
-    """Perfect customization: every arc weight becomes the exact distance
-    between its endpoints, and changed arc-directions are marked for
-    removal.
-
-    Vertices are processed top down. Every triangle (u, v, w) above u
-    relaxes the two arcs incident to u: the upper triangle of uv and the
-    intermediate triangle of uw, both directions each. Arc-directions
-    that shrink are marked superfluous; witnesses stay untouched because
-    marked arcs are dropped anyway. Test oracle of ``customize()``.
-    """
-    if not m.basic_done:
-        # Without the basic step a shortcut could sit at INFINITY in both
-        # directions while a finite lower triangle exists below it; the
-        # relaxations here would then inflate distances silently.
-        raise StateError("perfect customization requires basic customization first")
-    first, head = ug.first_arc, ug.head
-    l_up, l_down = m.l_up, m.l_down
-    delete_up, delete_down = m.delete_up, m.delete_down
-    for u in range(ug.vertex_count - 1, -1, -1):
-        a_lo, a_hi = first[u], first[u + 1]
-        for ei in range(a_lo, a_hi):
-            v = head[ei]
-            k = first[v]
-            for ej in range(ei + 1, a_hi):
-                w = head[ej]
-                while head[k] != w:
-                    k += 1
-                lup_k = l_up[k]
-                ldown_k = l_down[k]
-                cand = l_up[ej] + ldown_k
-                if cand < l_up[ei]:
-                    l_up[ei] = cand
-                    delete_up[ei] = 1
-                cand = lup_k + l_down[ej]
-                if cand < l_down[ei]:
-                    l_down[ei] = cand
-                    delete_down[ei] = 1
-                cand = l_up[ei] + lup_k
-                if cand < l_up[ej]:
-                    l_up[ej] = cand
-                    delete_up[ej] = 1
-                cand = ldown_k + l_down[ei]
-                if cand < l_down[ej]:
-                    l_down[ej] = cand
-                    delete_down[ej] = 1
-    return m
 
 
 @dataclass
@@ -311,8 +201,10 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
     sequential. The same hierarchy can be customized any number of times
     with different weights. ``threads`` is accepted for compatibility and
     selects nothing: results do not depend on it. Per-phase wall-clock
-    seconds land in ``timings`` when given; ``construct`` covers packing
-    the metric into arrays and building the search graphs.
+    seconds land in ``timings`` when given; ``respect`` includes building
+    the hierarchy's customization schedule on the first call for ``cch``,
+    which later calls reuse, and ``construct`` covers packing the metric
+    into arrays and building the search graphs.
     """
     from .kernels import metric_columns  # numpy loads only on this path
 
@@ -326,7 +218,7 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
         raise ConsistencyError(f"weight outside [0, {INFINITY}]")
     phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    metric = CustomizedMetric(*metric_columns(ug, weights, use_perfect, phases), basic_done=True)
+    metric = CustomizedMetric(*metric_columns(cch, weights, use_perfect, phases), basic_done=True)
     graphs = build_reduced(metric, ug)
     total = time.perf_counter() - t0
     if timings is not None:
@@ -356,19 +248,25 @@ def query_input_graph(c: Customized) -> InputGraph:
 
 
 def save_customized(c: Customized, path: str) -> None:
+    # Part by part: joining them first would hold the artifact twice at
+    # the moment a recustomization also holds two metrics.
     with open(path, "wb") as f:
-        f.write(serialize_customized(c))
+        f.writelines(_customized_parts(c))
 
 
 def serialize_customized(c: Customized) -> bytes:
+    return b"".join(_customized_parts(c))
+
+
+def _customized_parts(c: Customized):
+    """The CCHM encoding of ``c`` in order, one column at a time."""
     m = c.metric
-    parts = [CUSTOMIZED_MAGIC, bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])]
-    parts.append(serialize_cch(c.cch))
-    parts.extend(map(_encode_array, (c.input_weights, m.l_up, m.l_down,
-                                     m.up_a, m.up_b, m.down_a, m.down_b)))
-    parts.append(bytes(m.delete_up))
-    parts.append(bytes(m.delete_down))
-    return b"".join(parts)
+    yield CUSTOMIZED_MAGIC + bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])
+    yield serialize_cch(c.cch)
+    yield from map(_encode_array, (c.input_weights, m.l_up, m.l_down,
+                                   m.up_a, m.up_b, m.down_a, m.down_b))
+    yield bytes(m.delete_up)
+    yield bytes(m.delete_down)
 
 
 def load_customized(path: str) -> Customized:

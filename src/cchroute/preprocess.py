@@ -16,7 +16,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
@@ -266,7 +266,10 @@ class Cch:
     contracted with; ``initial_order`` keeps the dissection order and its
     recorded decomposition (rank ranges in its own rank space) when the
     order was computed rather than imported. ``parent`` is an
-    ``array('i')`` like the hierarchy's columns.
+    ``array('i')`` like the hierarchy's columns. The first ``customize()``
+    builds the hierarchy's customization schedule (``kernels.Schedule``)
+    into ``_schedule``, which takes no part in equality, ``repr`` or the
+    artifact.
     """
 
     ug: UpwardGraph
@@ -274,6 +277,7 @@ class Cch:
     decomposition: SeparatorDecomposition
     order: RankOrder
     initial_order: RankOrder | None = None
+    _schedule: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None,

@@ -447,10 +447,11 @@ def knn_query(s: int, k: int, poi: PoiIndex, decomp: SeparatorDecomposition,
 
 
 def knn_dijkstra(g: InputGraph, s: int, k: int, targets) -> list[tuple[int, int]]:
-    """Baseline k-NN: plain Dijkstra with early exit after k targets.
+    """Baseline k-NN: plain Dijkstra with early exit past the k-th target.
 
-    The heap pops equal distances by ascending vertex ID, so ties break
-    exactly as in ``knn_query``.
+    It settles every vertex at the k-th target's distance before it stops,
+    then keeps the k smallest ``(distance, vertex)`` hits, so ties break
+    toward smaller vertex IDs exactly as in ``knn_query``.
     """
     if k <= 0:
         return []
@@ -466,15 +467,16 @@ def knn_dijkstra(g: InputGraph, s: int, k: int, targets) -> list[tuple[int, int]
         d, u = heapq.heappop(heap)
         if done[u] or d != dist[u] or d == INFINITY:
             continue
+        if len(found) >= k and d > found[k - 1][1]:
+            break
         done[u] = 1
         if u in target_set:
             found.append((u, d))
-            if len(found) == k:
-                break
         for e in range(first_out[u], first_out[u + 1]):
             v = head[e]
             nd = d + weight[e]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return found
+    found.sort(key=lambda hit: (hit[1], hit[0]))
+    return found[:k]

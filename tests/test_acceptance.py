@@ -83,7 +83,7 @@ def test_point_to_point_oracle_equivalence_with_unpacking():
 
 def test_observation_suite_after_basic():
     """Lower triangle inequality, distance bounds, respecting bounds."""
-    from cchroute import basic_sweep, respect
+    from oracles import basic_sweep, respect
 
     rng = random.Random(SEED + 1)
     triangles = 0
@@ -117,7 +117,7 @@ def test_observation_suite_after_basic():
 
 def test_perfect_fixed_point():
     """Every surviving weight equals the oracle; a second pass is a no-op."""
-    from cchroute import basic_sweep, perfect, respect
+    from oracles import basic_sweep, perfect, respect
 
     rng = random.Random(SEED + 2)
     arcs_checked = 0

@@ -9,7 +9,7 @@ import struct
 
 import pytest
 
-from cchroute import INFINITY, dijkstra, load_cch, load_customized
+from cchroute import INFINITY, InputGraph, dijkstra, load_cch, load_customized
 from cchroute.cli import main
 from helpers import SAMPLE, diamond, grid_graph, search_arcs
 
@@ -348,6 +348,26 @@ class TestKnnCmd:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d5a30fdcdd9213f4907036841f90f4dae08203fc60e581981656bfe48ce06ab")
+
+    def test_zero_weight_tie_goes_to_smaller_id(self, tmp_path, capsys):
+        # Both vertices lie at distance 0 from source 1 across zero-weight
+        # arcs; both algorithms must name target 0.
+        from cchroute import Coordinates
+        g = InputGraph.from_arcs(2, [(0, 1, 0), (1, 0, 0)])
+        gr, co = write_instance(tmp_path, g, Coordinates(x=[0, 10], y=[0, 0]), "tie")
+        cchp, cchm = tmp_path / "tie.cchp", tmp_path / "tie.cchm"
+        assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)]) == 0
+        assert main(["customize", "--graph", gr, "--cch", str(cchp), "--out", str(cchm)]) == 0
+        sources, targets = tmp_path / "s.txt", tmp_path / "t.txt"
+        sources.write_text("1\n")
+        targets.write_text("0\n1\n")
+        capsys.readouterr()
+        outs = []
+        for algo in ("sep", "dijkstra"):
+            assert main(["knn", "--customized", str(cchm), "--sources", str(sources),
+                         "--targets", str(targets), "-k", "1", "--algo", algo]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].strip()
 
     def test_non_positive_k_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)

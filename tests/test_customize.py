@@ -6,20 +6,23 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QueryState,
-                      RankOrder, StateError, basic_sweep, build_cch,
-                      build_reduced, customize, dijkstra, load_cch, load_customized,
-                      load_dimacs_co, load_dimacs_gr, perfect,
-                      permute_to_rank_ids, query, respect, save_cch, save_customized,
-                      unpack_path)
+                      RankOrder, StateError, build_cch, build_reduced, customize, dijkstra,
+                      load_cch, load_customized, load_dimacs_co, load_dimacs_gr,
+                      permute_to_rank_ids, query, save_cch, save_customized, unpack_path)
+from cchroute.customize import serialize_customized
+from cchroute.kernels import schedule_of
 from cchroute.preprocess import deserialize_cch, serialize_cch
 from cchroute.query import _expand_arcs
 from helpers import (SAMPLE, diamond, grid_graph, hierarchies_with_metrics, random_connected_graph,
                      search_arcs)
+from oracles import basic_sweep, perfect, respect
 
 
 def diamond_cch():
@@ -313,16 +316,95 @@ class TestKernelsMatchLoopOracles:
 
     @pytest.mark.parametrize("use_perfect", [True, False])
     def test_seeded_grid_with_closures(self, use_perfect):
-        # a traffic metric as in the benchmark: a fifth of the arcs slowed
-        # down by x1.2 to x4, one percent closed
         rng = random.Random(107)
         g, coords = grid_graph(rng, 30, 30, one_way=0.1)
-        weights = list(g.weight)
-        for i in rng.sample(range(g.arc_count), g.arc_count // 5):
-            weights[i] = weights[i] * rng.randint(12, 40) // 10
-        for i in rng.sample(range(g.arc_count), g.arc_count // 100):
-            weights[i] = INFINITY
-        assert_matches_loop_oracles(build_cch(g, coords), weights, use_perfect)
+        assert_matches_loop_oracles(build_cch(g, coords), traffic_metric(rng, g), use_perfect)
+
+    def test_offsets_wider_than_a_byte(self):
+        # Leaf 1 of a 258-leaf star ranked below its leaves has up-degree
+        # 257, so opposite-arc offsets reach 256 and need two bytes. A few
+        # leaf-to-leaf arcs give the perfect step something to delete.
+        rng = random.Random(109)
+        leaves = 258
+        arcs = [arc for v in range(1, leaves + 1)
+                for arc in ((0, v, rng.randint(1, 50)), (v, 0, rng.randint(1, 50)))]
+        arcs += [(*rng.sample(range(1, leaves + 1), 2), rng.randint(1, 60)) for _ in range(200)]
+        g = InputGraph.from_arcs(leaves + 1, arcs)
+        cch = build_cch(g, order=RankOrder.identity(leaves + 1))
+        weights = traffic_metric(rng, g)
+        assert_matches_loop_oracles(cch, weights, use_perfect=True)
+        schedule = schedule_of(cch)
+        assert schedule.tri_k.dtype == np.uint16 and schedule.tri_k.max() >= 256
+        assert_matches_loop_oracles(cch, weights, use_perfect=False)
+
+
+def traffic_metric(rng, g):
+    """A traffic metric as in the benchmark: a fifth of the arcs slowed
+    down by x1.2 to x4, one percent closed."""
+    weights = list(g.weight)
+    for i in rng.sample(range(g.arc_count), g.arc_count // 5):
+        weights[i] = weights[i] * rng.randint(12, 40) // 10
+    for i in rng.sample(range(g.arc_count), g.arc_count // 100):
+        weights[i] = INFINITY
+    return weights
+
+
+class TestSchedule:
+    """The customization schedule is built once per hierarchy and reused."""
+
+    @staticmethod
+    def _grid(seed):
+        rng = random.Random(seed)
+        g, coords = grid_graph(rng, 25, 25, one_way=0.1)
+        return rng, g, serialize_cch(build_cch(g, coords))
+
+    def test_reuse_matches_a_fresh_hierarchy(self):
+        rng, g, cchp = self._grid(113)
+        a, b = traffic_metric(rng, g), traffic_metric(rng, g)
+        cch = deserialize_cch(cchp)
+        schedule = None
+        for weights, use_perfect in ((a, True), (b, False), (a, False), (b, True), (a, True)):
+            got = customize(cch, weights, use_perfect=use_perfect)
+            want = customize(deserialize_cch(cchp), weights, use_perfect=use_perfect)
+            assert serialize_customized(got) == serialize_customized(want)
+            schedule = schedule or cch._schedule
+            assert schedule is not None and cch._schedule is schedule
+
+    def test_invisible_in_equality_repr_and_artifact(self):
+        _, g, cchp = self._grid(127)
+        cch, twin = deserialize_cch(cchp), deserialize_cch(cchp)
+        before = repr(cch)
+        customize(cch, list(g.weight))
+        assert cch._schedule is not None and twin._schedule is None
+        assert cch == twin
+        assert repr(cch) == before
+        assert serialize_cch(cch) == cchp
+
+    def test_concurrent_first_customizations(self):
+        # Eight threads race to build one hierarchy's schedule, with a
+        # short switch interval to interleave them; each must get the
+        # result a sequential run on a fresh hierarchy gives.
+        rng, g, cchp = self._grid(131)
+        metrics = [traffic_metric(rng, g) for _ in range(8)]
+        want = [serialize_customized(customize(deserialize_cch(cchp), w)) for w in metrics]
+        cch = deserialize_cch(cchp)
+        got = [None] * len(metrics)
+
+        def run(i):
+            got[i] = serialize_customized(customize(cch, metrics[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(metrics))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
 
 class TestParallelDeterminism:

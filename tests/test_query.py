@@ -457,9 +457,7 @@ def assert_every_query_matches_dijkstra(c, k, targets):
         nearest = sorted((dist[s][x], x) for x in targets if dist[s][x] != INFINITY)[:k]
         got = knn_query(s, k, poi, cch.decomposition, fwd)
         assert got == [(x, d) for d, x in nearest], s
-        # knn_dijkstra stops at the k-th target it settles, so across a
-        # zero-weight arc a tie may go to the larger ID; distances agree
-        assert [d for _, d in knn_dijkstra(g, s, k, targets)] == [d for d, _ in nearest], s
+        assert knn_dijkstra(g, s, k, targets) == [(x, d) for d, x in nearest], s
 
 
 class TestEveryQueryMatchesDijkstra:
