@@ -48,8 +48,8 @@ from itertools import accumulate, compress, pairwise, repeat
 
 from .errors import ConsistencyError, FormatError
 from .graph import INFINITY, InputGraph
-from .preprocess import (Cch, SENTINEL, UpwardGraph, _encode_array, _Reader,
-                         deserialize_cch, serialize_cch)
+from .preprocess import (Cch, SENTINEL, UpwardGraph, _cch_parts, _encode_array, _Reader,
+                         deserialize_cch)
 
 CUSTOMIZED_MAGIC = b"CCHM"
 CUSTOMIZED_VERSION = 1
@@ -262,7 +262,7 @@ def _customized_parts(c: Customized):
     """The CCHM encoding of ``c`` in order, one column at a time."""
     m = c.metric
     yield CUSTOMIZED_MAGIC + bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])
-    yield serialize_cch(c.cch)
+    yield from _cch_parts(c.cch)
     yield from map(_encode_array, (c.input_weights, m.l_up, m.l_down,
                                    m.up_a, m.up_b, m.down_a, m.down_b))
     yield bytes(m.delete_up)

@@ -79,47 +79,63 @@ class Separator:
 def _min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list[bool]:
     """Source side of a minimum edge cut between two disjoint vertex sets.
 
-    Edmonds-Karp on the unit-capacity undirected graph ``adj``, with the
+    A maximum flow on the unit-capacity undirected graph ``adj``, with the
     sources contracted into one terminal and the sinks into another. The
     flow is the set ``used`` of arcs (u, v) carrying a unit from u to v;
     arc (u, v) has residual capacity exactly when it is not in ``used``.
     Returns flags marking the vertices reachable from the sources in the
     final residual graph: the smallest source side of a minimum cut, the
-    same for every maximum flow. Cut values are tiny on road-like cells,
-    so shortest augmenting paths are plenty fast.
+    same for every maximum flow and so equal to Edmonds-Karp's.
+
+    Each round runs one full residual BFS from the sources with a
+    non-source neighbour (the others add nothing) and never expands a
+    sink. Walking the BFS tree back from each popped sink, in pop order,
+    it augments every path that shares no vertex but its source with a
+    path augmented earlier in the round: vertex-disjoint paths share no
+    arc in either direction. A round that pops no sink ends the flow.
     """
     n = len(adj)
     is_sink = [False] * n
     for t in sinks:
         is_sink[t] = True
+    is_source = [False] * n
+    for s in sources:
+        is_source[s] = True
+    frontier = [s for s in sources if not all(is_source[v] for v in adj[s])]
     used: set[tuple[int, int]] = set()
     while True:
-        reached = [False] * n
-        for s in sources:
-            reached[s] = True
+        reached = is_source[:]
         pred = [-1] * n
-        queue = deque(sources)
-        sink = -1
+        queue = deque(frontier)
+        hits = []
         while queue:
             u = queue.popleft()
             if is_sink[u]:
-                sink = u
-                break
+                hits.append(u)
+                continue
             for v in adj[u]:
                 if not reached[v] and (u, v) not in used:
                     reached[v] = True
                     pred[v] = u
                     queue.append(v)
-        if sink == -1:
+        if not hits:
             return reached
-        v = sink
-        while pred[v] != -1:
-            u = pred[v]
-            if (v, u) in used:
-                used.remove((v, u))
-            else:
-                used.add((u, v))
-            v = u
+        # pred[v] == -2 marks a vertex taken by a path augmented this round.
+        for t in hits:
+            v = t
+            while pred[v] >= 0:
+                v = pred[v]
+            if pred[v] == -2:
+                continue
+            v = t
+            while pred[v] != -1:
+                u = pred[v]
+                if (v, u) in used:
+                    used.remove((v, u))
+                else:
+                    used.add((u, v))
+                pred[v] = -2
+                v = u
 
 
 _AXES = ("sn", "we", "swne", "senw")
@@ -234,7 +250,8 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates,
                 rank_of[v] = lo + offset
             out.append(SeparatorDecomposition(lo, hi, lo))
             continue
-        comps = _components(cell, adj)
+        # Every child cell is a component already; only the root may split.
+        comps = _components(cell, adj) if hi - lo == n else [cell]
         if len(comps) > 1:
             sep = Separator(vertices=[], cells=comps)
         else:

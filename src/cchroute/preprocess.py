@@ -387,17 +387,23 @@ def _unflatten_decomposition(flat: array, n: int) -> SeparatorDecomposition:
 def save_cch(cch: Cch, path: str) -> None:
     """Serialize the preprocessing artifact (little-endian 4-byte columns)."""
     with open(path, "wb") as f:
-        f.write(serialize_cch(cch))
+        f.writelines(_cch_parts(cch))
 
 
 def serialize_cch(cch: Cch) -> bytes:
+    return b"".join(_cch_parts(cch))
+
+
+def _cch_parts(cch: Cch):
+    """The CCHP encoding of ``cch`` in order, one column at a time."""
     ug = cch.ug
     n, m = ug.vertex_count, ug.arc_count
     flat = _flatten_decomposition(cch.decomposition)
     header = array("I", (n, m, ug.input_arc_count, len(flat) // 4))
-    columns = (header, ug.first_arc, ug.head, ug.tail, cch.parent,
-               array("I", cch.order.vertex_at), ug.orig_up, ug.orig_down, flat)
-    return b"".join([MAGIC, bytes([VERSION]), *map(_encode_array, columns)])
+    yield MAGIC + bytes([VERSION])
+    yield from map(_encode_array, (header, ug.first_arc, ug.head, ug.tail, cch.parent,
+                                   array("I", cch.order.vertex_at), ug.orig_up, ug.orig_down,
+                                   flat))
 
 
 def load_cch(path: str) -> Cch:

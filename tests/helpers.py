@@ -56,6 +56,24 @@ def grid_graph(rng: random.Random, rows: int, cols: int,
     return g, coords
 
 
+def perturbed_grid(rng: random.Random, side: int):
+    """Road-like ``side`` x ``side`` grid with unit weights: each grid edge
+    is kept with probability 0.9, and the coordinates of a 1000-unit
+    lattice are jittered by up to 300. Dropped edges can cut a corner off,
+    so the graph may be disconnected."""
+    n = side * side
+    xs = [(v % side + 1) * 1000 + rng.randint(-300, 300) for v in range(n)]
+    ys = [(v // side + 1) * 1000 + rng.randint(-300, 300) for v in range(n)]
+    arcs = []
+    for v in range(n):
+        r, c = divmod(v, side)
+        for w in ((v + 1) if c + 1 < side else None, (v + side) if r + 1 < side else None):
+            if w is not None and rng.random() < 0.9:
+                arcs.append((v, w, 1))
+                arcs.append((w, v, 1))
+    return InputGraph.from_arcs(n, arcs), Coordinates(x=xs, y=ys)
+
+
 def random_connected_graph(rng: random.Random, n: int, extra_factor: float = 0.4,
                            one_way: float = 0.2, max_weight: int = 1000):
     """Road-like random instance: random points, a geometric spanning tree

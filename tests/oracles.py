@@ -1,11 +1,16 @@
-"""Loop oracles of ``customize()``: respect, the basic sweep and the
-perfect step, one triangle at a time on plain lists.
+"""Loop oracles of ``customize()`` and of the ordering's minimum cut.
 
-``cchroute.kernels`` must reproduce them element for element: weights,
-witnesses and deletion marks (``test_customize.py::TestKernelsMatchLoopOracles``).
+Respect, the basic sweep and the perfect step run one triangle at a time
+on plain lists; ``cchroute.kernels`` must reproduce them element for
+element: weights, witnesses and deletion marks
+(``test_customize.py::TestKernelsMatchLoopOracles``). Edmonds-Karp, one
+shortest augmenting path per BFS, gives the source side that
+``order._min_cut`` must return (``test_order.py::TestMinCut``).
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from cchroute import INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, StateError, UpwardGraph
 
@@ -120,3 +125,48 @@ def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
                     l_down[ej] = cand
                     delete_down[ej] = 1
     return m
+
+
+def edmonds_karp_min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list[bool]:
+    """Source side of a minimum edge cut between two disjoint vertex sets.
+
+    Edmonds-Karp on the unit-capacity undirected graph ``adj``, with the
+    sources contracted into one terminal and the sinks into another. The
+    flow is the set ``used`` of arcs (u, v) carrying a unit from u to v;
+    arc (u, v) has residual capacity exactly when it is not in ``used``.
+    Returns flags marking the vertices reachable from the sources in the
+    final residual graph: the smallest source side of a minimum cut, the
+    same for every maximum flow.
+    """
+    n = len(adj)
+    is_sink = [False] * n
+    for t in sinks:
+        is_sink[t] = True
+    used: set[tuple[int, int]] = set()
+    while True:
+        reached = [False] * n
+        for s in sources:
+            reached[s] = True
+        pred = [-1] * n
+        queue = deque(sources)
+        sink = -1
+        while queue:
+            u = queue.popleft()
+            if is_sink[u]:
+                sink = u
+                break
+            for v in adj[u]:
+                if not reached[v] and (u, v) not in used:
+                    reached[v] = True
+                    pred[v] = u
+                    queue.append(v)
+        if sink == -1:
+            return reached
+        v = sink
+        while pred[v] != -1:
+            u = pred[v]
+            if (v, u) in used:
+                used.remove((v, u))
+            else:
+                used.add((u, v))
+            v = u

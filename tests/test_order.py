@@ -11,10 +11,11 @@ from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, Ran
                       build_cch, build_elimination_tree, contract, dfs_postorder_reorder,
                       export_order, import_order, inertial_flow_separator, load_dimacs_co,
                       load_dimacs_gr, nested_dissection_order, permute_to_rank_ids)
-from cchroute.order import _min_cut
+from cchroute.order import _AXES, _min_cut, _projection
 from cchroute.preprocess import serialize_cch
 from helpers import (SAMPLE, brute_force_min_cut, brute_force_min_cut_sides, grid_graph,
-                     random_connected_graph)
+                     perturbed_grid, random_connected_graph)
+from oracles import edmonds_karp_min_cut
 
 
 def line_coords(n):
@@ -100,6 +101,16 @@ def _random_cut_instances(rng, count):
         yield [sorted(s) for s in nbrs], terminals[:split], terminals[split:]
 
 
+def _quarter_bands(g, coords):
+    """The terminals ``inertial_flow_separator`` cuts between on the whole
+    graph: the first and last quarter of each axis projection."""
+    n = g.vertex_count
+    quarter = (n + 3) // 4
+    for axis in _AXES:
+        by_proj = sorted(range(n), key=lambda v: (_projection(axis, coords, v), v))
+        yield by_proj[:quarter], by_proj[-quarter:]
+
+
 class TestMinCut:
     # The second augmenting path here runs against the first one's flow on
     # edge 0-4, so the flow must cancel there; random small graphs rarely
@@ -118,6 +129,40 @@ class TestMinCut:
             assert cut == brute_force_min_cut(adj, set(sources), set(sinks))
             smallest = set.intersection(*brute_force_min_cut_sides(adj, set(sources), set(sinks)))
             assert {v for v in range(n) if side[v]} == smallest
+
+    # Vertex 1 is on the shortest paths to both sinks 2 and 3, so one BFS
+    # tree holds two shortest augmenting paths that share it. Only one may
+    # augment; the other sink waits for the next round and its detour
+    # 0-4-5-1. Augmenting both would push two units over edge 0-1 and
+    # return the larger source side {0, 1, 4, 5}.
+    SHARED_VERTEX = ([[1, 4], [0, 2, 3, 5], [1], [1], [0, 5], [1, 4]], [0], [2, 3])
+
+    def test_shared_vertex_waits_for_next_round(self):
+        adj, sources, sinks = self.SHARED_VERTEX
+        side = _min_cut(adj, sources, sinks)
+        assert side == edmonds_karp_min_cut(adj, sources, sinks)
+        assert side == [True, False, False, False, False, False]
+
+    def test_grid_quarter_bands_match_edmonds_karp(self):
+        # Grids hold many augmenting paths of equal length per BFS tree.
+        rng = random.Random(41)
+        for _ in range(6):
+            g, coords = grid_graph(rng, rng.randint(10, 30), rng.randint(10, 30))
+            adj = g.undirected_adjacency()
+            for sources, sinks in _quarter_bands(g, coords):
+                assert _min_cut(adj, sources, sinks) == edmonds_karp_min_cut(adj, sources, sinks)
+
+    def test_random_graphs_match_edmonds_karp(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(20, 200)
+            g, coords = random_connected_graph(rng, n, extra_factor=rng.uniform(0.2, 1.5))
+            adj = g.undirected_adjacency()
+            terminals = rng.sample(range(n), rng.randint(2, n // 2))
+            split = rng.randint(1, len(terminals) - 1)
+            cases = [*_quarter_bands(g, coords), (terminals[:split], terminals[split:])]
+            for sources, sinks in cases:
+                assert _min_cut(adj, sources, sinks) == edmonds_karp_min_cut(adj, sources, sinks)
 
 
 class TestNestedDissection:
@@ -191,6 +236,29 @@ class TestNestedDissection:
             "05a2d905775a4098145b5274f3e51e94c6fed1cdd6a75ae1cb9e423e124a7872")
         assert digest(serialize_cch(build_cch(g, order=order))) == (
             "5a94769f82548b200e38c9404a2d1eea59102d1e99223f2d41a8378f5621016b")
+
+    # Digests of vertex_at and of the recursion tree's preorder (cell_lo,
+    # cell_hi, sep_lo, child count) on seeded 40x40 perturbed grids, large
+    # enough that one BFS tree often holds many augmenting paths. Seeds 2
+    # and 3 fall apart at the root.
+    PERTURBED_PINS = {
+        1: ("e358d855b07f134ccb19e5d6ce9775f36d186fcaaa8e7d154646f076e55490d9",
+            "16ce9e0965b89361a1d053657a2402d311dd32d0f78ece1a0d1cd81f2f2d6a3d"),
+        2: ("2d8868b1cd234eac568e5f90692b0934c3ebca7d319a36e0dde621f5a633ed85",
+            "7ab45e918564195e5a8d5e7f9b5cd1340d6c5beb444b082149c5cae9b4f0ec55"),
+        3: ("0a64d7974edb0d622b3aea43f48e901685da9bdf2249eaec51f1ac40601a5ca9",
+            "48a7dfc1df371adcdbbd5635fa790e2e1788332879dd254781bb96313421f49f"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PERTURBED_PINS))
+    def test_perturbed_grid_orders_pinned(self, seed):
+        g, coords = perturbed_grid(random.Random(seed), 40)
+        order = nested_dissection_order(g, coords)
+        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
+                for node in order.decomposition.preorder()]
+        digests = (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
+                   hashlib.sha256(repr(tree).encode()).hexdigest())
+        assert digests == self.PERTURBED_PINS[seed]
 
     def test_coordinate_length_mismatch(self):
         g = undirected(3, [(0, 1), (1, 2)])
