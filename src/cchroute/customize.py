@@ -12,17 +12,17 @@ which is what the query loops iterate; without the perfect step nothing
 is marked and the search graphs hold the whole hierarchy.
 
 ``customize()`` runs respect, basic and perfect as numpy kernels
-(``kernels.py``), one elimination-tree level at a time, then
-``build_reduced``. The basic step goes bottom up by height: the
-triangles below a vertex read its own arcs, final once every vertex of
-smaller height has run, and relax the arcs between its upward neighbors,
-all of greater height, so the vertices of one level never touch each
-other's arcs. The perfect step goes top down by depth: an arc out of u
-becomes exact from the basic weights of u's arcs and the exact weights
-between u's upward neighbors, whose tails are of smaller depth. What the
-kernels need of the hierarchy alone, its level schedules and the opposite
-arc of every triangle, is built by the first ``customize()`` on a ``Cch``
-and kept on it; that call counts the build under ``respect``, and later
+(``kernels.py``), one elimination-tree depth level at a time, then
+``build_reduced``. The basic step goes bottom up, deepest level first:
+the triangles below a vertex read its own arcs, which only its
+descendants write, all deeper, and relax the arcs between its upward
+neighbors, all ancestors of smaller depth, so the vertices of one level
+never touch each other's arcs. The perfect step goes top down over the
+same levels: an arc out of u becomes exact from the basic weights of u's
+arcs and the exact weights between u's upward neighbors, whose tails are
+of smaller depth. What the kernels need of the hierarchy alone, its depth
+levels, its arc keys and the opposite arc of every triangle, is built by
+the first ``customize()`` on a ``Cch`` and kept on it; that call counts the build under ``respect``, and later
 calls reuse it. The loop oracles in ``tests/oracles.py`` compute the same
 metric one triangle at a time.
 
@@ -65,9 +65,9 @@ class CustomizedMetric:
     ``load_customized()`` store weights as ``array('I')`` and witnesses as
     ``array('i')``, whose bytes are the CCHM encoding: like every column of
     both artifacts, they are written by ``_encode_array`` and read by
-    ``_Reader.array``. The loop oracles of the tests fill plain lists and
-    check ``basic_done``. Deletion marks
-    are one byte per arc, stored as written in CCHM artifacts.
+    ``_Reader.array``. The loop oracles of the tests fill plain lists.
+    Deletion marks are one byte per arc, stored as written in CCHM
+    artifacts.
     """
 
     l_up: array | list[int]
@@ -78,7 +78,6 @@ class CustomizedMetric:
     down_b: array | list[int]
     delete_up: bytearray
     delete_down: bytearray
-    basic_done: bool = False
 
 
 @dataclass
@@ -218,7 +217,7 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
         raise ConsistencyError(f"weight outside [0, {INFINITY}]")
     phases: dict[str, float] = {}
     t0 = time.perf_counter()
-    metric = CustomizedMetric(*metric_columns(cch, weights, use_perfect, phases), basic_done=True)
+    metric = CustomizedMetric(*metric_columns(cch, weights, use_perfect, phases))
     graphs = build_reduced(metric, ug)
     total = time.perf_counter() - t0
     if timings is not None:
@@ -293,8 +292,7 @@ def load_customized(path: str) -> Customized:
         down_a=r.array("i", arc_count),
         down_b=r.array("i", arc_count),
         delete_up=bytearray(r.take(arc_count)),
-        delete_down=bytearray(r.take(arc_count)),
-        basic_done=True)
+        delete_down=bytearray(r.take(arc_count)))
     if r.pos != len(data):
         raise FormatError("trailing bytes in customized artifact")
     if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):

@@ -1,12 +1,13 @@
 """numpy kernels behind ``customize()``: respect, basic and perfect steps
-run one elimination-tree level at a time.
+run one elimination-tree depth level at a time, basic from the deepest
+level up and perfect from the roots down.
 
 Only the customization path imports this module, so loading artifacts and
 answering queries never pay for numpy. Everything the kernels need that
-depends on the hierarchy alone, the level schedules and the opposite arc
-of every lower triangle, is one ``Schedule`` per ``Cch``: the first
-``customize()`` on a hierarchy builds it, counting that time under
-``respect``, and later calls reuse it. Every kernel returns exactly what
+depends on the hierarchy alone, the depth levels, the arc keys and the
+opposite arc of every lower triangle, is one ``Schedule`` per ``Cch``:
+the first ``customize()`` on a hierarchy builds it, counting that time
+under ``respect``, and later calls reuse it. Every kernel returns exactly what
 the loop oracles in ``tests/oracles.py`` compute.
 """
 
@@ -34,18 +35,6 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return ends - counts
 
 
-def _heights(ug: UpwardGraph) -> np.ndarray:
-    """Elimination-tree height per vertex; leaves are 0."""
-    first, head, n = ug.first_arc, ug.head, ug.vertex_count
-    height = [0] * n
-    for u in range(n):
-        if first[u] < first[u + 1]:
-            p = head[first[u]]
-            if height[p] <= height[u]:
-                height[p] = height[u] + 1
-    return np.array(height, dtype=np.int64)
-
-
 def _depths(ug: UpwardGraph) -> np.ndarray:
     """Elimination-tree depth per vertex; roots are 0."""
     first, head, n = ug.first_arc, ug.head, ug.vertex_count
@@ -68,44 +57,45 @@ def _levels(level: np.ndarray, degree: np.ndarray) -> list[np.ndarray]:
 class Schedule:
     """The part of customization that depends on the hierarchy alone.
 
-    ``by_height`` and ``by_depth`` list, level by level, the vertices that
-    lie below a triangle: two upward arcs ``ei < ej`` of a vertex and the
-    arc ``k`` joining their heads. ``tri_k`` stores every ``k`` as its
-    offset from ``first[head[ei]]`` in the order the basic step meets them:
-    ``tri_k[bounds[i]:bounds[i + 1]]`` is height level i, by vertex, then
-    ``ei``, then ``ej``; a vertex's triangles start at ``block[vertex]``.
+    ``by_depth`` lists, level by level from the roots down, the vertices
+    that lie below a triangle: two upward arcs ``ei < ej`` of a vertex and
+    the arc ``k`` joining their heads. Two vertices of one depth are never
+    ancestor and descendant, so the basic step runs the levels deepest
+    first and the perfect step runs them in order. ``tri_k`` stores every
+    ``k`` as its offset from ``first[head[ei]]``: ``tri_k[bounds[i]:bounds[i
+    + 1]]`` is depth level i, in the order ``pairs`` lists its triangles.
     An offset is below an up-degree, so ``tri_k`` takes the smallest
     unsigned type that holds the largest one: one byte per triangle on a
     100x100 grid. ``first``, ``head`` and ``tail`` view the hierarchy's
-    columns. Every array is read-only, so concurrent customizations can
-    share one schedule.
+    columns, and ``key`` holds the arc keys ``tail * n + head``, which
+    ascend with the arc ID. Every array is read-only, so concurrent
+    customizations can share one schedule.
     """
 
     def __init__(self, ug: UpwardGraph):
         self.first, self.head, self.tail = first, head, tail = (
             _view(ug.first_arc), _view(ug.head), _view(ug.tail))
-        degree = np.diff(first).astype(np.int64)
-        self.by_height = _levels(_heights(ug), degree)
-        self.by_depth = _levels(_depths(ug), degree)
-        triangles = degree * (degree - 1) // 2
-        # One lookup of every triangle's opposite arc among the arc keys
-        # ``tail * n + head``, which ascend with the arc ID.
         n = ug.vertex_count
-        key = tail.astype(np.int64) * n + head
-        self.tri_k = np.empty(int(triangles.sum()),
+        degree = np.diff(first).astype(np.int64)
+        self.by_depth = _levels(_depths(ug), degree)
+        self.key = tail.astype(np.int64) * n + head
+        self.tri_k = np.empty(int((degree * (degree - 1) // 2).sum()),
                               dtype=np.min_scalar_type(int(degree.max(initial=0))))
-        self.block = np.zeros(n, dtype=np.int64)
         self.bounds = [0]
-        for vertices in self.by_height:
+        for vertices in self.by_depth:
             arcs, later, ej = self.pairs(vertices)
             lo = self.bounds[-1]
-            self.block[vertices] = lo + _starts(triangles[vertices])
             v = np.repeat(head[arcs].astype(np.int64), later)
-            k = np.searchsorted(key, v * n + head[ej])
+            k = np.searchsorted(self.key, v * n + head[ej])
             self.tri_k[lo:lo + len(ej)] = k - self.opposite(arcs, later, 0)
             self.bounds.append(lo + len(ej))
-        for column in (self.block, self.tri_k, *self.by_height, *self.by_depth):
+        for column in (self.key, self.tri_k, *self.by_depth):
             column.flags.writeable = False
+
+    def levels(self) -> list[tuple[np.ndarray, int, int]]:
+        """Per depth level from the roots down: its vertices and the
+        bounds of its triangles in ``tri_k``."""
+        return list(zip(self.by_depth, self.bounds, self.bounds[1:]))
 
     def pairs(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The arcs of ``vertices`` that open triangles (all but each
@@ -122,14 +112,6 @@ class Schedule:
         """Arc IDs ``k`` of the triangles ``pairs`` lists, from their
         ``tri_k`` entries."""
         return np.repeat(self.first[self.head[arcs]].astype(np.int64), later) + offsets
-
-    def entries(self, vertices: np.ndarray) -> np.ndarray:
-        """Positions in ``tri_k`` of the triangles of ``vertices``, in the
-        order ``pairs`` lists them."""
-        first = self.first
-        degree = (first[vertices + 1] - first[vertices]).astype(np.int64)
-        count = degree * (degree - 1) // 2
-        return np.arange(count.sum()) + np.repeat(self.block[vertices] - _starts(count), count)
 
 
 def schedule_of(cch: Cch) -> Schedule:
@@ -150,22 +132,23 @@ def respect(ug: UpwardGraph, weights: list[int]) -> tuple[np.ndarray, np.ndarray
 
 
 def basic(s: Schedule, l_up: np.ndarray, l_down: np.ndarray):
-    """Basic step bottom up by height; returns the new weights and the
-    witnesses ``up_a, up_b, down_a, down_b``.
+    """Basic step bottom up, deepest level first; returns the new weights
+    and the witnesses ``up_a, up_b, down_a, down_b``.
 
     Every arc holds the key ``(weight << b) | lower_arc`` and each triangle
     offers ``(cand << b) | ei``, so one ``np.minimum.at`` per direction
     keeps the smallest candidate with the lowest via vertex, and only a
-    candidate strictly below the respected weight changes the key. Arcs
-    out of a level are final before it runs, and it writes only arcs of
-    higher levels. The upper leg of each witness is looked up once at the
-    end. Candidates are capped at INFINITY, which can never improve an
-    arc, so keys fit in int64 while arc IDs fit in int32, as witnesses
-    must.
+    candidate strictly below the respected weight changes the key. A
+    level reads only arcs out of its own vertices, which only their
+    descendants write, all deeper; it writes only arcs out of their
+    ancestors, all shallower. The upper leg of each witness is looked up
+    once at the end among the schedule's arc keys. Candidates are capped
+    at INFINITY, which can never improve an arc, so keys fit in int64
+    while arc IDs fit in int32, as witnesses must.
     """
     b = max(1, len(s.head).bit_length())
     key_up, key_down = l_up << b, l_down << b
-    for vertices, lo, hi in zip(s.by_height, s.bounds, s.bounds[1:]):
+    for vertices, lo, hi in reversed(s.levels()):
         arcs, later, ej = s.pairs(vertices)
         ei = np.repeat(arcs, later)
         k = s.opposite(arcs, later, s.tri_k[lo:hi])
@@ -174,7 +157,6 @@ def basic(s: Schedule, l_up: np.ndarray, l_down: np.ndarray):
         cand = np.minimum(np.repeat(key_up[arcs] >> b, later) + (key_down[ej] >> b), INFINITY)
         np.minimum.at(key_down, k, (cand << b) | ei)
     n = len(s.first) - 1
-    arc_key = s.tail.astype(np.int64) * n + s.head
     out = []
     for key, respected in ((key_up, l_up), (key_down, l_down)):
         weight = key >> b
@@ -183,14 +165,15 @@ def basic(s: Schedule, l_up: np.ndarray, l_down: np.ndarray):
         upper = lower.copy()
         lower[improved] = key[improved] & ((1 << b) - 1)
         upper[improved] = np.searchsorted(
-            arc_key, s.tail[lower[improved]].astype(np.int64) * n + s.head[improved])
+            s.key, s.tail[lower[improved]].astype(np.int64) * n + s.head[improved])
         out.append((weight, lower, upper))
     (w_up, up_a, up_b), (w_down, down_a, down_b) = out
     return w_up, w_down, up_a, up_b, down_a, down_b
 
 
 def perfect(s: Schedule, l_up: np.ndarray, l_down: np.ndarray):
-    """Perfect step top down by depth; returns the exact weights.
+    """Perfect step top down, shallowest level first; returns the exact
+    weights.
 
     The exact distance from u to an upward neighbor x is the least basic
     weight of an arc (u, w) plus the exact weight between w and x (w = x
@@ -200,9 +183,9 @@ def perfect(s: Schedule, l_up: np.ndarray, l_down: np.ndarray):
     adjacent, so their minimum is one ``reduceat``.
     """
     x_up, x_down = l_up.copy(), l_down.copy()
-    for vertices in s.by_depth:
+    for vertices, lo, hi in s.levels():
         arcs, later, ej = s.pairs(vertices)
-        k = s.opposite(arcs, later, s.tri_k[s.entries(vertices)])
+        k = s.opposite(arcs, later, s.tri_k[lo:hi])
         up_k, down_k = x_up[k], x_down[k]
         starts = _starts(later)
         x_up[arcs] = np.minimum(x_up[arcs], np.minimum.reduceat(l_up[ej] + down_k, starts))

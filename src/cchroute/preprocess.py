@@ -266,10 +266,12 @@ class Cch:
     contracted with; ``initial_order`` keeps the dissection order and its
     recorded decomposition (rank ranges in its own rank space) when the
     order was computed rather than imported. ``parent`` is an
-    ``array('i')`` like the hierarchy's columns. The first ``customize()``
-    builds the hierarchy's customization schedule (``kernels.Schedule``)
-    into ``_schedule``, which takes no part in equality, ``repr`` or the
-    artifact.
+    ``array('i')`` like the hierarchy's columns. ``decomposition`` is the
+    one ``reconstruct_separator_decomposition`` gives for ``parent``; a
+    loaded artifact must store exactly that one. The first ``customize()``
+    builds the hierarchy's customization schedule (``kernels.Schedule``:
+    its depth levels, arc keys and triangle table) into ``_schedule``,
+    which takes no part in equality, ``repr`` or the artifact.
     """
 
     ug: UpwardGraph
@@ -343,47 +345,6 @@ def _flatten_decomposition(root: SeparatorDecomposition) -> array:
     return flat
 
 
-def _unflatten_decomposition(flat: array, n: int) -> SeparatorDecomposition:
-    """Rebuild the decomposition from its preorder entries (cell_lo,
-    cell_hi, sep_lo, child count), rejecting one whose cells do not tile
-    the ranks: the root cell is [0, n), and every cell holds its separator
-    [sep_lo, cell_hi) above child cells that tile [cell_lo, sep_lo) in
-    order."""
-    if len(flat) < 4:
-        raise FormatError("truncated separator decomposition")
-    lo, hi, sep_lo, n_children = flat[:4]
-    if (lo, hi) != (0, n):
-        raise ConsistencyError("root cell of the separator decomposition is not [0, n)")
-    root = SeparatorDecomposition(lo, hi, sep_lo)
-    pos = 4
-    # per open node: the node, children still to read, where the next starts
-    stack = [[root, n_children, lo]]
-    while stack:
-        top = stack[-1]
-        node, remaining, start = top
-        if remaining == 0:
-            if not start == node.sep_lo <= node.cell_hi:
-                raise ConsistencyError("separator decomposition: child cells do not tile "
-                                       "the ranks below their separator")
-            stack.pop()
-            continue
-        if pos + 4 > len(flat):
-            raise FormatError("truncated separator decomposition")
-        lo, hi, sep_lo, n_children = flat[pos:pos + 4]
-        pos += 4
-        if lo != start:
-            raise ConsistencyError("separator decomposition: child cells do not tile "
-                                   "the ranks below their separator")
-        top[1] = remaining - 1
-        top[2] = hi
-        child = SeparatorDecomposition(lo, hi, sep_lo)
-        node.children.append(child)
-        stack.append([child, n_children, lo])
-    if pos != len(flat):
-        raise FormatError("trailing data after separator decomposition")
-    return root
-
-
 def save_cch(cch: Cch, path: str) -> None:
     """Serialize the preprocessing artifact (little-endian 4-byte columns)."""
     with open(path, "wb") as f:
@@ -434,5 +395,8 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
                      input_arc_count=input_arc_count)
     _check_topology(ug, parent)
     order = RankOrder.from_vertex_at(vertex_at)
-    decomposition = _unflatten_decomposition(flat, n)
+    # k-NN pruning holds only for the elimination tree's own cells.
+    decomposition = reconstruct_separator_decomposition(parent)
+    if _flatten_decomposition(decomposition) != flat:
+        raise ConsistencyError("separator decomposition is not the elimination tree's")
     return Cch(ug=ug, parent=parent, decomposition=decomposition, order=order)

@@ -396,9 +396,11 @@ def knn_query(s: int, k: int, poi: PoiIndex, decomp: SeparatorDecomposition,
     computes exact distances to its whole separator (one descent), scans
     the separator's targets by binary search on the sorted index, and
     bounds every child cell by the smallest distance seen on its
-    enclosing separators; cells that cannot beat the current k-th best
-    are pruned. Ties break toward smaller vertex IDs. Unreachable targets
-    never appear; fewer than k reachable targets give a shorter result.
+    enclosing separators: a path from ``s`` enters a cell that does not
+    hold ``s`` only through such a separator. Cells that cannot beat the
+    current k-th best are pruned; the cells holding ``s`` never are.
+    Ties break toward smaller vertex IDs. Unreachable targets never
+    appear; fewer than k reachable targets give a shorter result.
     """
     if state.source != s:
         raise StateError("knn_query requires rphast_source(s) on this state")
@@ -436,13 +438,10 @@ def knn_query(s: int, k: int, poi: PoiIndex, decomp: SeparatorDecomposition,
                 i += 1
             if dmin < child_bound:
                 child_bound = dmin
-        entries = []
-        for child in node.children:
-            b = 0 if child.cell_lo <= s < child.cell_hi else child_bound
-            entries.append((b, child.cell_lo, child))
-        entries.sort()
-        for b, _, child in reversed(entries):
-            stack.append((child, b))
+        # Every child is bounded by its enclosing separators; the one
+        # holding s is popped first, then the others by rank.
+        ordered = sorted(node.children, key=lambda c: (not c.cell_lo <= s < c.cell_hi, c.cell_lo))
+        stack.extend((child, child_bound) for child in reversed(ordered))
     return [(x, d) for d, x in best]
 
 

@@ -18,10 +18,10 @@ from .graph import InputGraph
 
 @dataclass
 class TurnExpansion:
-    """Expanded graph plus the mapping between arc-vertices and input arcs."""
+    """Expanded graph plus the input arc of every arc-vertex. Arc-vertex i
+    is input arc i, so ``arc_of_vertex`` is the identity."""
 
     graph: InputGraph
-    vertex_of_arc: list[int]
     arc_of_vertex: list[int]
 
 
@@ -43,8 +43,6 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
         if cost != FORBIDDEN and cost < 0:
             raise ConsistencyError(f"turn ({a}, {b}) has negative cost {cost}")
 
-    vertex_of_arc = list(range(m))
-    arc_of_vertex = list(range(m))
     expanded_arcs = []
     for a in range(m):
         via = g.head[a]
@@ -55,8 +53,7 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
                 continue
             expanded_arcs.append((a, b, la + cost))
     expanded = InputGraph.from_arcs(m, expanded_arcs)
-    return TurnExpansion(graph=expanded, vertex_of_arc=vertex_of_arc,
-                         arc_of_vertex=arc_of_vertex)
+    return TurnExpansion(graph=expanded, arc_of_vertex=list(range(m)))
 
 
 def expanded_coordinates(g: InputGraph, coords, expansion: TurnExpansion):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from cchroute import INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, StateError, UpwardGraph
+from cchroute import INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, UpwardGraph
 
 
 def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
@@ -74,7 +74,6 @@ def basic_sweep(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
                     l_down[k] = cand
                     down_a[k] = ei
                     down_b[k] = ej
-    m.basic_done = True
     return m
 
 
@@ -87,13 +86,10 @@ def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     relaxes the two arcs incident to u: the upper triangle of uv and the
     intermediate triangle of uw, both directions each. Arc-directions
     that shrink are marked superfluous; witnesses stay untouched because
-    marked arcs are dropped anyway.
+    marked arcs are dropped anyway. ``m`` must have been through
+    ``basic_sweep``: before it a shortcut can sit at INFINITY in both
+    directions over a finite lower triangle, and distances would inflate.
     """
-    if not m.basic_done:
-        # Without the basic step a shortcut could sit at INFINITY in both
-        # directions while a finite lower triangle exists below it; the
-        # relaxations here would then inflate distances silently.
-        raise StateError("perfect customization requires basic customization first")
     first, head = ug.first_arc, ug.head
     l_up, l_down = m.l_up, m.l_down
     delete_up, delete_down = m.delete_up, m.delete_down

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QueryState,
-                      RankOrder, StateError, build_cch, build_reduced, customize, dijkstra,
+                      RankOrder, build_cch, build_reduced, customize, dijkstra,
                       load_cch, load_customized, load_dimacs_co, load_dimacs_gr,
                       permute_to_rank_ids, query, save_cch, save_customized, unpack_path)
 from cchroute.customize import serialize_customized
@@ -198,12 +198,6 @@ class TestPerfect:
             if m.delete_down[e] and m.l_down[e] != INFINITY:
                 assert any(dist_from[v][w] + dist_from[w][u] == m.l_down[e]
                            for w in witnesses)
-
-    def test_before_basic_is_state_error(self):
-        g, cch = diamond_cch()
-        m = respect(cch.ug, list(g.weight))
-        with pytest.raises(StateError):
-            perfect(m, cch.ug)
 
 
 class TestBuildReduced:

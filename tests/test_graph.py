@@ -127,15 +127,15 @@ class TestTurnExpansion:
         assert exp.graph.arc_count == 1
         a01 = g.arc_index(0, 1)
         a12 = g.arc_index(1, 2)
-        assert exp.graph.arc_index(exp.vertex_of_arc[a01], exp.vertex_of_arc[a12]) is not None
+        assert exp.graph.arc_index(a01, a12) is not None
         assert exp.graph.weight[0] == 4  # first arc's travel cost, zero turn cost
 
     def test_forbidden_turn_disconnects(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
         a01, a12 = g.arc_index(0, 1), g.arc_index(1, 2)
         exp = expand_turns(g, {(a01, a12): FORBIDDEN})
-        dist = dijkstra(exp.graph, exp.vertex_of_arc[a01])
-        assert dist[exp.vertex_of_arc[a12]] == INFINITY
+        dist = dijkstra(exp.graph, a01)
+        assert dist[a12] == INFINITY
 
     def test_u_turn_penalty_preserves_straight_routes(self):
         # path 0-1-2-3 both directions; U-turns cost 100, rest free
@@ -152,12 +152,12 @@ class TestTurnExpansion:
         exp = expand_turns(g, turns)
         a01 = g.arc_index(0, 1)
         a23 = g.arc_index(2, 3)
-        dist = dijkstra(exp.graph, exp.vertex_of_arc[a01])
+        dist = dijkstra(exp.graph, a01)
         # 0->1->2->(3): pay arcs 0->1 and 1->2, no turn costs
-        assert dist[exp.vertex_of_arc[a23]] == 2
+        assert dist[a23] == 2
         # a U-turn right after the first arc costs 100 extra
         a10 = g.arc_index(1, 0)
-        assert dist[exp.vertex_of_arc[a10]] == 101
+        assert dist[a10] == 101
 
     def test_table_referencing_missing_arc(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
@@ -191,7 +191,7 @@ class TestTurnExpansion:
             pairs = [(rng.randrange(g.arc_count), rng.randrange(g.arc_count))
                      for _ in range(8)]
             for a, b in pairs:
-                got = dijkstra(exp.graph, exp.vertex_of_arc[a])[exp.vertex_of_arc[b]]
+                got = dijkstra(exp.graph, a)[b]
                 want = turn_respecting_distance(g, turns, a, b)
                 assert got == want, (a, b, got, want)
 

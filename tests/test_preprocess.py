@@ -246,6 +246,21 @@ class TestArtifacts:
         with pytest.raises(FormatError):
             load_cch(str(path))
 
+    def test_decomposition_other_than_the_trees_rejected(self, tmp_path):
+        # Moving a separator's lowest vertex into the last child cell keeps
+        # the cells tiling the ranks, but the cells are no longer the
+        # elimination tree's, and k-NN would prune with wrong bounds.
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        cch = build_cch(g, load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count))
+        node = next(node for node in cch.decomposition.preorder()
+                    if node.children and node.cell_hi - node.sep_lo > 1)
+        node.sep_lo += 1
+        node.children[-1].cell_hi += 1
+        path = tmp_path / "moved.cchp"
+        save_cch(cch, str(path))
+        with pytest.raises(ConsistencyError, match="separator decomposition"):
+            load_cch(str(path))
+
     def test_double_round_trip_byte_identical(self, tmp_path):
         rng = random.Random(59)
         g, coords = random_connected_graph(rng, 70)

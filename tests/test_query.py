@@ -14,6 +14,7 @@ from cchroute import (ConsistencyError, INFINITY, InputGraph, QueryState,
                       load_customized, permute_to_rank_ids, query,
                       query_input_graph, rphast_distance, rphast_source,
                       save_customized, unpack_path)
+from cchroute.query import UNKNOWN
 from helpers import diamond, grid_graph, hierarchies_with_metrics, random_connected_graph
 
 
@@ -397,6 +398,37 @@ class TestKnn:
         rphast_source(1, st)
         with pytest.raises(StateError):
             knn_query(0, 1, knn_select([2], 4), cch.decomposition, st)
+
+    def test_cells_off_the_source_chain_are_pruned(self):
+        # Below the root, a cell that does not hold s but hangs off a cell
+        # that does is bounded by the distances to its enclosing
+        # separators. Once that bound exceeds the k-th best, nothing in
+        # the cell is visited, so none of its vertices gets a distance.
+        rng = random.Random(173)
+        g, coords = grid_graph(rng, 24, 24)
+        cch = build_cch(g, coords)
+        p = permute_to_rank_ids(g, cch.order)
+        st = RphastState(customize(cch, list(g.weight)).graphs, cch.parent)
+        n, s, k = g.vertex_count, 0, 4
+        poi = knn_select(range(0, n, 3), n)
+        rphast_source(s, st)
+        got = knn_query(s, k, poi, cch.decomposition, st)
+        assert got == knn_dijkstra(p, s, k, poi.targets)
+        kth_best = got[-1][1]
+        dist = dijkstra(p, s)
+        chain = [cch.decomposition]
+        while chain[-1].children:
+            chain.append(next(c for c in chain[-1].children if c.cell_lo <= s < c.cell_hi))
+        pruned = 0
+        bound = INFINITY
+        for depth, node in enumerate(chain[:-1]):
+            bound = min([bound, *dist[node.sep_lo:node.cell_hi]])
+            for child in node.children:
+                if depth > 0 and child is not chain[depth + 1] and bound > kth_best:
+                    assert st.known[child.sep_lo:child.cell_hi] == \
+                        [UNKNOWN] * (child.cell_hi - child.sep_lo)
+                    pruned += 1
+        assert pruned >= 2
 
 
 class TestTurnExpandedPipeline:
