@@ -26,7 +26,7 @@ from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric, read_i
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY
 from .order import export_order, import_order, nested_dissection_order
-from .preprocess import build_cch, load_cch, save_cch
+from .preprocess import build_cch, graph_fingerprint, load_cch, save_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
 
@@ -114,12 +114,8 @@ def cmd_preprocess(args) -> int:
 def cmd_customize(args) -> int:
     g = load_dimacs_gr(args.graph)
     cch = load_cch(args.cch)
-    if len(cch.parent) != g.vertex_count:
-        raise ConsistencyError(
-            f"hierarchy has {len(cch.parent)} vertices, graph has {g.vertex_count}")
-    if cch.ug.input_arc_count != g.arc_count:
-        raise ConsistencyError(
-            f"hierarchy was built for {cch.ug.input_arc_count} arcs, graph has {g.arc_count}")
+    if cch.fingerprint != graph_fingerprint(g):
+        raise ConsistencyError("hierarchy was built for a different graph")
     weights = load_metric(args.weights, g) if args.weights else list(g.weight)
     threads = _resolve_threads(args.threads)
     times: dict = {}

@@ -49,10 +49,10 @@ from itertools import accumulate, compress, pairwise, repeat
 from .errors import ConsistencyError, FormatError
 from .graph import INFINITY, InputGraph
 from .preprocess import (Cch, SENTINEL, UpwardGraph, _cch_parts, _encode_array, _Reader,
-                         deserialize_cch)
+                         _sealed, deserialize_cch)
 
 CUSTOMIZED_MAGIC = b"CCHM"
-CUSTOMIZED_VERSION = 1
+CUSTOMIZED_VERSION = 2
 
 
 @dataclass
@@ -250,15 +250,15 @@ def save_customized(c: Customized, path: str) -> None:
     # Part by part: joining them first would hold the artifact twice at
     # the moment a recustomization also holds two metrics.
     with open(path, "wb") as f:
-        f.writelines(_customized_parts(c))
+        f.writelines(_sealed(_customized_parts(c)))
 
 
 def serialize_customized(c: Customized) -> bytes:
-    return b"".join(_customized_parts(c))
+    return b"".join(_sealed(_customized_parts(c)))
 
 
 def _customized_parts(c: Customized):
-    """The CCHM encoding of ``c`` in order, one column at a time."""
+    """The CCHM encoding of ``c`` without its trailer, one column at a time."""
     m = c.metric
     yield CUSTOMIZED_MAGIC + bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])
     yield from _cch_parts(c.cch)
@@ -269,17 +269,14 @@ def _customized_parts(c: Customized):
 
 
 def load_customized(path: str) -> Customized:
+    """Load a CCHM. Its one CRC32 trailer covers the embedded CCHP too."""
     with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data)
-    if r.take(4) != CUSTOMIZED_MAGIC:
-        raise FormatError("bad magic; not a customized artifact")
-    version, perfect_flag = r.take(2)
-    if version != CUSTOMIZED_VERSION:
-        raise FormatError(f"unsupported customized artifact version {version}")
+        r = _Reader(f.read())
+    r.header(CUSTOMIZED_MAGIC, CUSTOMIZED_VERSION, "customized", sealed=True)
+    perfect_flag = r.take(1)[0]
     if perfect_flag not in (0, 1):
         raise FormatError(f"perfect flag is {perfect_flag}, not 0 or 1")
-    cch = deserialize_cch(data, reader=r)
+    cch = deserialize_cch(r.data, reader=r)
     arc_count = cch.ug.arc_count
     input_weights = r.array("I", cch.ug.input_arc_count)
     # Witnesses read as int32: 0xFFFFFFFF is SENTINEL, and any other value
@@ -293,8 +290,8 @@ def load_customized(path: str) -> Customized:
         down_b=r.array("i", arc_count),
         delete_up=bytearray(r.take(arc_count)),
         delete_down=bytearray(r.take(arc_count)))
-    if r.pos != len(data):
-        raise FormatError("trailing bytes in customized artifact")
+    if r.pos != r.end:
+        raise FormatError("trailing bytes in artifact")
     if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
         raise ConsistencyError("basic-only customized artifact carries deletion marks")
     graphs = build_reduced(metric, cch.ug)

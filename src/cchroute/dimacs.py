@@ -58,8 +58,9 @@ def load_dimacs_gr(path: str) -> InputGraph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer problem line fields", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative vertex or arc count", lineno)
+            # every artifact column is int32
+            if not (0 <= n < 2**31 and 0 <= m < 2**31):
+                raise ParseError("vertex or arc count outside [0, 2**31)", lineno)
         elif kind == "a":
             if n is None:
                 raise ParseError("arc line before problem line", lineno)

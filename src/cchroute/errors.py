@@ -22,7 +22,7 @@ class ParseError(CchError):
 
 
 class FormatError(ParseError):
-    """Binary artifact has a bad magic value, version, or is truncated."""
+    """Binary artifact has a bad magic value or version, is truncated or fails its checksum."""
 
 
 class ConsistencyError(CchError):

@@ -6,13 +6,15 @@ result, grouped by tail with heads ascending; every vertex's first upward
 neighbor is its parent in the elimination tree. Vertex IDs must equal
 ranks before contraction (see ``permute_to_rank_ids``), which keeps every
 later phase cache-friendly and makes rank comparisons plain integer
-comparisons.
+comparisons. A CCHP stores the upward arcs, order and input-arc map behind
+a CRC32 trailer; loading derives tails, tree and separator decomposition.
 """
 
 from __future__ import annotations
 
 import operator
 import sys
+import zlib
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -26,14 +28,15 @@ SENTINEL = -1
 """Parent value of elimination-tree roots; also the 'no arc' marker."""
 
 MAGIC = b"CCHP"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
 class UpwardGraph:
     """Chordal completion stored as upward arcs grouped by tail.
 
-    Every column is an ``array('i')``, whose bytes are the CCHP encoding.
+    Every column is an ``array('i')``, whose bytes are the CCHP encoding;
+    ``tail`` is not stored but derived from ``first_arc``.
     ``orig_up[i]`` / ``orig_down[i]`` give the input arc whose direction
     matches arc i's tail->head (resp. head->tail) traversal, or SENTINEL
     for shortcuts and missing one-way directions. ``input_arc_count`` is
@@ -144,28 +147,27 @@ def _arc_tails(first_arc: array) -> array:
     return tails
 
 
-def _check_topology(ug: UpwardGraph, parent: array) -> None:
-    """Reject a loaded hierarchy whose arcs or elimination tree are malformed.
+def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
+                          orig_down: array, input_arc_count: int) -> UpwardGraph:
+    """The loaded hierarchy, its tails derived from the arc ranges, or a
+    ConsistencyError if its arcs are malformed.
 
-    Queries climb ``parent`` to a root and path unpacking recurses on arcs
-    with lower tails. Both end only if every arc points from its tail up
-    to an existing vertex and every parent is its child's first upward
-    head. Customization reads the input weight of every ``orig_up`` and
+    Queries climb the elimination tree, each vertex's first upward head,
+    to a root and path unpacking recurses on arcs with lower tails. Both
+    end only if every arc points from its tail up to an existing vertex.
+    Customization reads the input weight of every ``orig_up`` and
     ``orig_down`` entry, so each must be SENTINEL or an input arc ID.
     """
-    first_arc, head = ug.first_arc, ug.head
-    if (first_arc[0] != 0 or first_arc[-1] != ug.arc_count
+    if (first_arc[0] != 0 or first_arc[-1] != len(head)
             or not all(map(operator.le, first_arc, first_arc[1:]))):
         raise ConsistencyError("arc ranges do not run monotonically from 0 to the arc count")
-    if ug.tail != _arc_tails(first_arc):
-        raise ConsistencyError("arc tails disagree with the arc ranges")
-    if head and (max(head) >= ug.vertex_count or not all(map(operator.lt, ug.tail, head))):
+    tail = _arc_tails(first_arc)
+    if head and (max(head) >= n or not all(map(operator.lt, tail, head))):
         raise ConsistencyError("arc head outside (tail, vertex count)")
-    if parent != build_elimination_tree(ug):
-        raise ConsistencyError("parent array is not the elimination tree of the arcs")
-    for orig in (ug.orig_up, ug.orig_down):
-        if orig and (min(orig) < SENTINEL or max(orig) >= ug.input_arc_count):
+    for orig in (orig_up, orig_down):
+        if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
             raise ConsistencyError("input arc ID outside [0, input arc count)")
+    return UpwardGraph(n, first_arc, head, tail, orig_up, orig_down, input_arc_count)
 
 
 def build_elimination_tree(ug: UpwardGraph) -> array:
@@ -210,13 +212,8 @@ def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecom
             children[p].append(u)
 
     def check_tiling(lo: int, hi: int, kids: list[int]) -> None:
-        expected_end = hi
-        for c in reversed(kids):
-            if c != expected_end - 1:
-                raise ConsistencyError(
-                    "subtree rank ranges not contiguous; order is not a DFS post-order")
-            expected_end = c - size[c] + 1
-        if expected_end != lo:
+        # the kids' rank ranges [c - size[c] + 1, c + 1) must tile [lo, hi)
+        if [c - size[c] + 1 for c in kids] + [hi] != [lo] + [c + 1 for c in kids]:
             raise ConsistencyError(
                 "subtree rank ranges not contiguous; order is not a DFS post-order")
 
@@ -246,11 +243,8 @@ def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecom
 
     if not roots:
         raise ConsistencyError("empty elimination tree")
-    if len(roots) == 1:
-        root_node = build_node(roots[0])
-        if root_node.cell_hi - root_node.cell_lo != n:
-            raise ConsistencyError("root subtree does not span all ranks")
-        return root_node
+    if len(roots) == 1:  # then the root is n - 1, and its subtree spans all ranks
+        return build_node(roots[0])
     check_tiling(0, n, roots)
     top = SeparatorDecomposition(0, n, n)
     for r in roots:
@@ -267,8 +261,9 @@ class Cch:
     recorded decomposition (rank ranges in its own rank space) when the
     order was computed rather than imported. ``parent`` is an
     ``array('i')`` like the hierarchy's columns. ``decomposition`` is the
-    one ``reconstruct_separator_decomposition`` gives for ``parent``; a
-    loaded artifact must store exactly that one. The first ``customize()``
+    one ``reconstruct_separator_decomposition`` gives for ``parent``.
+    ``fingerprint`` is the ``graph_fingerprint`` of the input graph the
+    hierarchy was built from. The first ``customize()``
     builds the hierarchy's customization schedule (``kernels.Schedule``:
     its depth levels, arc keys and triangle table) into ``_schedule``,
     which takes no part in equality, ``repr`` or the artifact.
@@ -278,6 +273,7 @@ class Cch:
     parent: array
     decomposition: SeparatorDecomposition
     order: RankOrder
+    fingerprint: int
     initial_order: RankOrder | None = None
     _schedule: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -301,7 +297,13 @@ def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None,
     parent = build_elimination_tree(ug)
     decomposition = reconstruct_separator_decomposition(parent)
     return Cch(ug=ug, parent=parent, decomposition=decomposition, order=improved,
-               initial_order=order)
+               fingerprint=graph_fingerprint(g), initial_order=order)
+
+
+def graph_fingerprint(g: InputGraph) -> int:
+    """CRC32 of the vertex and arc counts and the arcs (tail, head) of ``g``."""
+    columns = (array("I", (g.vertex_count, g.arc_count)), array("i", g.tail), array("i", g.head))
+    return zlib.crc32(b"".join(map(_encode_array, columns)))
 
 
 def _encode_array(arr: array) -> bytes:
@@ -312,18 +314,42 @@ def _encode_array(arr: array) -> bytes:
     return arr.tobytes()
 
 
+def _sealed(parts):
+    """``parts``, then the CRC32 of all their bytes as a 4-byte trailer."""
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        yield part
+    yield crc.to_bytes(4, "little")
+
+
 class _Reader:
     """Cursor over an artifact's bytes. ``array`` reads every column of
     both artifacts, the inverse of ``_encode_array``; ``take`` reads the
-    magic, version and flag bytes and the deletion marks."""
+    magic, version and flag bytes and the deletion marks, and ``header``
+    checks the first two and the trailer."""
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.end = len(data)
+
+    def header(self, magic: bytes, version: int, kind: str, sealed: bool) -> None:
+        """Check the magic and version; then, if ``sealed``, match the
+        trailer against the CRC32 of all bytes before it and end reads there."""
+        if self.take(4) != magic:
+            raise FormatError(f"bad magic; not a {kind} artifact")
+        if (found := self.take(1)[0]) != version:
+            raise FormatError(f"unsupported {kind} artifact version {found}")
+        if sealed:
+            self.end = len(self.data) - 4
+            if (self.end < self.pos or zlib.crc32(memoryview(self.data)[:self.end])
+                    != int.from_bytes(self.data[self.end:], "little")):
+                raise FormatError("checksum mismatch: artifact corrupted or truncated")
 
     def take(self, count: int) -> bytes:
         end = self.pos + count
-        if end > len(self.data):
+        if end > self.end:
             raise FormatError("truncated artifact")
         chunk = self.data[self.pos:end]
         self.pos = end
@@ -338,33 +364,23 @@ class _Reader:
         return arr
 
 
-def _flatten_decomposition(root: SeparatorDecomposition) -> array:
-    flat = array("I")
-    for node in root.preorder():
-        flat.extend((node.cell_lo, node.cell_hi, node.sep_lo, len(node.children)))
-    return flat
-
-
 def save_cch(cch: Cch, path: str) -> None:
     """Serialize the preprocessing artifact (little-endian 4-byte columns)."""
     with open(path, "wb") as f:
-        f.writelines(_cch_parts(cch))
+        f.writelines(_sealed(_cch_parts(cch)))
 
 
 def serialize_cch(cch: Cch) -> bytes:
-    return b"".join(_cch_parts(cch))
+    return b"".join(_sealed(_cch_parts(cch)))
 
 
 def _cch_parts(cch: Cch):
-    """The CCHP encoding of ``cch`` in order, one column at a time."""
+    """The CCHP encoding of ``cch`` without its trailer, one column at a time."""
     ug = cch.ug
-    n, m = ug.vertex_count, ug.arc_count
-    flat = _flatten_decomposition(cch.decomposition)
-    header = array("I", (n, m, ug.input_arc_count, len(flat) // 4))
+    header = array("I", (ug.vertex_count, ug.arc_count, ug.input_arc_count, cch.fingerprint))
     yield MAGIC + bytes([VERSION])
-    yield from map(_encode_array, (header, ug.first_arc, ug.head, ug.tail, cch.parent,
-                                   array("I", cch.order.vertex_at), ug.orig_up, ug.orig_down,
-                                   flat))
+    yield from map(_encode_array, (header, ug.first_arc, ug.head, array("I", cch.order.vertex_at),
+                                   ug.orig_up, ug.orig_down))
 
 
 def load_cch(path: str) -> Cch:
@@ -373,30 +389,19 @@ def load_cch(path: str) -> Cch:
 
 
 def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
+    """Load a CCHP from ``data``, or the one embedded in a CCHM at the
+    position of ``reader``, whose caller checks the trailer."""
     r = reader if reader is not None else _Reader(data)
-    if r.take(4) != MAGIC:
-        raise FormatError("bad magic; not a preprocessing artifact")
-    version = r.take(1)[0]
-    if version != VERSION:
-        raise FormatError(f"unsupported artifact version {version}")
-    n, m, input_arc_count, node_count = r.array("I", 4)
+    r.header(MAGIC, VERSION, "preprocessing", sealed=reader is None)
+    n, m, input_arc_count, fingerprint = r.array("I", 4)
     first_arc = r.array("i", n + 1)
     head = r.array("i", m)
-    tail = r.array("i", m)
-    parent = r.array("i", n)
     vertex_at = r.array("I", n)
     orig_up = r.array("i", m)
     orig_down = r.array("i", m)
-    flat = r.array("I", 4 * node_count)
-    if reader is None and r.pos != len(r.data):
+    if reader is None and r.pos != r.end:
         raise FormatError("trailing bytes in artifact")
-    ug = UpwardGraph(n, first_arc, head, tail,
-                     orig_up=orig_up, orig_down=orig_down,
-                     input_arc_count=input_arc_count)
-    _check_topology(ug, parent)
-    order = RankOrder.from_vertex_at(vertex_at)
-    # k-NN pruning holds only for the elimination tree's own cells.
-    decomposition = reconstruct_separator_decomposition(parent)
-    if _flatten_decomposition(decomposition) != flat:
-        raise ConsistencyError("separator decomposition is not the elimination tree's")
-    return Cch(ug=ug, parent=parent, decomposition=decomposition, order=order)
+    ug = _checked_upward_graph(n, first_arc, head, orig_up, orig_down, input_arc_count)
+    parent = build_elimination_tree(ug)
+    return Cch(ug=ug, parent=parent, decomposition=reconstruct_separator_decomposition(parent),
+               order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)

@@ -8,6 +8,8 @@ the code paths they check.
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 from itertools import combinations
 from pathlib import Path
 
@@ -139,6 +141,55 @@ def hierarchies_with_metrics(draw):
     order = RankOrder.from_vertex_at(list(draw(st.permutations(range(n)))))
     weights = draw(st.lists(METRIC_WEIGHTS, min_size=g.arc_count, max_size=g.arc_count))
     return build_cch(g, order=order), weights
+
+
+class ArtifactEditor:
+    """Edit the bytes of a v2 CCHP (or, with ``cchm``, CCHM) of ``cch`` at
+    named columns, then re-seal them with a fresh CRC32 trailer, so that an
+    edit reaches the structural checks behind the checksum.
+
+    Layout: a CCHM starts with its magic, version and perfect flag (6
+    bytes) and embeds the CCHP without the CCHP's trailer. The CCHP has
+    its magic and version (5 bytes), the u32 header (vertex count, arc
+    count, input arc count, graph fingerprint), then the 4-byte columns
+    ``first_arc``, ``head``, ``vertex_at``, ``orig_up``, ``orig_down``.
+    A CCHM goes on with ``input_weights``, ``l_up``, ``l_down``,
+    ``up_a``, ``up_b``, ``down_a``, ``down_b`` and the 1-byte columns
+    ``delete_up``, ``delete_down``. Both end with the trailer.
+    """
+
+    def __init__(self, data: bytes, cch, cchm: bool = False):
+        self.data = bytearray(data)
+        ug = cch.ug
+        n, m = ug.vertex_count, ug.arc_count
+        columns = [("first_arc", n + 1, 4), ("head", m, 4), ("vertex_at", n, 4),
+                   ("orig_up", m, 4), ("orig_down", m, 4)]
+        if cchm:
+            columns += [("input_weights", ug.input_arc_count, 4)]
+            columns += [(name, m, 4) for name in ("l_up", "l_down", "up_a", "up_b",
+                                                  "down_a", "down_b")]
+            columns += [("delete_up", m, 1), ("delete_down", m, 1)]
+        pos = (6 if cchm else 0) + 5 + 16
+        self.columns = {}
+        for name, count, width in columns:
+            self.columns[name] = (pos, width)
+            pos += count * width
+        assert pos + 4 == len(data), "not a v2 artifact of this hierarchy"
+
+    def at(self, column: str, index: int = 0) -> int:
+        """Byte offset of entry ``index`` of ``column``."""
+        start, width = self.columns[column]
+        return start + width * index
+
+    def put(self, column: str, index: int, value: int) -> None:
+        """Overwrite one entry: a little-endian u32, or a byte in the
+        1-byte columns."""
+        width = self.columns[column][1]
+        struct.pack_into("<I" if width == 4 else "B", self.data, self.at(column, index), value)
+
+    def sealed(self) -> bytes:
+        body = bytes(self.data[:-4])
+        return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def search_arcs(graph) -> list[tuple[int, int, int]]:

@@ -5,13 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import struct
 
 import pytest
 
-from cchroute import INFINITY, InputGraph, dijkstra, load_cch, load_customized
+from cchroute import (INFINITY, ConsistencyError, InputGraph, dijkstra, load_cch,
+                      load_customized, reconstruct_separator_decomposition)
 from cchroute.cli import main
-from helpers import SAMPLE, diamond, grid_graph, search_arcs
+from helpers import SAMPLE, ArtifactEditor, diamond, grid_graph, search_arcs
 
 
 def write_instance(tmp_path, g, coords, prefix="g"):
@@ -140,24 +140,37 @@ class TestCustomizeCmd:
         assert main(["customize", "--graph", gr2, "--cch", str(cchp),
                      "--out", str(tmp_path / "x.cchm")]) == 3
 
+    def test_graph_with_a_repointed_arc_exits_3(self, tmp_path, capsys, sample_artifacts):
+        # Same vertex and arc counts, one arc's head moved: the hierarchy's
+        # graph fingerprint no longer matches.
+        gr, _, cchp, _ = sample_artifacts
+        lines = open(gr).read().splitlines()
+        arcs = {tuple(line.split()[1:3]) for line in lines if line.startswith("a ")}
+        i = next(i for i, line in enumerate(lines) if line.startswith("a "))
+        _, t, h, w = lines[i].split()
+        h2 = next(str(v) for v in range(1, 201) if str(v) != t and (t, str(v)) not in arcs)
+        lines[i] = f"a {t} {h2} {w}"
+        other = tmp_path / "repointed.gr"
+        other.write_text("\n".join(lines) + "\n")
+        assert main(["customize", "--graph", str(other), "--cch", str(cchp),
+                     "--out", str(tmp_path / "x.cchm")]) == 3
+        assert "different graph" in capsys.readouterr().err
+
     @pytest.mark.parametrize("index", [0, 1], ids=["orig_up", "orig_down"])
     def test_input_arc_id_out_of_range_exits_3(self, tmp_path, capsys, index):
         gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
         cchp = tmp_path / "s.cchp"
         main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
-        ug = load_cch(str(cchp)).ug
-        n, m = ug.vertex_count, ug.arc_count
-        # CCHP layout: magic, version, four u32 counts, then the u32 arrays
-        # first_arc, head, tail, parent, vertex_at, orig_up, orig_down
-        offset = 5 + 16 + 4 * (n + 1) + 8 * m + 8 * n + 4 * m * index
-        data = bytearray(cchp.read_bytes())
-        struct.pack_into("<I", data, offset, 1_000_000)
-        cchp.write_bytes(bytes(data))
+        edit = ArtifactEditor(cchp.read_bytes(), load_cch(str(cchp)))
+        edit.put(["orig_up", "orig_down"][index], 0, 1_000_000)
+        cchp.write_bytes(edit.sealed())
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(tmp_path / "s.cchm")]) == 3
         assert "input arc ID" in capsys.readouterr().err
 
-    # CCHP columns after magic, version and four u32 counts, in file order
+    # The CCHP columns the values land in. Tails and parents are derived at
+    # load: their cases hit what they come from, the last arc range bound
+    # and the middle vertex's first head.
     CCHP_COLUMNS = ["first_arc", "head", "tail", "parent", "vertex_at", "orig_up", "orig_down"]
 
     @pytest.mark.parametrize("value", [0x80000000, 0xFFFFFFFE, 0x7FFFFFFF])
@@ -167,36 +180,43 @@ class TestCustomizeCmd:
         # Signed columns read a value of 2**31 or more as negative; no such
         # value may slip through as an index, whichever column holds it.
         gr, _, clean, _ = sample_artifacts
-        ug = load_cch(str(clean)).ug
-        n, m = ug.vertex_count, ug.arc_count
-        lengths = [n + 1, m, m, n, n, m, m]
-        i = self.CCHP_COLUMNS.index(column)
-        offset = 5 + 16 + 4 * sum(lengths[:i]) + 4 * (lengths[i] // 2)
-        data = bytearray(clean.read_bytes())
-        struct.pack_into("<I", data, offset, value)
+        cch = load_cch(str(clean))
+        n, m = cch.ug.vertex_count, cch.ug.arc_count
+        column, index = {"first_arc": ("first_arc", (n + 1) // 2), "head": ("head", m // 2),
+                         "tail": ("first_arc", n), "parent": ("head", cch.ug.first_arc[n // 2]),
+                         "vertex_at": ("vertex_at", n // 2), "orig_up": ("orig_up", m // 2),
+                         "orig_down": ("orig_down", m // 2)}[column]
+        edit = ArtifactEditor(clean.read_bytes(), cch)
+        edit.put(column, index, value)
         cchp = tmp_path / "s.cchp"
-        cchp.write_bytes(bytes(data))
+        cchp.write_bytes(edit.sealed())
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(tmp_path / "s.cchm")]) in (2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("node, field", [(0, 1), (1, 0), (-1, 2)],
-                             ids=["root-cell-hi", "child-cell-lo", "leaf-sep-lo"])
-    def test_decomposition_not_tiling_ranks_exits_3(self, tmp_path, capsys, node, field):
-        gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+    def test_tree_not_a_dfs_postorder_exits_3(self, tmp_path, capsys, sample_artifacts):
+        # The separator decomposition is derived from the elimination tree,
+        # whose parents are the vertices' first heads. Re-hanging rank 0
+        # under a higher vertex keeps every arc upward, but may leave the
+        # subtrees' ranks no longer contiguous.
+        gr, _, clean, _ = sample_artifacts
+        cch = load_cch(str(clean))
+
+        def rejected(w):
+            try:
+                reconstruct_separator_decomposition([w, *cch.parent[1:]])
+            except ConsistencyError:
+                return True
+            return False
+
+        w = next(filter(rejected, range(1, cch.ug.vertex_count)))
+        edit = ArtifactEditor(clean.read_bytes(), cch)
+        edit.put("head", 0, w)
         cchp = tmp_path / "s.cchp"
-        main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
-        nodes = sum(1 for _ in load_cch(str(cchp)).decomposition.preorder())
-        # the CCHP ends with the decomposition in preorder: per node the u32s
-        # cell_lo, cell_hi, sep_lo, child count
-        data = bytearray(cchp.read_bytes())
-        offset = len(data) - 16 * nodes + 16 * (node % nodes) + 4 * field
-        (value,) = struct.unpack_from("<I", data, offset)
-        struct.pack_into("<I", data, offset, value + 1)
-        cchp.write_bytes(bytes(data))
+        cchp.write_bytes(edit.sealed())
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(tmp_path / "s.cchm")]) == 3
-        assert "separator decomposition" in capsys.readouterr().err
+        assert "not a DFS post-order" in capsys.readouterr().err
 
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -246,8 +266,8 @@ class TestQueryCmd:
         assert path.split() == ["0", "1", "3"] and d == "2"
 
     @pytest.mark.parametrize("extra, cchm_digest", [
-        ((), "76f543e5b15eec312699298b693da451b607cbdff193a90ffe68ef92a563027a"),
-        (("--no-perfect",), "da141e541145f54ef91c3fde4798410bbfd91629c9b419c7dab93351d661c955"),
+        ((), "180de30b7986fbcc8b52ce5ac5a81528c0e3e06e0def9a0560d7f95e032495d4"),
+        (("--no-perfect",), "40df3da187a1bbad5083cbae8dcc09b122fe2abc0069118af359adc03cff1670"),
     ], ids=["perfect", "no-perfect"])
     def test_sample_paths_pinned(self, tmp_path, capsys, extra, cchm_digest):
         # Digests of sample/grid.gr's CCHM and of `query --paths` on 300
@@ -275,10 +295,22 @@ class TestQueryCmd:
         cchm = tmp_path / "s.cchm"
         data = bytearray(sample_artifacts[3].read_bytes())
         data[5] = 7  # after magic and version
-        cchm.write_bytes(bytes(data))
+        cchm.write_bytes(ArtifactEditor(data, load_cch(str(sample_artifacts[2])), cchm=True).sealed())
         assert main(["query", "--customized", str(cchm),
                      "--pairs", str(SAMPLE / "queries.txt")]) == 2
         assert "perfect flag" in capsys.readouterr().err
+
+    def test_flipped_weight_bit_exits_2(self, tmp_path, capsys, sample_artifacts):
+        # No structural check can tell a wrong weight from a right one; the
+        # CRC32 trailer does.
+        clean = sample_artifacts[3]
+        edit = ArtifactEditor(clean.read_bytes(), load_customized(str(clean)).cch, cchm=True)
+        edit.data[edit.at("l_up", 0)] ^= 1
+        cchm = tmp_path / "s.cchm"
+        cchm.write_bytes(bytes(edit.data))
+        assert main(["query", "--customized", str(cchm),
+                     "--pairs", str(SAMPLE / "queries.txt")]) == 2
+        assert "checksum mismatch" in capsys.readouterr().err
 
     def test_out_of_range_vertex_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
@@ -289,7 +321,6 @@ class TestQueryCmd:
 
 
     def test_out_of_range_witness_exits_3(self, tmp_path, capsys):
-        from cchroute.preprocess import serialize_cch
         rng = random.Random(241)
         g, coords = grid_graph(rng, 6, 6)
         gr, co = write_instance(tmp_path, g, coords)
@@ -298,13 +329,9 @@ class TestQueryCmd:
         m, ug = c.metric, c.cch.ug
         arc = next(e for e in range(ug.arc_count)
                    if not m.delete_up[e] and m.up_a[e] != -1)
-        # CCHM layout: magic, version, perfect flag, CCHP, input weights,
-        # l_up, l_down, up_a, ... as little-endian u32 arrays
-        offset = (6 + len(serialize_cch(c.cch)) + 4 * ug.input_arc_count
-                  + 8 * ug.arc_count + 4 * arc)
-        data = bytearray(cchm.read_bytes())
-        struct.pack_into("<I", data, offset, ug.arc_count)
-        cchm.write_bytes(bytes(data))
+        edit = ArtifactEditor(cchm.read_bytes(), c.cch, cchm=True)
+        edit.put("up_a", arc, ug.arc_count)
+        cchm.write_bytes(edit.sealed())
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("0 1\n")
         assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 3

@@ -74,6 +74,14 @@ class TestLoadGr:
         with pytest.raises(ParseError):
             load_dimacs_gr(write(tmp_path, "a.gr", "a 1 2 5\n"))
 
+    @pytest.mark.parametrize("line", ["p sp 2147483648 0", "p sp 2 2147483648"],
+                             ids=["vertices", "arcs"])
+    def test_count_beyond_int32_rejected(self, tmp_path, line):
+        # Every artifact column is int32. The check must come before the
+        # graph allocates a list entry per vertex.
+        with pytest.raises(ParseError, match="outside"):
+            load_dimacs_gr(write(tmp_path, "a.gr", line + "\n"))
+
     def test_round_trip_identity(self, tmp_path):
         rng = random.Random(7)
         arcs = [(rng.randrange(10), rng.randrange(10), rng.randint(0, 500))

@@ -235,7 +235,7 @@ class TestNestedDissection:
         assert digest(repr(tree).encode()) == (
             "05a2d905775a4098145b5274f3e51e94c6fed1cdd6a75ae1cb9e423e124a7872")
         assert digest(serialize_cch(build_cch(g, order=order))) == (
-            "5a94769f82548b200e38c9404a2d1eea59102d1e99223f2d41a8378f5621016b")
+            "772385ac9ad44cece70a68001275fadefbdcaf99edd70fef45c0d693fee1dff4")
 
     # Digests of vertex_at and of the recursion tree's preorder (cell_lo,
     # cell_hi, sep_lo, child count) on seeded 40x40 perturbed grids, large

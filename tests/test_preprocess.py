@@ -13,6 +13,7 @@ from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       load_dimacs_co, load_dimacs_gr, nested_dissection_order,
                       permute_to_rank_ids, reconstruct_separator_decomposition,
                       save_cch, save_customized)
+from cchroute.preprocess import serialize_cch
 from helpers import (SAMPLE, diamond, grid_graph, naive_elimination_arcs,
                      random_connected_graph, random_order)
 
@@ -223,6 +224,7 @@ class TestArtifacts:
         assert loaded.order.vertex_at == cch.order.vertex_at
         assert loaded.ug.orig_up == cch.ug.orig_up
         assert loaded.ug.orig_down == cch.ug.orig_down
+        assert loaded.fingerprint == cch.fingerprint
         flat = [(n.cell_lo, n.cell_hi, n.sep_lo, len(n.children))
                 for n in loaded.decomposition.preorder()]
         want = [(n.cell_lo, n.cell_hi, n.sep_lo, len(n.children))
@@ -246,20 +248,24 @@ class TestArtifacts:
         with pytest.raises(FormatError):
             load_cch(str(path))
 
-    def test_decomposition_other_than_the_trees_rejected(self, tmp_path):
+    def test_edited_decomposition_loads_as_the_trees(self, tmp_path):
         # Moving a separator's lowest vertex into the last child cell keeps
         # the cells tiling the ranks, but the cells are no longer the
-        # elimination tree's, and k-NN would prune with wrong bounds.
+        # elimination tree's, and k-NN would prune with wrong bounds. The
+        # artifact does not store the decomposition, so the loaded one is
+        # the tree's own.
         g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
         cch = build_cch(g, load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count))
+        clean = serialize_cch(cch)
         node = next(node for node in cch.decomposition.preorder()
                     if node.children and node.cell_hi - node.sep_lo > 1)
         node.sep_lo += 1
         node.children[-1].cell_hi += 1
         path = tmp_path / "moved.cchp"
         save_cch(cch, str(path))
-        with pytest.raises(ConsistencyError, match="separator decomposition"):
-            load_cch(str(path))
+        assert path.read_bytes() == clean
+        loaded = load_cch(str(path)).decomposition
+        assert loaded == reconstruct_separator_decomposition(cch.parent) != cch.decomposition
 
     def test_double_round_trip_byte_identical(self, tmp_path):
         rng = random.Random(59)
@@ -269,14 +275,14 @@ class TestArtifacts:
         save_cch(cch, str(p1))
         loaded = load_cch(str(p1))
         p2 = tmp_path / "b.cchp"
-        save_cch(Cch(ug=loaded.ug, parent=loaded.parent,
-                     decomposition=loaded.decomposition, order=loaded.order), str(p2))
+        save_cch(Cch(ug=loaded.ug, parent=loaded.parent, decomposition=loaded.decomposition,
+                     order=loaded.order, fingerprint=loaded.fingerprint), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_column_types_identical_after_load(self, tmp_path):
         # build_cch, load_cch and load_customized hand out the same column
-        # types, so comparisons between built and loaded hierarchies (as in
-        # _check_topology) compare values, not types
+        # types, so comparisons between built and loaded hierarchies
+        # compare values, not types
         g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
         coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
         built = build_cch(g, coords)
