@@ -194,29 +194,41 @@ class TestCustomizeCmd:
                      "--out", str(tmp_path / "s.cchm")]) in (2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_tree_not_a_dfs_postorder_exits_3(self, tmp_path, capsys, sample_artifacts):
+    @pytest.mark.parametrize("pick", [
+        lambda root, leaf: root.sep_lo - 1,
+        lambda root, leaf: root.children[0].cell_lo,
+        lambda root, leaf: leaf.sep_lo,
+    ], ids=["root-cell-hi", "child-cell-lo", "leaf-sep-lo"])
+    def test_decomposition_not_tiling_ranks_exits_3(self, tmp_path, capsys, sample_artifacts,
+                                                    pick):
         # The separator decomposition is derived from the elimination tree,
-        # whose parents are the vertices' first heads. Re-hanging rank 0
-        # under a higher vertex keeps every arc upward, but may leave the
-        # subtrees' ranks no longer contiguous.
+        # whose parents are the vertices' first heads. Each case re-hangs a
+        # vertex at a cell bound (the top of the root's cells, the bottom of
+        # its first child cell, the bottom of the last leaf's separator)
+        # under a higher vertex: every arc stays upward, but the derived
+        # cells no longer tile the ranks.
         gr, _, clean, _ = sample_artifacts
         cch = load_cch(str(clean))
+        nodes = list(cch.decomposition.preorder())
+        u = pick(nodes[0], nodes[-1])
 
         def rejected(w):
+            parent = list(cch.parent)
+            parent[u] = w
             try:
-                reconstruct_separator_decomposition([w, *cch.parent[1:]])
+                reconstruct_separator_decomposition(parent)
             except ConsistencyError:
                 return True
             return False
 
-        w = next(filter(rejected, range(1, cch.ug.vertex_count)))
+        w = next(filter(rejected, range(u + 1, cch.ug.vertex_count)))
         edit = ArtifactEditor(clean.read_bytes(), cch)
-        edit.put("head", 0, w)
+        edit.put("head", cch.ug.first_arc[u], w)
         cchp = tmp_path / "s.cchp"
         cchp.write_bytes(edit.sealed())
         assert main(["customize", "--graph", gr, "--cch", str(cchp),
                      "--out", str(tmp_path / "s.cchm")]) == 3
-        assert "not a DFS post-order" in capsys.readouterr().err
+        assert "rank ranges not contiguous" in capsys.readouterr().err
 
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
