@@ -9,9 +9,8 @@ from .order import (RankOrder, Separator, SeparatorDecomposition,
                     dfs_postorder_reorder, export_order, import_order,
                     inertial_flow_separator, nested_dissection_order)
 from .preprocess import (Cch, SENTINEL, UpwardGraph, build_cch,
-                         build_elimination_tree, contract, load_cch,
-                         permute_to_rank_ids, reconstruct_separator_decomposition,
-                         save_cch)
+                         build_elimination_tree, contract, graph_elimination_tree,
+                         load_cch, reconstruct_separator_decomposition, save_cch)
 from .customize import (Customized, CustomizedMetric, SearchGraph, SearchGraphs,
                         build_reduced, customize, load_customized, query_input_graph,
                         save_customized)
@@ -29,7 +28,7 @@ __all__ = [
     "export_order", "import_order", "inertial_flow_separator",
     "nested_dissection_order",
     "Cch", "SENTINEL", "UpwardGraph", "build_cch", "build_elimination_tree",
-    "contract", "load_cch", "permute_to_rank_ids",
+    "contract", "graph_elimination_tree", "load_cch",
     "reconstruct_separator_decomposition", "save_cch",
     "Customized", "CustomizedMetric", "SearchGraph", "SearchGraphs",
     "build_reduced", "customize", "load_customized", "query_input_graph",

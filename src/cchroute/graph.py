@@ -34,10 +34,9 @@ class InputGraph:
     """Immutable weighted graph in adjacency-array form.
 
     ``first_out[u]:first_out[u+1]`` is the arc range of vertex ``u`` into
-    the parallel ``head``/``weight``/``tail`` arrays. ``arc_origin`` maps
-    each stored arc back to the arc index it had before a vertex
-    relabeling (None means the identity). Instances are treated as
-    immutable after construction and may be shared across threads.
+    the parallel ``head``/``weight``/``tail`` arrays. Instances are
+    treated as immutable after construction and may be shared across
+    threads.
     """
 
     vertex_count: int
@@ -45,7 +44,6 @@ class InputGraph:
     head: list[int]
     weight: list[int]
     tail: list[int]
-    arc_origin: list[int] | None = None
     dropped_self_loops: int = 0
     _undirected: list[list[int]] | None = field(default=None, repr=False, compare=False)
 

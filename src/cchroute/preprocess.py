@@ -3,11 +3,12 @@
 Contracting vertices in rank order completes each vertex's higher-ranked
 neighborhood into a clique. We store only the upward orientation of the
 result, grouped by tail with heads ascending; every vertex's first upward
-neighbor is its parent in the elimination tree. Vertex IDs must equal
-ranks before contraction (see ``permute_to_rank_ids``), which keeps every
-later phase cache-friendly and makes rank comparisons plain integer
-comparisons. A CCHP stores the upward arcs, order and input-arc map behind
-a CRC32 trailer; loading derives tails, tree and separator decomposition.
+neighbor is its parent in the elimination tree. The hierarchy's vertex
+IDs are ranks, read through the order from each input arc's endpoints,
+which keeps every later phase cache-friendly and makes rank comparisons
+plain integer comparisons. A CCHP stores the upward arcs, order and
+input-arc map behind a CRC32 trailer; loading derives tails, tree and
+separator decomposition.
 """
 
 from __future__ import annotations
@@ -64,51 +65,29 @@ class UpwardGraph:
         return None
 
 
-def permute_to_rank_ids(g: InputGraph, order: RankOrder) -> InputGraph:
-    """Relabel vertices so that IDs equal ranks.
+def _ranks(g: InputGraph, order: RankOrder) -> list[int]:
+    """``order.rank_of``, checked to cover exactly the vertices of ``g``."""
+    if (covered := len(order.rank_of)) != g.vertex_count:
+        raise ConsistencyError(f"order covers {covered} vertices, graph has {g.vertex_count}")
+    return order.rank_of
 
-    Weights travel with their arcs and ``arc_origin`` composes, so the
-    permuted graph still knows which input arc each of its arcs came from.
+
+def contract(g: InputGraph, order: RankOrder) -> UpwardGraph:
+    """Chordal completion of ``g`` under ``order``, on rank IDs.
+
+    Each input arc's endpoints are read through ``order.rank_of``, and
+    its ID is recorded in ``orig_up`` or ``orig_down``. Processes
+    vertices by ascending rank; each pending neighborhood is sorted and
+    deduplicated only when its vertex is reached, and the remainder past
+    the lowest upward neighbor is concatenated onto that neighbor's
+    pending list. The arc set equals the one produced by the naive
+    elimination game.
     """
     n = g.vertex_count
-    if len(order.rank_of) != n:
-        raise ConsistencyError(f"order covers {len(order.rank_of)} vertices, graph has {n}")
-    rank_of = order.rank_of
-    relabeled = []
-    for i in range(g.arc_count):
-        origin = g.arc_origin[i] if g.arc_origin is not None else i
-        relabeled.append((rank_of[g.tail[i]], rank_of[g.head[i]], g.weight[i], origin))
-    relabeled.sort()
-    first_out = [0] * (n + 1)
-    head = []
-    weight = []
-    tail = []
-    origin_list = []
-    for t, h, w, origin in relabeled:
-        first_out[t + 1] += 1
-        tail.append(t)
-        head.append(h)
-        weight.append(w)
-        origin_list.append(origin)
-    for u in range(n):
-        first_out[u + 1] += first_out[u]
-    return InputGraph(n, first_out, head, weight, tail, arc_origin=origin_list,
-                      dropped_self_loops=g.dropped_self_loops)
-
-
-def contract(g: InputGraph) -> UpwardGraph:
-    """Chordal completion of ``g`` under the identity rank order.
-
-    Processes vertices by ascending rank; each pending neighborhood is
-    sorted and deduplicated only when its vertex is reached, and the
-    remainder past the lowest upward neighbor is concatenated onto that
-    neighbor's pending list. The arc set equals the one produced by the
-    naive elimination game.
-    """
-    n = g.vertex_count
+    rank_of = _ranks(g, order)
+    ranked = [(rank_of[t], rank_of[h]) for t, h in zip(g.tail, g.head)]
     pending: list[list[int]] = [[] for _ in range(n)]
-    for i in range(g.arc_count):
-        t, h = g.tail[i], g.head[i]
+    for t, h in ranked:
         if t < h:
             pending[t].append(h)
         else:
@@ -129,13 +108,11 @@ def contract(g: InputGraph) -> UpwardGraph:
     ug = UpwardGraph(n, first_arc, head, _arc_tails(first_arc),
                      orig_up=array("i", [SENTINEL]) * m, orig_down=array("i", [SENTINEL]) * m,
                      input_arc_count=g.arc_count)
-    for i in range(g.arc_count):
-        t, h = g.tail[i], g.head[i]
-        origin = g.arc_origin[i] if g.arc_origin is not None else i
+    for i, (t, h) in enumerate(ranked):
         if t < h:
-            ug.orig_up[ug.arc_index(t, h)] = origin
+            ug.orig_up[ug.arc_index(t, h)] = i
         else:
-            ug.orig_down[ug.arc_index(h, t)] = origin
+            ug.orig_down[ug.arc_index(h, t)] = i
     return ug
 
 
@@ -174,6 +151,32 @@ def build_elimination_tree(ug: UpwardGraph) -> array:
     """Parent array: each vertex's lowest upward neighbor, or SENTINEL."""
     first, head = ug.first_arc, ug.head
     return array("i", [head[lo] if lo < hi else SENTINEL for lo, hi in zip(first, first[1:])])
+
+
+def graph_elimination_tree(g: InputGraph, order: RankOrder) -> array:
+    """The parent array (by rank) that ``build_elimination_tree`` gives
+    for ``contract(g, order)``, computed from ``g`` without any fill.
+
+    Liu's algorithm (SIMAX 1990): in rank order, the current root of
+    every lower-ranked neighbor, found over path-compressed ancestor
+    links, becomes a child of the vertex. Both functions are needed:
+    ``build_cch`` wants the tree before it has a hierarchy, to improve the
+    order, and loading has a hierarchy but no input graph.
+    """
+    rank_of = _ranks(g, order)
+    adj = g.undirected_adjacency()
+    parent = array("i", [SENTINEL]) * len(rank_of)
+    ancestor = [SENTINEL] * len(rank_of)
+    for k, v in enumerate(order.vertex_at):
+        for w in adj[v]:
+            j = rank_of[w]
+            while j < k:
+                up, ancestor[j] = ancestor[j], k
+                if up == SENTINEL:
+                    parent[j] = k
+                    break
+                j = up
+    return parent
 
 
 def subtree_sizes(parent: Sequence[int]) -> list[int]:
@@ -257,16 +260,17 @@ class Cch:
     """Everything the metric-independent phase produces.
 
     ``order`` is the improved (DFS post-order) ranking the hierarchy was
-    contracted with; ``initial_order`` keeps the dissection order and its
-    recorded decomposition (rank ranges in its own rank space) when the
-    order was computed rather than imported. ``parent`` is an
-    ``array('i')`` like the hierarchy's columns. ``decomposition`` is the
-    one ``reconstruct_separator_decomposition`` gives for ``parent``.
-    ``fingerprint`` is the ``graph_fingerprint`` of the input graph the
-    hierarchy was built from. The first ``customize()``
-    builds the hierarchy's customization schedule (``kernels.Schedule``:
-    its depth levels, arc keys and triangle table) into ``_schedule``,
-    which takes no part in equality, ``repr`` or the artifact.
+    contracted with; ``initial_order`` keeps the order ``build_cch`` was
+    given or computed, with the decomposition a computed one records
+    (rank ranges in its own rank space), and is None on a loaded ``Cch``.
+    ``parent`` is an ``array('i')`` like the hierarchy's columns.
+    ``decomposition`` is the one ``reconstruct_separator_decomposition``
+    gives for ``parent``. ``fingerprint`` is the ``graph_fingerprint`` of
+    the input graph the hierarchy was built from. The first
+    ``customize()`` builds the hierarchy's customization schedule
+    (``kernels.Schedule``: its depth levels, arc keys and triangle table)
+    into ``_schedule``, which takes no part in equality, ``repr`` or the
+    artifact.
     """
 
     ug: UpwardGraph
@@ -278,22 +282,20 @@ class Cch:
     _schedule: object = field(default=None, init=False, repr=False, compare=False)
 
 
-def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None,
-              cell_cutoff: int = 8) -> Cch:
+def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None) -> Cch:
     """Full preprocessing pipeline for an input graph.
 
-    Computes (or takes) a nested dissection order, contracts once to get
-    the elimination tree, improves the order to a DFS post-order of that
-    tree, and contracts again under the improved order. The separator
-    decomposition is reconstructed from the final tree.
+    Computes (or takes) a nested dissection order, improves it to a DFS
+    post-order of its elimination tree, and contracts once under the
+    improved order. The separator decomposition is reconstructed from the
+    final tree.
     """
     if order is None:
         if coords is None:
             raise ConsistencyError("need coordinates to compute an order, or an explicit order")
-        order = nested_dissection_order(g, coords, cell_cutoff=cell_cutoff)
-    initial_tree = build_elimination_tree(contract(permute_to_rank_ids(g, order)))
-    improved = dfs_postorder_reorder(order, initial_tree)
-    ug = contract(permute_to_rank_ids(g, improved))
+        order = nested_dissection_order(g, coords)
+    improved = dfs_postorder_reorder(order, graph_elimination_tree(g, order))
+    ug = contract(g, improved)
     parent = build_elimination_tree(ug)
     decomposition = reconstruct_separator_decomposition(parent)
     return Cch(ug=ug, parent=parent, decomposition=decomposition, order=improved,

@@ -112,6 +112,15 @@ def random_connected_graph(rng: random.Random, n: int, extra_factor: float = 0.4
     return g, coords
 
 
+def rank_relabeled(g: InputGraph, order: RankOrder) -> InputGraph:
+    """``g`` with every vertex renamed to its rank under ``order``, weights
+    travelling with their arcs: the rank-space graph a hierarchy built
+    under ``order`` answers for, derived from ``g`` alone."""
+    rank_of = order.rank_of
+    return InputGraph.from_arcs(g.vertex_count, [(rank_of[t], rank_of[h], w)
+                                                 for t, h, w in zip(g.tail, g.head, g.weight)])
+
+
 def random_order(rng: random.Random, n: int):
     from cchroute import RankOrder
 

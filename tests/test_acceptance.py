@@ -17,16 +17,17 @@ from cchroute import (Coordinates, INFINITY, InputGraph, QueryState,
                       RphastState, build_cch, build_elimination_tree, contract,
                       customize, dijkstra, knn_query, knn_select,
                       load_dimacs_co, load_dimacs_gr, nested_dissection_order,
-                      permute_to_rank_ids, query, rphast_distance, rphast_source,
+                      query, rphast_distance, rphast_source,
                       unpack_path, dfs_postorder_reorder)
-from helpers import grid_graph, naive_elimination_arcs, random_connected_graph, random_order
+from helpers import (grid_graph, naive_elimination_arcs, random_connected_graph, random_order,
+                     rank_relabeled)
 
 SEED = 20240811
 
 
 def pipeline(g, coords):
     cch = build_cch(g, coords)
-    p = permute_to_rank_ids(g, cch.order)
+    p = rank_relabeled(g, cch.order)
     return cch, p
 
 
@@ -153,9 +154,10 @@ def test_contraction_matches_elimination_game():
                 edges.add((min(a, b), max(a, b)))
         arcs = [(a, b, 1) for a, b in edges]
         g = InputGraph.from_arcs(n, arcs)
-        p = permute_to_rank_ids(g, random_order(rng, n))
-        ug = contract(p)
-        assert set(zip(ug.tail, ug.head)) == naive_elimination_arcs(n, p.undirected_edges())
+        order = random_order(rng, n)
+        ug = contract(g, order)
+        want = naive_elimination_arcs(n, rank_relabeled(g, order).undirected_edges())
+        assert set(zip(ug.tail, ug.head)) == want
         checked += 1
     print(f"\nPASS contraction oracle: {checked} random (graph, order) pairs match "
           f"the elimination game")
@@ -198,10 +200,10 @@ def test_dfs_postorder_preserves_structure():
     for _ in range(20):
         g, coords = random_connected_graph(rng, rng.randint(15, 120))
         order = nested_dissection_order(g, coords)
-        ug1 = contract(permute_to_rank_ids(g, order))
+        ug1 = contract(g, order)
         tree1 = build_elimination_tree(ug1)
         improved = dfs_postorder_reorder(order, tree1)
-        ug2 = contract(permute_to_rank_ids(g, improved))
+        ug2 = contract(g, improved)
         tree2 = build_elimination_tree(ug2)
         assert ug1.arc_count == ug2.arc_count
         pi = [improved.rank_of[order.vertex_at[r]] for r in range(g.vertex_count)]

@@ -91,6 +91,16 @@ class TestPreprocessCmd:
         g, (gr, _) = diamond_files(tmp_path)
         assert main(["preprocess", "--graph", gr, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("flag, text", [("--coords", "p aux sp co 0\n"), ("--order", "")],
+                             ids=["computed-order", "imported-order"])
+    def test_empty_graph_exits_3(self, tmp_path, capsys, flag, text):
+        gr, source = tmp_path / "e.gr", tmp_path / "e.in"
+        gr.write_text("p sp 0 0\n")
+        source.write_text(text)
+        assert main(["preprocess", "--graph", str(gr), flag, str(source),
+                     "--out", str(tmp_path / "e.cchp")]) == 3
+        assert "empty elimination tree" in capsys.readouterr().err
+
     def test_decomposition_dump(self, tmp_path, capsys):
         rng = random.Random(223)
         g, coords = grid_graph(rng, 4, 5)

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QueryState,
                       RankOrder, build_cch, build_reduced, customize, dijkstra,
                       load_cch, load_customized, load_dimacs_co, load_dimacs_gr,
-                      permute_to_rank_ids, query, save_cch, save_customized, unpack_path)
+                      query, save_cch, save_customized, unpack_path)
 from cchroute.customize import serialize_customized
 from cchroute.kernels import schedule_of
 from cchroute.preprocess import deserialize_cch, serialize_cch
 from cchroute.query import _expand_arcs
 from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, hierarchies_with_metrics,
-                     random_connected_graph, search_arcs)
+                     random_connected_graph, rank_relabeled, search_arcs)
 from oracles import basic_sweep, perfect, respect
 
 
@@ -127,7 +127,7 @@ class TestBasic:
         cch = build_cch(g, coords)
         m = metric_after_basic(cch, list(g.weight))
         ug = cch.ug
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         dist_from = {u: dijkstra(p, u) for u in range(ug.vertex_count)}
         for i in range(ug.arc_count):
             u, v = ug.tail[i], ug.head[i]
@@ -163,7 +163,7 @@ class TestPerfect:
             basic_down = list(m.l_down)
             perfect(m, cch.ug)
             ug = cch.ug
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             dist_from = [dijkstra(p, v) for v in range(ug.vertex_count)]
             for e in range(ug.arc_count):
                 assert m.l_up[e] == dist_from[ug.tail[e]][ug.head[e]]
@@ -186,7 +186,7 @@ class TestPerfect:
         m = metric_after_basic(cch, list(g.weight))
         perfect(m, cch.ug)
         ug = cch.ug
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         dist_from = {u: dijkstra(p, u) for u in range(ug.vertex_count)}
         for e in range(ug.arc_count):
             u, v = ug.tail[e], ug.head[e]
@@ -249,7 +249,7 @@ class TestBuildReduced:
             g, coords = random_connected_graph(rng, 70)
             cch = build_cch(g, coords)
             c = customize(cch, list(g.weight), use_perfect=use_perfect)
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             warcs = {(p.tail[i], p.head[i]): p.weight[i] for i in range(p.arc_count)}
             for side_up, graph in ((True, c.graphs.forward), (False, c.graphs.backward)):
                 for u, v, weight in search_arcs(graph):

@@ -10,7 +10,7 @@ import pytest
 from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, RankOrder,
                       build_cch, build_elimination_tree, contract, dfs_postorder_reorder,
                       export_order, import_order, inertial_flow_separator, load_dimacs_co,
-                      load_dimacs_gr, nested_dissection_order, permute_to_rank_ids)
+                      load_dimacs_gr, nested_dissection_order)
 from cchroute.order import _AXES, _min_cut, _projection
 from cchroute.preprocess import serialize_cch
 from helpers import (SAMPLE, brute_force_min_cut, brute_force_min_cut_sides, grid_graph,
@@ -176,7 +176,7 @@ class TestNestedDissection:
         order = nested_dissection_order(g, line_coords(3))
         assert order.rank_of[1] == 2
         # middle-on-top adds zero shortcuts
-        ug = contract(permute_to_rank_ids(g, order))
+        ug = contract(g, order)
         assert ug.arc_count == 2
 
     def test_top_separator_occupies_highest_ranks(self):
@@ -333,10 +333,10 @@ class TestDfsPostorderReorder:
         for _ in range(8):
             g, coords = random_connected_graph(rng, rng.randint(20, 120))
             order = nested_dissection_order(g, coords)
-            ug1 = contract(permute_to_rank_ids(g, order))
+            ug1 = contract(g, order)
             tree1 = build_elimination_tree(ug1)
             improved = dfs_postorder_reorder(order, tree1)
-            ug2 = contract(permute_to_rank_ids(g, improved))
+            ug2 = contract(g, improved)
             tree2 = build_elimination_tree(ug2)
             assert ug1.arc_count == ug2.arc_count
             # relabel: old rank -> new rank
@@ -353,10 +353,10 @@ class TestDfsPostorderReorder:
         rng = random.Random(33)
         g, coords = random_connected_graph(rng, 60)
         order = nested_dissection_order(g, coords)
-        ug1 = contract(permute_to_rank_ids(g, order))
+        ug1 = contract(g, order)
         tree1 = build_elimination_tree(ug1)
         improved = dfs_postorder_reorder(order, tree1)
-        ug2 = contract(permute_to_rank_ids(g, improved))
+        ug2 = contract(g, improved)
         tree2 = build_elimination_tree(ug2)
         size = [1] * len(tree2)
         for u in range(len(tree2)):

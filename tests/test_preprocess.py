@@ -9,26 +9,29 @@ import pytest
 
 from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       RankOrder, build_cch, build_elimination_tree, contract,
-                      customize, dijkstra, load_cch, load_customized,
-                      load_dimacs_co, load_dimacs_gr, nested_dissection_order,
-                      permute_to_rank_ids, reconstruct_separator_decomposition,
+                      customize, dijkstra, graph_elimination_tree, load_cch,
+                      load_customized, load_dimacs_co, load_dimacs_gr,
+                      nested_dissection_order, reconstruct_separator_decomposition,
                       save_cch, save_customized)
 from cchroute.preprocess import serialize_cch
 from helpers import (SAMPLE, diamond, grid_graph, naive_elimination_arcs,
-                     random_connected_graph, random_order)
+                     random_connected_graph, random_order, rank_relabeled)
 
 
 class TestPermute:
+    """``helpers.rank_relabeled``, the rank-space graph the oracles compare
+    hierarchies against."""
+
     def test_identity(self):
         g = diamond()
-        p = permute_to_rank_ids(g, RankOrder.identity(4))
+        p = rank_relabeled(g, RankOrder.identity(4))
         assert list(zip(p.tail, p.head, p.weight)) == list(zip(g.tail, g.head, g.weight))
-        assert p.arc_origin == list(range(g.arc_count))
+        assert p.first_out == g.first_out
 
     def test_reversal_on_two_path(self):
         g = InputGraph.from_arcs(2, [(0, 1, 7)])
         order = RankOrder.from_vertex_at([1, 0])
-        p = permute_to_rank_ids(g, order)
+        p = rank_relabeled(g, order)
         assert (p.tail[0], p.head[0], p.weight[0]) == (1, 0, 7)
 
     def test_dijkstra_invariant_under_relabeling(self):
@@ -36,7 +39,7 @@ class TestPermute:
         for _ in range(6):
             g, _ = random_connected_graph(rng, 40)
             order = random_order(rng, 40)
-            p = permute_to_rank_ids(g, order)
+            p = rank_relabeled(g, order)
             for s in rng.sample(range(40), 4):
                 d1 = dijkstra(g, s)
                 d2 = dijkstra(p, order.rank_of[s])
@@ -44,9 +47,19 @@ class TestPermute:
                     assert d1[v] == d2[order.rank_of[v]]
 
 
+def random_graph(rng: random.Random, n: int, edge_count: int) -> InputGraph:
+    """Up to ``edge_count`` random two-way edges on ``n`` vertices; often
+    disconnected, with isolated vertices."""
+    arcs = []
+    for _ in range(edge_count):
+        a, b = rng.randrange(n), rng.randrange(n)
+        arcs += [(a, b, 1), (b, a, 1)]
+    return InputGraph.from_arcs(n, arcs)
+
+
 class TestContract:
     def test_diamond_adds_one_shortcut(self):
-        ug = contract(diamond())
+        ug = contract(diamond(), RankOrder.identity(4))
         assert set(zip(ug.tail, ug.head)) == {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
         assert ug.arc_count == 5
 
@@ -57,7 +70,7 @@ class TestContract:
         for a, b in edges:
             arcs.append((a, b, 1))
             arcs.append((b, a, 1))
-        ug = contract(InputGraph.from_arcs(5, arcs))
+        ug = contract(InputGraph.from_arcs(5, arcs), RankOrder.identity(5))
         got = set(zip(ug.tail, ug.head))
         shortcuts = got - {(min(a, b), max(a, b)) for a, b in edges}
         assert shortcuts == {(1, 2), (1, 3), (3, 4)}
@@ -67,7 +80,7 @@ class TestContract:
         for i in range(9):
             arcs.append((i, i + 1, 1))
             arcs.append((i + 1, i, 1))
-        ug = contract(InputGraph.from_arcs(10, arcs))
+        ug = contract(InputGraph.from_arcs(10, arcs), RankOrder.identity(10))
         assert ug.arc_count == 9
 
     def test_matches_naive_elimination_game(self):
@@ -84,17 +97,15 @@ class TestContract:
                 arcs.append((a, b, 1))
             g = InputGraph.from_arcs(n, arcs)
             order = random_order(rng, n)
-            p = permute_to_rank_ids(g, order)
-            ug = contract(p)
-            want = naive_elimination_arcs(n, p.undirected_edges())
+            ug = contract(g, order)
+            want = naive_elimination_arcs(n, rank_relabeled(g, order).undirected_edges())
             assert set(zip(ug.tail, ug.head)) == want
 
     def test_deterministic(self):
         rng = random.Random(29)
         g, coords = random_connected_graph(rng, 60)
         order = nested_dissection_order(g, coords)
-        p = permute_to_rank_ids(g, order)
-        ug1, ug2 = contract(p), contract(p)
+        ug1, ug2 = contract(g, order), contract(g, order)
         assert ug1.head == ug2.head and ug1.first_arc == ug2.first_arc
         assert ug1.orig_up == ug2.orig_up and ug1.orig_down == ug2.orig_down
 
@@ -103,8 +114,7 @@ class TestContract:
         for _ in range(10):
             n = rng.randint(5, 120)
             g, _ = random_connected_graph(rng, n)
-            p = permute_to_rank_ids(g, random_order(rng, n))
-            ug = contract(p)
+            ug = contract(g, random_order(rng, n))
             for u in range(n):
                 heads = list(ug.head[ug.first_arc[u]:ug.first_arc[u + 1]])
                 assert heads == sorted(set(heads))
@@ -115,8 +125,7 @@ class TestContract:
     def test_orig_arc_mapping(self):
         g = diamond()
         order = RankOrder.from_vertex_at([3, 2, 1, 0])
-        p = permute_to_rank_ids(g, order)
-        ug = contract(p)
+        ug = contract(g, order)
         for i in range(ug.arc_count):
             u, v = ug.tail[i], ug.head[i]
             ou, od = ug.orig_up[i], ug.orig_down[i]
@@ -125,14 +134,23 @@ class TestContract:
             if od != -1:
                 assert (order.rank_of[g.tail[od]], order.rank_of[g.head[od]]) == (v, u)
 
+    def test_orig_arcs_map_every_input_arc_once(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            n = rng.randint(2, 60)
+            g, _ = random_connected_graph(rng, n)
+            ug = contract(g, random_order(rng, n))
+            mapped = sorted(i for i in list(ug.orig_up) + list(ug.orig_down) if i != -1)
+            assert mapped == list(range(g.arc_count))
+
 
 class TestEliminationTree:
     def test_diamond(self):
-        ug = contract(diamond())
+        ug = contract(diamond(), RankOrder.identity(4))
         assert list(build_elimination_tree(ug)) == [1, 2, 3, -1]
 
     def test_edgeless(self):
-        ug = contract(InputGraph.from_arcs(3, []))
+        ug = contract(InputGraph.from_arcs(3, []), RankOrder.identity(3))
         assert list(build_elimination_tree(ug)) == [-1, -1, -1]
 
     def test_every_arc_joins_ancestors(self):
@@ -140,7 +158,7 @@ class TestEliminationTree:
         for _ in range(8):
             n = rng.randint(5, 80)
             g, _ = random_connected_graph(rng, n)
-            ug = contract(permute_to_rank_ids(g, random_order(rng, n)))
+            ug = contract(g, random_order(rng, n))
             parent = build_elimination_tree(ug)
 
             def is_ancestor(a, v):
@@ -152,6 +170,46 @@ class TestEliminationTree:
 
             for i in range(ug.arc_count):
                 assert is_ancestor(ug.head[i], ug.tail[i])
+
+
+class TestGraphEliminationTree:
+    """Liu's tree from the input graph equals the contraction's."""
+
+    @pytest.mark.parametrize("n, edge_factor", [
+        (1, 0), (2, 0), (7, 0), (12, 0.3), (30, 0.6), (40, 1.5), (60, 3)],
+        ids=["n1", "two-isolated", "edgeless", "sparse-forest", "forest", "mixed", "dense"])
+    def test_equals_contraction_tree(self, n, edge_factor):
+        rng = random.Random(47 + n)
+        for _ in range(15):
+            g = random_graph(rng, n, int(edge_factor * n))
+            order = random_order(rng, n)
+            assert graph_elimination_tree(g, order) == build_elimination_tree(contract(g, order))
+
+    def test_equals_contraction_tree_connected(self):
+        rng = random.Random(53)
+        for _ in range(15):
+            n = rng.randint(2, 120)
+            g, coords = random_connected_graph(rng, n)
+            for order in (random_order(rng, n), nested_dissection_order(g, coords)):
+                assert graph_elimination_tree(g, order) == \
+                    build_elimination_tree(contract(g, order))
+
+    def test_forest_has_a_root_per_component(self):
+        # two triangles and an isolated vertex: three roots
+        g = InputGraph.from_arcs(7, [(0, 1, 1), (1, 2, 1), (2, 0, 1),
+                                     (3, 4, 1), (4, 5, 1), (5, 3, 1)])
+        order = random_order(random.Random(59), 7)
+        parent = graph_elimination_tree(g, order)
+        assert list(parent).count(-1) == 3
+        assert parent == build_elimination_tree(contract(g, order))
+
+    @pytest.mark.parametrize("build", [graph_elimination_tree, contract,
+                                       lambda g, order: build_cch(g, order=order)],
+                             ids=["tree", "contract", "build_cch"])
+    @pytest.mark.parametrize("size", [3, 5], ids=["short", "long"])
+    def test_order_of_other_size_rejected(self, build, size):
+        with pytest.raises(ConsistencyError, match=f"order covers {size} vertices, graph has 4"):
+            build(diamond(), RankOrder.identity(size))
 
 
 class TestReconstruction:

@@ -11,11 +11,12 @@ from cchroute import (ConsistencyError, INFINITY, InputGraph, QueryState,
                       RankOrder, RphastState, StateError,
                       astar_with_cch_potential, build_cch, customize, dijkstra,
                       expand_turns, knn_dijkstra, knn_query, knn_select,
-                      load_customized, permute_to_rank_ids, query,
+                      load_customized, query,
                       query_input_graph, rphast_distance, rphast_source,
                       save_customized, unpack_path)
 from cchroute.query import UNKNOWN
-from helpers import diamond, grid_graph, hierarchies_with_metrics, random_connected_graph
+from helpers import (diamond, grid_graph, hierarchies_with_metrics, random_connected_graph,
+                     rank_relabeled)
 
 
 def customized_diamond(use_perfect=True):
@@ -51,7 +52,7 @@ class TestQuery:
         for _ in range(6):
             g, coords = random_connected_graph(rng, rng.randint(10, 120))
             cch = build_cch(g, coords)
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             n = g.vertex_count
             st = QueryState.for_vertex_count(n)
             for use_perfect in (False, True):
@@ -122,7 +123,7 @@ class TestUnpack:
         for use_perfect in (False, True):
             g, coords = random_connected_graph(rng, 90)
             cch = build_cch(g, coords)
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             c = customize(cch, list(g.weight), use_perfect=use_perfect)
             st = QueryState.for_vertex_count(90)
             for _ in range(300):
@@ -162,7 +163,7 @@ class TestRphast:
         for use_perfect in (False, True):
             g, coords = random_connected_graph(rng, 100)
             cch = build_cch(g, coords)
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             c = customize(cch, list(g.weight), use_perfect=use_perfect)
             st = RphastState(c.graphs, cch.parent)
             for s in rng.sample(range(100), 15):
@@ -189,7 +190,7 @@ class TestRphast:
         rng = random.Random(137)
         g, coords = random_connected_graph(rng, 60)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
         st = RphastState(c.graphs, cch.parent)
         for s in (3, 40, 7):
@@ -204,7 +205,7 @@ class TestAstar:
         rng = random.Random(139)
         g, coords = random_connected_graph(rng, 80, one_way=0.0)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
         st = RphastState(c.graphs, cch.parent, reverse=True)
         for _ in range(20):
@@ -245,7 +246,7 @@ class TestAstar:
         rng = random.Random(151)
         g, coords = random_connected_graph(rng, 120, one_way=0.0)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
         doubled = InputGraph(p.vertex_count, p.first_out, p.head,
                              [2 * w for w in p.weight], p.tail)
@@ -266,7 +267,7 @@ class TestAstar:
         rng = random.Random(157)
         g, coords = random_connected_graph(rng, 40, one_way=0.0)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
         # halving the search weights breaks the lower-bound contract
         halved = InputGraph(p.vertex_count, p.first_out, p.head,
@@ -348,7 +349,7 @@ class TestKnn:
             n = rng.randint(20, 120)
             g, coords = random_connected_graph(rng, n)
             cch = build_cch(g, coords)
-            p = permute_to_rank_ids(g, cch.order)
+            p = rank_relabeled(g, cch.order)
             c = customize(cch, list(g.weight))
             st = RphastState(c.graphs, cch.parent)
             for _ in range(12):
@@ -366,7 +367,7 @@ class TestKnn:
         n = 80
         g, coords = random_connected_graph(rng, n)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
         st = RphastState(c.graphs, cch.parent)
         for _ in range(20):
@@ -407,7 +408,7 @@ class TestKnn:
         rng = random.Random(173)
         g, coords = grid_graph(rng, 24, 24)
         cch = build_cch(g, coords)
-        p = permute_to_rank_ids(g, cch.order)
+        p = rank_relabeled(g, cch.order)
         st = RphastState(customize(cch, list(g.weight)).graphs, cch.parent)
         n, s, k = g.vertex_count, 0, 4
         poi = knn_select(range(0, n, 3), n)
@@ -450,7 +451,7 @@ class TestTurnExpandedPipeline:
         exp = expand_turns(g, turns)
         eco = expanded_coordinates(g, coords, exp)
         cch = build_cch(exp.graph, eco)
-        p = permute_to_rank_ids(exp.graph, cch.order)
+        p = rank_relabeled(exp.graph, cch.order)
         c = customize(cch, list(exp.graph.weight))
         st = QueryState.for_vertex_count(exp.graph.vertex_count)
         r = cch.order.rank_of
