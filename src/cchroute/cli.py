@@ -40,6 +40,9 @@ def _check_positive(value: int, name: str) -> int:
 
 
 def _resolve_threads(flag: int | None) -> int:
+    """``--threads``, else ``CCH_THREADS``, else the CPU count, checked to be
+    a positive integer. Customization is sequential, so callers only
+    validate it."""
     if flag is not None:
         return _check_positive(flag, "--threads")
     env = os.environ.get("CCH_THREADS")
@@ -117,17 +120,15 @@ def cmd_customize(args) -> int:
     if cch.fingerprint != graph_fingerprint(g):
         raise ConsistencyError("hierarchy was built for a different graph")
     weights = load_metric(args.weights, g) if args.weights else list(g.weight)
-    threads = _resolve_threads(args.threads)
+    _resolve_threads(args.threads)
     times: dict = {}
-    c = customize(cch, weights, use_perfect=not args.no_perfect,
-                  threads=threads, timings=times)
+    c = customize(cch, weights, use_perfect=not args.no_perfect, timings=times)
     save_customized(c, args.out)
     if args.json:
         print(json.dumps({"schema": BENCH_SCHEMA, "kind": "customize",
-                          "threads": threads, "perfect": not args.no_perfect,
-                          "seconds": times}))
+                          "perfect": not args.no_perfect, "seconds": times}))
     else:
-        print(f"mode: {'basic only' if args.no_perfect else 'perfect'}  threads: {threads}")
+        print(f"mode: {'basic only' if args.no_perfect else 'perfect'}")
         print("phase      seconds")
         for name in ("respect", "basic", "perfect", "construct", "total"):
             print(f"{name:<10} {times[name]:8.3f}")
@@ -171,7 +172,7 @@ def cmd_knn(args) -> int:
     for v in sources + targets:
         _check_vertex(v, n, "vertex")
     rank_targets = [order.rank_of[v] for v in targets]
-    poi = knn_select(rank_targets, n, original=order.vertex_at)
+    poi = knn_select(rank_targets, n)
     if args.algo == "sep":
         st = RphastState(c.graphs, c.cch.parent)
         for s in sources:
@@ -194,7 +195,7 @@ def cmd_bench(args) -> int:
     _check_positive(args.count, "--count")
     g = load_dimacs_gr(args.graph)
     n = g.vertex_count
-    threads = _resolve_threads(args.threads)
+    _resolve_threads(args.threads)
 
     t0 = time.perf_counter()
     if args.order:
@@ -208,7 +209,7 @@ def cmd_bench(args) -> int:
     cch = build_cch(g, order=order)
     t2 = time.perf_counter()
     weights = load_metric(args.weights, g) if args.weights else list(g.weight)
-    c = customize(cch, weights, use_perfect=not args.no_perfect, threads=threads)
+    c = customize(cch, weights, use_perfect=not args.no_perfect)
     t3 = time.perf_counter()
 
     rng = random.Random(args.seed)
@@ -244,14 +245,13 @@ def cmd_bench(args) -> int:
 
     if args.json:
         print(json.dumps({"schema": BENCH_SCHEMA, "kind": "bench",
-                          "seed": args.seed, "threads": threads,
-                          "count": args.count, "perfect": not args.no_perfect,
+                          "seed": args.seed, "count": args.count, "perfect": not args.no_perfect,
                           "phase_seconds": phase_seconds,
                           "query_stats": stats}))
         for sample in samples:
             print(json.dumps({"schema": BENCH_SCHEMA, "kind": "sample", **sample}))
     else:
-        print(f"bench: seed={args.seed} threads={threads} "
+        print(f"bench: seed={args.seed} "
               f"count={args.count} mode={'basic' if args.no_perfect else 'perfect'}")
         print("phase          seconds")
         for name, value in phase_seconds.items():
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-perfect", action="store_true",
                    help="stop after the basic customization")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and echoed; customization is sequential")
+                   help="validated and ignored; customization is sequential")
     p.add_argument("--json", action="store_true", help="machine-readable timing output")
     p.set_defaults(fn=cmd_customize)
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--no-perfect", action="store_true")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and echoed; customization is sequential")
+                   help="validated and ignored; customization is sequential")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
     return parser

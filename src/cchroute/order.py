@@ -16,7 +16,8 @@ from .dimacs import read_id_lines
 from .errors import ConsistencyError
 from .graph import Coordinates, InputGraph
 
-DEFAULT_CELL_CUTOFF = 8
+CELL_CUTOFF = 8
+"""Cells of at most this many vertices are not cut but ordered by degree."""
 
 
 @dataclass
@@ -138,46 +139,35 @@ def _min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list
                 v = u
 
 
-_AXES = ("sn", "we", "swne", "senw")
-
-
-def _projection(axis: str, coords: Coordinates, v: int) -> int:
-    if axis == "sn":
-        return coords.y[v]
-    if axis == "we":
-        return coords.x[v]
-    if axis == "swne":
-        return coords.x[v] + coords.y[v]
-    return coords.x[v] - coords.y[v]
-
-
-def inertial_flow_separator(g: InputGraph, coords: Coordinates,
-                            cell: list[int] | None = None) -> Separator:
+def inertial_flow_separator(g: InputGraph, coords: Coordinates, cell: list[int]) -> Separator:
     """Smallest inertial-flow separator of a connected cell.
 
-    For each of the four axes, vertices are sorted by their projection,
-    the first and last quarter are contracted into terminals, and a
-    minimum cut on the unit-capacity undirected topology is computed. The
-    candidate separator consists of the cut edges' endpoints on the
-    smaller side; the smallest candidate wins, ties broken by better
-    balance and then by axis order.
+    ``cell`` lists the cell's vertex IDs in ascending order; it is worked
+    in local indices, position in ``cell``, which ascend with the IDs. For
+    each of the four axis keys y, x, x+y and x-y, the cell is sorted by
+    key, ties broken by ID, the first and last quarter are contracted into
+    terminals, and a minimum cut on the unit-capacity undirected topology
+    is computed. The candidate separator consists of the cut edges'
+    endpoints on the smaller side; the smallest candidate wins, ties
+    broken by better balance and then by axis order. The cells are the
+    components left when the separator is removed, as ``_components``
+    gives them.
     """
     adj = g.undirected_adjacency()
-    if cell is None:
-        cell = list(range(g.vertex_count))
     n = len(cell)
     if n < 2:
         raise ConsistencyError("cell must contain at least two vertices")
     local_of = {v: i for i, v in enumerate(cell)}
     local_adj = [[local_of[w] for w in adj[v] if w in local_of] for v in cell]
     quarter = (n + 3) // 4
+    xs = [coords.x[v] for v in cell]
+    ys = [coords.y[v] for v in cell]
 
     best = None
-    for axis in _AXES:
-        by_proj = sorted(cell, key=lambda v: (_projection(axis, coords, v), v))
-        sources = [local_of[v] for v in by_proj[:quarter]]
-        sinks = [local_of[v] for v in by_proj[-quarter:]]
-        source_side = _min_cut(local_adj, sources, sinks)
+    for proj in (ys, xs, [x + y for x, y in zip(xs, ys)], [x - y for x, y in zip(xs, ys)]):
+        # A stable sort of ascending local indices breaks ties by ID.
+        by_proj = sorted(range(n), key=proj.__getitem__)
+        source_side = _min_cut(local_adj, by_proj[:quarter], by_proj[-quarter:])
         side_a = sum(source_side)
         side_b = n - side_a
         take_source_side = side_a <= side_b
@@ -188,47 +178,49 @@ def inertial_flow_separator(g: InputGraph, coords: Coordinates,
             for w in local_adj[u]:
                 if not source_side[w]:
                     sep_local.add(u if take_source_side else w)
-        candidate = sorted(cell[i] for i in sep_local)
-        score = (len(candidate), abs(side_a - side_b))
+        score = (len(sep_local), abs(side_a - side_b))
         if best is None or score < best[0]:
-            best = (score, candidate)
+            best = (score, sep_local)
 
-    sep_vertices = best[1]
-    in_sep = set(sep_vertices)
-    cells = _components([v for v in cell if v not in in_sep], adj)
-    return Separator(vertices=sep_vertices, cells=cells)
+    sep_local = best[1]
+    in_sep = [i in sep_local for i in range(n)]
+    return Separator(vertices=[cell[i] for i in sorted(sep_local)],
+                     cells=[[cell[i] for i in comp] for comp in _components(local_adj, in_sep)])
 
 
-def _components(vertices: list[int], adj: list[list[int]]) -> list[list[int]]:
-    """Connected components of the induced subgraph, in discovery order."""
-    allowed = set(vertices)
-    seen: set[int] = set()
+def _components(adj: list[list[int]], removed: list[bool]) -> list[list[int]]:
+    """Connected components of ``adj`` without the ``removed`` vertices.
+
+    Each component is sorted, and they come in order of their smallest
+    vertex.
+    """
+    seen = list(removed)
     comps = []
-    for start in vertices:
-        if start in seen:
+    for start in range(len(adj)):
+        if seen[start]:
             continue
+        seen[start] = True
         comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        # A breadth-first search: the loop reads the vertices it appends.
+        for u in comp:
             for w in adj[u]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
+        comp.sort()
+        comps.append(comp)
     return comps
 
 
-def nested_dissection_order(g: InputGraph, coords: Coordinates,
-                            cell_cutoff: int = DEFAULT_CELL_CUTOFF) -> RankOrder:
+def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
     """Compute a nested dissection order, recording the recursion tree.
 
     Separator vertices take the highest ranks of their cell's range.
-    Cells at or below ``cell_cutoff`` vertices are ordered by ascending
-    induced degree, then ID. Disconnected cells split into one child per
-    component with no separator between them.
+    Cells of at most ``CELL_CUTOFF`` vertices are ordered by ascending
+    induced degree, then ID. A disconnected graph splits at the root into
+    one child per component, with no separator between them; below the
+    root every cell is connected. Every cell lists its vertex IDs in
+    ascending order, as ``inertial_flow_separator`` requires.
     """
     n = g.vertex_count
     if len(coords) != n:
@@ -243,7 +235,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates,
     while stack:
         cell, lo, out = stack.pop()
         hi = lo + len(cell)
-        if len(cell) <= cell_cutoff:
+        if len(cell) <= CELL_CUTOFF:
             allowed = set(cell)
             by_degree = sorted(cell, key=lambda v: (sum(1 for w in adj[v] if w in allowed), v))
             for offset, v in enumerate(by_degree):
@@ -251,7 +243,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates,
             out.append(SeparatorDecomposition(lo, hi, lo))
             continue
         # Every child cell is a component already; only the root may split.
-        comps = _components(cell, adj) if hi - lo == n else [cell]
+        comps = _components(adj, [False] * n) if hi - lo == n else [cell]
         if len(comps) > 1:
             sep = Separator(vertices=[], cells=comps)
         else:

@@ -54,7 +54,7 @@ class QueryState:
 
 
 def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
-          parent: Sequence[int], prune: bool = True) -> int:
+          parent: Sequence[int]) -> int:
     """Exact s-to-t distance under the customized metric.
 
     Climbs the two root paths interleaved by rank until they meet, then
@@ -114,7 +114,7 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
             if total < mu:
                 mu = total
                 meet = u
-        if du < mu or (not prune and du != INFINITY):
+        if du < mu:
             arcs = f_adj[u]
             relaxed += len(arcs)
             for v, w in arcs:
@@ -123,7 +123,7 @@ def query(s: int, t: int, state: QueryState, graphs: SearchGraphs,
                     d_up[v] = nd
                     p_up[v] = u
         d_up[u] = INFINITY
-        if dd < mu or (not prune and dd != INFINITY):
+        if dd < mu:
             arcs = b_adj[u]
             relaxed += len(arcs)
             for v, w in arcs:
@@ -371,21 +371,19 @@ class PoiIndex:
     """Sorted target set for k-nearest-neighbor queries."""
 
     targets: list[int]
-    original: list[int] | None = None
 
 
 def knn_select(targets, n: int, original=None) -> PoiIndex:
     """Sort and deduplicate a target set (rank IDs).
 
-    ``original`` optionally maps rank IDs back to caller-level IDs and is
-    carried along aligned with the sorted targets.
+    ``original`` is accepted for compatibility and ignored: answers are
+    rank IDs, which the caller maps back itself.
     """
     unique = sorted(set(targets))
     for v in unique:
         if not (0 <= v < n):
             raise ConsistencyError(f"target {v} out of range [0, {n})")
-    aligned = [original[v] for v in unique] if original is not None else None
-    return PoiIndex(targets=unique, original=aligned)
+    return PoiIndex(targets=unique)
 
 
 def knn_query(s: int, k: int, poi: PoiIndex, decomp: SeparatorDecomposition,

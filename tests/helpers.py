@@ -256,6 +256,28 @@ def naive_elimination_arcs(n: int, undirected_edges) -> set[tuple[int, int]]:
     return arcs
 
 
+def assert_cells_are_components(g: InputGraph, cell: list[int], sep) -> None:
+    """``sep``, a split of ``cell``, leaves exactly the connected components
+    of ``cell`` minus ``sep.vertices`` as its cells: each sorted, in order
+    of their smallest vertex, together covering the rest of the cell. The
+    components are found by merging labels over ``g.undirected_edges()``
+    until nothing changes."""
+    assert set(sep.vertices) <= set(cell)
+    rest = sorted(set(cell) - set(sep.vertices))
+    label = {v: v for v in rest}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in g.undirected_edges():
+            if a in label and b in label and label[a] != label[b]:
+                label[a] = label[b] = min(label[a], label[b])
+                changed = True
+    expected: dict[int, list[int]] = {}
+    for v in rest:
+        expected.setdefault(label[v], []).append(v)
+    assert sep.cells == [expected[root] for root in sorted(expected)]
+
+
 def _bipartitions(adj: list[list[int]], sources: set[int], sinks: set[int]):
     """Yield (cut edge count, source side) for every vertex bipartition
     that puts all sources on one side and all sinks on the other."""

@@ -443,6 +443,26 @@ class TestThreadResolution:
             _resolve_threads(None)
 
 
+    @pytest.mark.parametrize("command", ["customize", "bench"])
+    def test_threads_validated_and_not_echoed(self, tmp_path, capsys, monkeypatch, command):
+        g, (gr, co) = diamond_files(tmp_path)
+        cchp = tmp_path / "d.cchp"
+        assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)]) == 0
+        args = {"customize": ["customize", "--graph", gr, "--cch", str(cchp),
+                              "--out", str(tmp_path / "d.cchm")],
+                "bench": ["bench", "--graph", gr, "--coords", co, "--count", "5"]}[command]
+        assert main([*args, "--threads", "0"]) == 3
+        monkeypatch.setenv("CCH_THREADS", "zero")
+        assert main(args) == 3
+        monkeypatch.setenv("CCH_THREADS", "2")
+        capsys.readouterr()
+        assert main(args) == 0
+        assert main([*args, "--threads", "3", "--json"]) == 0
+        out = capsys.readouterr().out
+        # Neither the text nor the JSON output names the ignored setting.
+        assert "threads" not in out
+
+
 class TestBenchCmd:
     def test_same_seed_identical_output(self, tmp_path, capsys):
         rng = random.Random(239)

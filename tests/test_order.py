@@ -11,10 +11,11 @@ from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, Ran
                       build_cch, build_elimination_tree, contract, dfs_postorder_reorder,
                       export_order, import_order, inertial_flow_separator, load_dimacs_co,
                       load_dimacs_gr, nested_dissection_order)
-from cchroute.order import _AXES, _min_cut, _projection
+from cchroute.order import _min_cut
 from cchroute.preprocess import serialize_cch
-from helpers import (SAMPLE, brute_force_min_cut, brute_force_min_cut_sides, grid_graph,
-                     perturbed_grid, random_connected_graph)
+from helpers import (SAMPLE, assert_cells_are_components, brute_force_min_cut,
+                     brute_force_min_cut_sides, grid_graph, perturbed_grid,
+                     random_connected_graph)
 from oracles import edmonds_karp_min_cut
 
 
@@ -44,7 +45,7 @@ def check_separator_validity(g, sep):
 class TestInertialFlowSeparator:
     def test_path_single_vertex(self):
         g = undirected(4, [(0, 1), (1, 2), (2, 3)])
-        sep = inertial_flow_separator(g, line_coords(4))
+        sep = inertial_flow_separator(g, line_coords(4), [0, 1, 2, 3])
         assert len(sep.vertices) == 1
         check_separator_validity(g, sep)
         # brute force: some single-edge cut exists
@@ -54,7 +55,7 @@ class TestInertialFlowSeparator:
     def test_complete_graph(self):
         g = undirected(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
         coords = Coordinates(x=[0, 1, 2, 3], y=[0, 3, 1, 2])
-        sep = inertial_flow_separator(g, coords)
+        sep = inertial_flow_separator(g, coords, list(range(g.vertex_count)))
         assert 1 <= len(sep.vertices) <= 4
         check_separator_validity(g, sep)
         # the flow value equals the brute-force minimum cut for the
@@ -65,7 +66,7 @@ class TestInertialFlowSeparator:
     def test_grid_4x4(self):
         rng = random.Random(0)
         g, coords = grid_graph(rng, 4, 4)
-        sep = inertial_flow_separator(g, coords)
+        sep = inertial_flow_separator(g, coords, list(range(g.vertex_count)))
         assert len(sep.vertices) <= 4
         check_separator_validity(g, sep)
         remaining = 16 - len(sep.vertices)
@@ -76,7 +77,7 @@ class TestInertialFlowSeparator:
         for _ in range(10):
             n = rng.randint(8, 60)
             g, coords = random_connected_graph(rng, n, one_way=0.0)
-            sep = inertial_flow_separator(g, coords)
+            sep = inertial_flow_separator(g, coords, list(range(g.vertex_count)))
             check_separator_validity(g, sep)
             # the separator lies on one side of the cut; together with its
             # cells it must reflect a >= quarter / quarter split
@@ -84,6 +85,30 @@ class TestInertialFlowSeparator:
             sizes = sorted(len(c) for c in sep.cells)
             assert sum(sizes) + len(sep.vertices) == n
             assert sizes[-1] <= n - quarter
+
+
+    def test_cells_are_the_components_left_by_the_separator(self):
+        # Every cell of two or more vertices is split again, so most cells
+        # checked are proper subsets whose IDs are not contiguous.
+        rng = random.Random(17)
+        for _ in range(12):
+            n = rng.randint(10, 80)
+            g, coords = random_connected_graph(rng, n, extra_factor=rng.uniform(0.0, 1.0))
+            cells = [list(range(n))]
+            while cells:
+                cell = cells.pop()
+                sep = inertial_flow_separator(g, coords, cell)
+                assert_cells_are_components(g, cell, sep)
+                cells.extend(c for c in sep.cells if len(c) >= 2)
+
+    def test_separator_isolating_single_vertices(self):
+        # Removing the hub 2 leaves three of its neighbours alone.
+        g = undirected(6, [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5)])
+        coords = Coordinates(x=[8, 2, 5, 8, 9, 3], y=[5, 8, 3, 1, 6, 2])
+        sep = inertial_flow_separator(g, coords, list(range(6)))
+        assert sep.vertices == [2]
+        assert sep.cells == [[0, 1], [3], [4], [5]]
+        assert_cells_are_components(g, list(range(6)), sep)
 
 
 def _random_cut_instances(rng, count):
@@ -106,8 +131,9 @@ def _quarter_bands(g, coords):
     graph: the first and last quarter of each axis projection."""
     n = g.vertex_count
     quarter = (n + 3) // 4
-    for axis in _AXES:
-        by_proj = sorted(range(n), key=lambda v: (_projection(axis, coords, v), v))
+    x, y = coords.x, coords.y
+    for key in (lambda v: y[v], lambda v: x[v], lambda v: x[v] + y[v], lambda v: x[v] - y[v]):
+        by_proj = sorted(range(n), key=lambda v: (key(v), v))
         yield by_proj[:quarter], by_proj[-quarter:]
 
 
@@ -210,12 +236,15 @@ class TestNestedDissection:
                     stack.append((child, above + sep))
 
     def test_disconnected_components_become_cells(self):
-        g = undirected(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        coords = Coordinates(x=[0, 1, 2, 10, 11, 12], y=[0] * 6)
-        order = nested_dissection_order(g, coords, cell_cutoff=2)
+        # Two 5-vertex paths: 10 vertices, above the cutoff, so the root
+        # splits into its components; each path is small enough to be a leaf.
+        g = undirected(10, [(v, v + 1) for v in (0, 1, 2, 3, 5, 6, 7, 8)])
+        coords = Coordinates(x=[0, 1, 2, 3, 4, 10, 11, 12, 13, 14], y=[0] * 10)
+        order = nested_dissection_order(g, coords)
         decomp = order.decomposition
         assert decomp.sep_lo == decomp.cell_hi  # empty separator at the top
-        assert len(decomp.children) == 2
+        assert [(c.cell_lo, c.cell_hi) for c in decomp.children] == [(0, 5), (5, 10)]
+        assert sorted(order.vertex_at[:5]) == [0, 1, 2, 3, 4]
 
     def test_sample_outputs_pinned(self):
         # Digests of the order, its recursion tree and the CCHP artifact of
@@ -259,6 +288,40 @@ class TestNestedDissection:
         digests = (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
                    hashlib.sha256(repr(tree).encode()).hexdigest())
         assert digests == self.PERTURBED_PINS[seed]
+
+    # Digests as above on seeded exact 30x30 lattices (grid_graph, 30% one-way
+    # arcs) whose vertex IDs are shuffled: every projection ties along
+    # whole rows, columns or diagonals, and the ties break by IDs that do
+    # not follow the lattice.
+    RELABELED_LATTICE_PINS = {
+        1: ("5bde9eec985a7d36839b210cf8b044bd63ca7b1ceea866b525269a29cffdcd82",
+            "44e14553e96968eb78792a27a216364360bdcae38e2e07e9f5e2a59decaa220d"),
+        2: ("9e3e23d0ca78b1129eb18942a44a40aaacf03b9f41766fd589d928fd8fc93bf0",
+            "6922cd6a2fda5aa5b2556c0b539362cc002c320d7c6a47d4c736b18be2d853b1"),
+        3: ("83c0847ef6f865e920e01f5096a51e6a6a5a298270d95e711320412be1472035",
+            "dd67bb0624b111405f3493d8329cd89662e37b9aa2562ae261af1631db13f49a"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(RELABELED_LATTICE_PINS))
+    def test_relabeled_lattice_orders_pinned(self, seed):
+        rng = random.Random(seed)
+        lattice, lattice_coords = grid_graph(rng, 30, 30, one_way=0.3)
+        n = lattice.vertex_count
+        new_id = list(range(n))
+        rng.shuffle(new_id)
+        x = [0] * n
+        y = [0] * n
+        for v in range(n):
+            x[new_id[v]] = lattice_coords.x[v]
+            y[new_id[v]] = lattice_coords.y[v]
+        g = InputGraph.from_arcs(n, [(new_id[t], new_id[h], w) for t, h, w
+                                     in zip(lattice.tail, lattice.head, lattice.weight)])
+        order = nested_dissection_order(g, Coordinates(x=x, y=y))
+        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
+                for node in order.decomposition.preorder()]
+        digests = (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
+                   hashlib.sha256(repr(tree).encode()).hexdigest())
+        assert digests == self.RELABELED_LATTICE_PINS[seed]
 
     def test_coordinate_length_mismatch(self):
         g = undirected(3, [(0, 1), (1, 2)])
