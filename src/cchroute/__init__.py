@@ -7,10 +7,11 @@ from .dimacs import (FORBIDDEN, load_dimacs_co, load_dimacs_gr, load_metric,
 from .turns import TurnExpansion, expand_turns, expanded_coordinates
 from .order import (RankOrder, Separator, SeparatorDecomposition,
                     dfs_postorder_reorder, export_order, import_order,
-                    inertial_flow_separator, nested_dissection_order)
+                    inertial_flow_separator, nested_dissection_order,
+                    reconstruct_separator_decomposition)
 from .preprocess import (Cch, SENTINEL, UpwardGraph, build_cch,
                          build_elimination_tree, contract, graph_elimination_tree,
-                         load_cch, reconstruct_separator_decomposition, save_cch)
+                         load_cch, save_cch)
 from .customize import (Customized, CustomizedMetric, SearchGraph, SearchGraphs,
                         build_reduced, customize, load_customized, query_input_graph,
                         save_customized)
@@ -26,10 +27,9 @@ __all__ = [
     "TurnExpansion", "expand_turns", "expanded_coordinates",
     "RankOrder", "Separator", "SeparatorDecomposition", "dfs_postorder_reorder",
     "export_order", "import_order", "inertial_flow_separator",
-    "nested_dissection_order",
+    "nested_dissection_order", "reconstruct_separator_decomposition",
     "Cch", "SENTINEL", "UpwardGraph", "build_cch", "build_elimination_tree",
-    "contract", "graph_elimination_tree", "load_cch",
-    "reconstruct_separator_decomposition", "save_cch",
+    "contract", "graph_elimination_tree", "load_cch", "save_cch",
     "Customized", "CustomizedMetric", "SearchGraph", "SearchGraphs",
     "build_reduced", "customize", "load_customized", "query_input_graph",
     "save_customized",

@@ -24,8 +24,8 @@ from . import __version__
 from .customize import customize, load_customized, query_input_graph, save_customized
 from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines
 from .errors import ConsistencyError, ParseError, StateError
-from .graph import INFINITY
-from .order import export_order, import_order, nested_dissection_order
+from .graph import INFINITY, InputGraph
+from .order import RankOrder, export_order, import_order, nested_dissection_order
 from .preprocess import build_cch, graph_fingerprint, load_cch, save_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
@@ -84,19 +84,20 @@ def _dump_decomposition(decomp, out) -> None:
             stack.append((child, depth + 1))
 
 
+def _order(args, g: InputGraph) -> RankOrder:
+    """The order file ``--order`` names, else the nested dissection order
+    computed from ``--coords``; a command given neither exits 3."""
+    if args.order:
+        return import_order(args.order, g.vertex_count)
+    if not args.coords:
+        raise ConsistencyError(f"{args.command} needs --coords (to compute an order) or --order")
+    return nested_dissection_order(g, load_dimacs_co(args.coords, g.vertex_count))
+
+
 def cmd_preprocess(args) -> int:
     g = load_dimacs_gr(args.graph)
-    if args.order:
-        order = import_order(args.order, g.vertex_count)
-        coords = None
-    elif args.coords:
-        coords = load_dimacs_co(args.coords, g.vertex_count)
-        order = None
-    else:
-        raise ConsistencyError("preprocess needs --coords (to compute an order) or --order")
     t0 = time.perf_counter()
-    if order is None:
-        order = nested_dissection_order(g, coords)
+    order = _order(args, g)
     t1 = time.perf_counter()
     cch = build_cch(g, order=order)
     t2 = time.perf_counter()
@@ -198,13 +199,7 @@ def cmd_bench(args) -> int:
     _resolve_threads(args.threads)
 
     t0 = time.perf_counter()
-    if args.order:
-        order = import_order(args.order, n)
-    else:
-        if not args.coords:
-            raise ConsistencyError("bench needs --coords or --order")
-        coords = load_dimacs_co(args.coords, n)
-        order = nested_dissection_order(g, coords)
+    order = _order(args, g)
     t1 = time.perf_counter()
     cch = build_cch(g, order=order)
     t2 = time.perf_counter()

@@ -3,7 +3,10 @@
 A rank order drives the contraction: vertices are eliminated by ascending
 rank, and separator vertices always rank above the cells they split. The
 recursion tree of the dissection is kept as a separator decomposition,
-the structure whose cells the nearest-neighbor search prunes.
+the structure whose cells the nearest-neighbor search prunes. Once an
+order is improved to a DFS post-order of its elimination tree, every
+subtree is one contiguous rank range, fixed by the subtree sizes alone,
+and the decomposition follows from the tree.
 """
 
 from __future__ import annotations
@@ -280,39 +283,100 @@ def export_order(order: RankOrder, path: str) -> None:
             f.write(f"{v}\n")
 
 
+def subtree_sizes(parent: Sequence[int]) -> list[int]:
+    """Number of vertices in each vertex's subtree of an elimination tree.
+
+    ``parent[v]`` is v's parent, or -1 for a root. One ascending pass
+    suffices because every parent must outrank its children; a parent
+    that does not, which includes every cycle, or that is no vertex at
+    all raises ConsistencyError.
+    """
+    n = len(parent)
+    size = [1] * n
+    for u, p in enumerate(parent):
+        if p != -1:
+            if not u < p < n:
+                raise ConsistencyError(f"parent {p} of vertex {u} is not a vertex ranked above it")
+            size[p] += size[u]
+    return size
+
+
 def dfs_postorder_reorder(order: RankOrder, parent: Sequence[int]) -> RankOrder:
     """Improve an order to a DFS post-order of its elimination tree.
 
-    Children of each tree node are visited in ascending old-rank order,
-    so every subtree occupies a contiguous rank range and each vertex
-    still ranks above all of its descendants. The augmented graph built
-    from the new order is isomorphic to the old one under the relabeling.
+    ``parent`` is the tree over old ranks. The new ranks are those of the
+    DFS post-order that visits roots and the children of each vertex in
+    ascending old rank, so every subtree occupies a contiguous rank range
+    and each vertex still ranks above all of its descendants. The augmented
+    graph built from the new order is isomorphic to the old one under the
+    relabeling. One descending pass over the subtree sizes lays it out:
+    the roots take ranges from the top down, and each child, met in
+    descending old rank, takes the highest ``size`` ranks still free below
+    its parent's new rank.
     """
     n = len(order.rank_of)
     if len(parent) != n:
         raise ConsistencyError(f"elimination tree covers {len(parent)} vertices, order has {n}")
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for u in range(n):
-        p = parent[u]
-        if p == -1:
-            roots.append(u)
-        else:
-            children[p].append(u)
-    post = [-1] * n
-    counter = 0
-    for root in roots:
-        stack = [(root, 0)]
-        while stack:
-            v, i = stack.pop()
-            if i < len(children[v]):
-                stack.append((v, i + 1))
-                stack.append((children[v][i], 0))
-            else:
-                post[v] = counter
-                counter += 1
-    new_rank_of = [post[order.rank_of[v]] for v in range(n)]
+    size = subtree_sizes(parent)
+    # free[p] bounds the ranks still free for p's children; the extra last
+    # entry, free[-1], plays that part for the roots.
+    free = [0] * n + [n]
+    post = [0] * n
+    for r in range(n - 1, -1, -1):
+        p = parent[r]
+        post[r] = free[r] = free[p] - 1
+        free[p] -= size[r]
     vertex_at = [-1] * n
-    for v, r in enumerate(new_rank_of):
-        vertex_at[r] = v
-    return RankOrder(rank_of=new_rank_of, vertex_at=vertex_at)
+    for r, v in enumerate(order.vertex_at):
+        vertex_at[post[r]] = v
+    return RankOrder(rank_of=[post[r] for r in order.rank_of], vertex_at=vertex_at)
+
+
+def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
+    """Rebuild the separator decomposition from an elimination tree.
+
+    Requires the ranks to be a DFS post-order of the tree, so that each
+    subtree is the rank range [v - size[v] + 1, v] below its root v. That
+    holds exactly when no subtree's range reaches below its parent's:
+    bottom up, the children's ranges then lie in [p - size[p] + 1, p),
+    are disjoint and their sizes sum to size[p] - 1, so they tile it.
+    Each node's separator is the chain of single children down from its
+    subtree root (v's only child is v - 1 when size[v - 1] = size[v] - 1);
+    the subtrees below the chain's last vertex, found by stepping from
+    its top child down by subtree sizes, become the child cells. A
+    subtree that is a bare path is a leaf whose separator is the whole
+    path. Several roots hang as cells under a node with an empty
+    separator spanning all ranks.
+    """
+    n = len(parent)
+    size = subtree_sizes(parent)
+    if any(v - size[v] < p - size[p] for v, p in enumerate(parent) if p != -1):
+        raise ConsistencyError(
+            "subtree rank ranges not contiguous; order is not a DFS post-order")
+
+    def tiling(lo: int, hi: int) -> list[int]:
+        """Roots of the subtrees that tile ranks [lo, hi), ascending."""
+        roots = []
+        c = hi - 1
+        while c >= lo:
+            roots.append(c)
+            c -= size[c]
+        roots.reverse()
+        return roots
+
+    roots = tiling(0, n)
+    if not roots:
+        raise ConsistencyError("empty elimination tree")
+    top = SeparatorDecomposition(0, n, n)
+    # Each entry is a subtree root and the node its own node hangs under;
+    # the loop reads the entries it appends, so siblings keep their order.
+    work = [(r, top) for r in roots]
+    for r, up in work:
+        lo = r - size[r] + 1
+        v = r
+        while size[v - 1] == size[v] - 1:  # never true at a leaf, whose size is 1
+            v -= 1
+        node = SeparatorDecomposition(lo, r + 1, v)
+        up.children.append(node)
+        work.extend((c, node) for c in tiling(lo, v))
+    return top if len(roots) > 1 else top.children[0]

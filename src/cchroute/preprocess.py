@@ -18,12 +18,12 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
-from .order import RankOrder, SeparatorDecomposition, dfs_postorder_reorder, nested_dissection_order
+from .order import (RankOrder, SeparatorDecomposition, dfs_postorder_reorder,
+                    nested_dissection_order, reconstruct_separator_decomposition)
 
 SENTINEL = -1
 """Parent value of elimination-tree roots; also the 'no arc' marker."""
@@ -179,82 +179,6 @@ def graph_elimination_tree(g: InputGraph, order: RankOrder) -> array:
     return parent
 
 
-def subtree_sizes(parent: Sequence[int]) -> list[int]:
-    """Subtree size per vertex; a single ascending pass works because
-    every parent outranks its children."""
-    n = len(parent)
-    size = [1] * n
-    for u in range(n):
-        p = parent[u]
-        if p != SENTINEL:
-            if p <= u:
-                raise ConsistencyError(f"parent {p} of vertex {u} does not outrank it")
-            size[p] += size[u]
-    return size
-
-
-def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
-    """Rebuild the separator decomposition from an elimination tree.
-
-    Requires ranks to be a DFS post-order of the tree (each subtree a
-    contiguous rank range). For each subtree, the path from the highest
-    vertex with more than one child up to the subtree root is the
-    separator; the child subtrees below it become the child cells. A
-    subtree that is a bare path is a leaf whose separator is the whole
-    path.
-    """
-    n = len(parent)
-    size = subtree_sizes(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
-    roots = []
-    for u in range(n):
-        p = parent[u]
-        if p == SENTINEL:
-            roots.append(u)
-        else:
-            children[p].append(u)
-
-    def check_tiling(lo: int, hi: int, kids: list[int]) -> None:
-        # the kids' rank ranges [c - size[c] + 1, c + 1) must tile [lo, hi)
-        if [c - size[c] + 1 for c in kids] + [hi] != [lo] + [c + 1 for c in kids]:
-            raise ConsistencyError(
-                "subtree rank ranges not contiguous; order is not a DFS post-order")
-
-    def build_node(root: int) -> SeparatorDecomposition:
-        node = SeparatorDecomposition(0, 0, 0)
-        work = [(root, node)]
-        while work:
-            sub_root, out = work.pop()
-            lo = sub_root - size[sub_root] + 1
-            v = sub_root
-            while len(children[v]) == 1:
-                c = children[v][0]
-                if c != v - 1:
-                    raise ConsistencyError(
-                        "separator path not contiguous; order is not a DFS post-order")
-                v = c
-            if not children[v]:
-                out.cell_lo, out.cell_hi, out.sep_lo = lo, sub_root + 1, lo
-                continue
-            out.cell_lo, out.cell_hi, out.sep_lo = lo, sub_root + 1, v
-            check_tiling(lo, v, children[v])
-            for c in children[v]:
-                child_node = SeparatorDecomposition(0, 0, 0)
-                out.children.append(child_node)
-                work.append((c, child_node))
-        return node
-
-    if not roots:
-        raise ConsistencyError("empty elimination tree")
-    if len(roots) == 1:  # then the root is n - 1, and its subtree spans all ranks
-        return build_node(roots[0])
-    check_tiling(0, n, roots)
-    top = SeparatorDecomposition(0, n, n)
-    for r in roots:
-        top.children.append(build_node(r))
-    return top
-
-
 @dataclass
 class Cch:
     """Everything the metric-independent phase produces.
@@ -263,10 +187,12 @@ class Cch:
     contracted with; ``initial_order`` keeps the order ``build_cch`` was
     given or computed, with the decomposition a computed one records
     (rank ranges in its own rank space), and is None on a loaded ``Cch``.
-    ``parent`` is an ``array('i')`` like the hierarchy's columns.
-    ``decomposition`` is the one ``reconstruct_separator_decomposition``
-    gives for ``parent``. ``fingerprint`` is the ``graph_fingerprint`` of
-    the input graph the hierarchy was built from. The first
+    ``parent``, the elimination tree, is an ``array('i')`` like the
+    hierarchy's columns; since ``order`` is its DFS post-order, each
+    subtree is one contiguous rank range, and ``decomposition`` is the one
+    ``reconstruct_separator_decomposition`` derives from ``parent`` alone.
+    ``fingerprint`` is the ``graph_fingerprint`` of the input graph the
+    hierarchy was built from. The first
     ``customize()`` builds the hierarchy's customization schedule
     (``kernels.Schedule``: its depth levels, arc keys and triangle table)
     into ``_schedule``, which takes no part in equality, ``repr`` or the

@@ -256,6 +256,29 @@ def naive_elimination_arcs(n: int, undirected_edges) -> set[tuple[int, int]]:
     return arcs
 
 
+def is_ancestor(parent, anc: int, v: int) -> bool:
+    """Whether ``anc`` lies on the parent chain from ``v`` (``v`` included)."""
+    while v != -1:
+        if v == anc:
+            return True
+        v = parent[v]
+    return False
+
+
+def subtree_members(parent) -> list[list[int]]:
+    """Every vertex's subtree as a sorted member list, found by walking
+    each vertex's parent chain: the layout oracle for elimination trees."""
+    n = len(parent)
+    return [[v for v in range(n) if is_ancestor(parent, u, v)] for u in range(n)]
+
+
+def is_postorder(parent) -> bool:
+    """Whether the ranks are a DFS post-order of the tree: every subtree is
+    the rank range [v - size + 1, v] below its root v."""
+    return all(m == list(range(v - len(m) + 1, v + 1))
+               for v, m in enumerate(subtree_members(parent)))
+
+
 def assert_cells_are_components(g: InputGraph, cell: list[int], sep) -> None:
     """``sep``, a split of ``cell``, leaves exactly the connected components
     of ``cell`` minus ``sep.vertices`` as its cells: each sorted, in order

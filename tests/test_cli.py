@@ -90,6 +90,8 @@ class TestPreprocessCmd:
     def test_missing_coords_and_order_exits_3(self, tmp_path, capsys):
         g, (gr, _) = diamond_files(tmp_path)
         assert main(["preprocess", "--graph", gr, "--out", str(tmp_path / "o")]) == 3
+        assert "preprocess needs --coords (to compute an order) or --order" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, text", [("--coords", "p aux sp co 0\n"), ("--order", "")],
                              ids=["computed-order", "imported-order"])
@@ -513,6 +515,19 @@ class TestBenchCmd:
         g, (gr, co) = diamond_files(tmp_path)
         for count in ("0", "-3"):
             assert main(["bench", "--graph", gr, "--coords", co, "--count", count]) == 3
+
+    def test_missing_coords_and_order_exits_3(self, tmp_path, capsys):
+        g, (gr, _) = diamond_files(tmp_path)
+        assert main(["bench", "--graph", gr]) == 3
+        assert "bench needs --coords (to compute an order) or --order" in capsys.readouterr().err
+
+    def test_imported_order_honored(self, tmp_path, capsys):
+        g, (gr, _) = diamond_files(tmp_path)
+        order = tmp_path / "o.txt"
+        order.write_text("0\n1\n2\n3\n")
+        assert main(["bench", "--graph", gr, "--order", str(order), "--count", "5"]) == 0
+        phases = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:5]]
+        assert phases == ["ordering", "contraction", "customization"]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -10,12 +10,13 @@ import pytest
 from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, RankOrder,
                       build_cch, build_elimination_tree, contract, dfs_postorder_reorder,
                       export_order, import_order, inertial_flow_separator, load_dimacs_co,
-                      load_dimacs_gr, nested_dissection_order)
+                      load_dimacs_gr, nested_dissection_order,
+                      reconstruct_separator_decomposition)
 from cchroute.order import _min_cut
 from cchroute.preprocess import serialize_cch
 from helpers import (SAMPLE, assert_cells_are_components, brute_force_min_cut,
-                     brute_force_min_cut_sides, grid_graph, perturbed_grid,
-                     random_connected_graph)
+                     brute_force_min_cut_sides, grid_graph, is_postorder, perturbed_grid,
+                     random_connected_graph, random_order, subtree_members)
 from oracles import edmonds_karp_min_cut
 
 
@@ -29,6 +30,13 @@ def undirected(n, edges, w=1):
         arcs.append((a, b, w))
         arcs.append((b, a, w))
     return InputGraph.from_arcs(n, arcs)
+
+
+def _tree_repr(decomposition) -> bytes:
+    """The preorder (cell_lo, cell_hi, sep_lo, child count) tuples that the
+    pinned digests hash."""
+    return repr([(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
+                 for node in decomposition.preorder()]).encode()
 
 
 def check_separator_validity(g, sep):
@@ -247,46 +255,51 @@ class TestNestedDissection:
         assert sorted(order.vertex_at[:5]) == [0, 1, 2, 3, 4]
 
     def test_sample_outputs_pinned(self):
-        # Digests of the order, its recursion tree and the CCHP artifact of
-        # sample/grid.gr. How the cuts are computed may change; these
-        # outputs may not.
+        # Digests of the order, its recursion tree, the CCHP artifact of
+        # sample/grid.gr and the decomposition reconstructed from the
+        # hierarchy's elimination tree. How the cuts are computed may
+        # change; these outputs may not.
         g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
         coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
         order = nested_dissection_order(g, coords)
-        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
-                for node in order.decomposition.preorder()]
+        cch = build_cch(g, order=order)
 
         def digest(data: bytes) -> str:
             return hashlib.sha256(data).hexdigest()
 
         assert digest(" ".join(map(str, order.vertex_at)).encode()) == (
             "bd7d487b2a77b7bf9dd0c97308922ae57316943795a78ae4b966eb98b3879197")
-        assert digest(repr(tree).encode()) == (
+        assert digest(_tree_repr(order.decomposition)) == (
             "05a2d905775a4098145b5274f3e51e94c6fed1cdd6a75ae1cb9e423e124a7872")
-        assert digest(serialize_cch(build_cch(g, order=order))) == (
+        assert digest(serialize_cch(cch)) == (
             "772385ac9ad44cece70a68001275fadefbdcaf99edd70fef45c0d693fee1dff4")
+        assert digest(_tree_repr(cch.decomposition)) == (
+            "410424e3930b09118940dcf0e725009d52b81387c8b8beda6376bbeb05e50c4a")
 
-    # Digests of vertex_at and of the recursion tree's preorder (cell_lo,
-    # cell_hi, sep_lo, child count) on seeded 40x40 perturbed grids, large
-    # enough that one BFS tree often holds many augmenting paths. Seeds 2
-    # and 3 fall apart at the root.
+    # Digests of vertex_at, of the recursion tree's preorder (cell_lo,
+    # cell_hi, sep_lo, child count) and of the decomposition build_cch
+    # reconstructs, on seeded 40x40 perturbed grids, large enough that one
+    # BFS tree often holds many augmenting paths. Seeds 2 and 3 fall apart
+    # at the root.
     PERTURBED_PINS = {
         1: ("e358d855b07f134ccb19e5d6ce9775f36d186fcaaa8e7d154646f076e55490d9",
-            "16ce9e0965b89361a1d053657a2402d311dd32d0f78ece1a0d1cd81f2f2d6a3d"),
+            "16ce9e0965b89361a1d053657a2402d311dd32d0f78ece1a0d1cd81f2f2d6a3d",
+            "77babf4ad5173e2a145203aaca1099ae04c0168aad76b6dcff841730d8417fa8"),
         2: ("2d8868b1cd234eac568e5f90692b0934c3ebca7d319a36e0dde621f5a633ed85",
-            "7ab45e918564195e5a8d5e7f9b5cd1340d6c5beb444b082149c5cae9b4f0ec55"),
+            "7ab45e918564195e5a8d5e7f9b5cd1340d6c5beb444b082149c5cae9b4f0ec55",
+            "876155477747fb9a14c0c06c95bd56f59f16a1299ebd9254f9f2e5d86fbb0603"),
         3: ("0a64d7974edb0d622b3aea43f48e901685da9bdf2249eaec51f1ac40601a5ca9",
-            "48a7dfc1df371adcdbbd5635fa790e2e1788332879dd254781bb96313421f49f"),
+            "48a7dfc1df371adcdbbd5635fa790e2e1788332879dd254781bb96313421f49f",
+            "32144b420850445a064edad23107ab00877d47a3cceee66b3f84b1a40731e0d8"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PERTURBED_PINS))
     def test_perturbed_grid_orders_pinned(self, seed):
         g, coords = perturbed_grid(random.Random(seed), 40)
         order = nested_dissection_order(g, coords)
-        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
-                for node in order.decomposition.preorder()]
         digests = (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
-                   hashlib.sha256(repr(tree).encode()).hexdigest())
+                   hashlib.sha256(_tree_repr(order.decomposition)).hexdigest(),
+                   hashlib.sha256(_tree_repr(build_cch(g, order=order).decomposition)).hexdigest())
         assert digests == self.PERTURBED_PINS[seed]
 
     # Digests as above on seeded exact 30x30 lattices (grid_graph, 30% one-way
@@ -317,10 +330,8 @@ class TestNestedDissection:
         g = InputGraph.from_arcs(n, [(new_id[t], new_id[h], w) for t, h, w
                                      in zip(lattice.tail, lattice.head, lattice.weight)])
         order = nested_dissection_order(g, Coordinates(x=x, y=y))
-        tree = [(node.cell_lo, node.cell_hi, node.sep_lo, len(node.children))
-                for node in order.decomposition.preorder()]
         digests = (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
-                   hashlib.sha256(repr(tree).encode()).hexdigest())
+                   hashlib.sha256(_tree_repr(order.decomposition)).hexdigest())
         assert digests == self.RELABELED_LATTICE_PINS[seed]
 
     def test_coordinate_length_mismatch(self):
@@ -428,15 +439,100 @@ class TestDfsPostorderReorder:
                 assert p > u
                 size[p] += size[u]
         # contiguity: the subtree below u is exactly [u - size[u] + 1, u]
+        members = subtree_members(tree2)
         for u in range(len(tree2)):
-            lo = u - size[u] + 1
-            members = [v for v in range(len(tree2)) if _is_ancestor(tree2, u, v)]
-            assert sorted(members) == list(range(lo, u + 1))
+            assert members[u] == list(range(u - size[u] + 1, u + 1))
+
+    @pytest.mark.parametrize("parent", [[1, 0], [2, 2, 0], [1]],
+                             ids=["two-cycle", "cycle-below-root", "past-last-vertex"])
+    def test_parent_not_ranked_above_rejected(self, parent):
+        with pytest.raises(ConsistencyError, match="not a vertex ranked above it"):
+            dfs_postorder_reorder(RankOrder.identity(len(parent)), parent)
+        with pytest.raises(ConsistencyError, match="not a vertex ranked above it"):
+            reconstruct_separator_decomposition(parent)
 
 
-def _is_ancestor(parent, anc, v):
-    while v != -1:
-        if v == anc:
-            return True
-        v = parent[v]
-    return False
+def _random_forest(rng: random.Random, n: int, postorder: bool) -> list[int]:
+    """A forest on ranks 0..n-1 whose parents outrank their children. With
+    ``postorder``, any such forest laid out as a DFS post-order: each vertex
+    adopts some of the latest finished subtree roots. Otherwise each vertex
+    picks a root flag or a higher parent at random, which rarely is one."""
+    parent = [-1] * n
+    if postorder:
+        finished: list[int] = []
+        for v in range(n):
+            for _ in range(rng.randint(0, len(finished))):
+                parent[finished.pop()] = v
+            finished.append(v)
+    else:
+        for v in range(n - 1):
+            if rng.random() < 0.8:
+                parent[v] = rng.randrange(v + 1, n)
+    return parent
+
+
+def _assert_nodes_follow_tree(parent, decomp) -> None:
+    """Each node's separator is the chain of single children down from its
+    subtree root, and its child cells are the subtrees below the chain,
+    ascending and tiling the rest of the cell; several roots hang under a
+    node with an empty separator over all ranks."""
+    n = len(parent)
+    members = subtree_members(parent)
+    children = [[u for u in range(n) if parent[u] == v] for v in range(n)]
+    roots = [u for u in range(n) if parent[u] == -1]
+
+    def cells(node, tops):
+        kids = node.children
+        assert [(c.cell_hi - 1, c.cell_lo) for c in kids] == [(t, members[t][0]) for t in tops]
+        assert [c.cell_lo for c in kids] + [node.sep_lo] == [node.cell_lo] + [c.cell_hi for c in kids]
+
+    nodes = list(decomp.preorder())
+    if len(roots) > 1:
+        assert (decomp.cell_lo, decomp.cell_hi, decomp.sep_lo) == (0, n, n)
+        cells(decomp, roots)
+        nodes.pop(0)
+    else:
+        assert decomp.cell_hi == n
+    for node in nodes:
+        top = node.cell_hi - 1
+        assert node.cell_lo == members[top][0]
+        assert all(children[v] == [v - 1] for v in range(node.sep_lo + 1, node.cell_hi))
+        assert len(children[node.sep_lo]) != 1
+        cells(node, children[node.sep_lo])
+
+
+class TestTreeLayout:
+    """reconstruct_separator_decomposition and dfs_postorder_reorder against
+    the subtree member sets found by walking parents."""
+
+    def test_random_forests_against_member_sets(self):
+        rng = random.Random(67)
+        kinds = {True: 0, False: 0}
+        for _ in range(800):
+            n = rng.randint(1, 10)
+            parent = _random_forest(rng, n, postorder=rng.random() < 0.5)
+            laid_out = is_postorder(parent)
+            kinds[laid_out] += 1
+            try:
+                decomp = reconstruct_separator_decomposition(parent)
+            except ConsistencyError:
+                assert not laid_out, parent
+            else:
+                assert laid_out, parent
+                _assert_nodes_follow_tree(parent, decomp)
+
+            order = random_order(rng, n)
+            new = dfs_postorder_reorder(order, parent)
+            assert RankOrder.from_vertex_at(new.vertex_at).rank_of == new.rank_of
+            post = [new.rank_of[v] for v in order.vertex_at]
+            new_parent = [-1] * n
+            for r, p in enumerate(parent):
+                new_parent[post[r]] = -1 if p == -1 else post[p]
+            assert is_postorder(new_parent)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if parent[a] == parent[b]:
+                        assert post[a] < post[b], (parent, a, b)
+            if laid_out:
+                assert post == list(range(n))
+        assert min(kinds.values()) > 150, kinds
