@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .customize import customize, load_customized, query_input_graph, save_customized
-from .dimacs import _tokens, load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines
+from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines, read_pairs
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY, InputGraph
 from .order import RankOrder, export_order, import_order, nested_dissection_order
@@ -53,18 +53,6 @@ def _resolve_threads(flag: int | None) -> int:
             raise ConsistencyError(f"CCH_THREADS must be an integer, got {env!r}") from None
         return _check_positive(value, "CCH_THREADS")
     return os.cpu_count() or 1
-
-
-def _read_pairs(path: str) -> list[tuple[int, int]]:
-    pairs = []
-    for lineno, parts in _tokens(path):
-        if len(parts) != 2:
-            raise ParseError(f"expected '<s> <t>', got {' '.join(parts)!r}", lineno)
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"non-integer pair {' '.join(parts)!r}", lineno) from None
-    return pairs
 
 
 def _check_vertex(v: int, n: int, what: str) -> None:
@@ -145,7 +133,7 @@ def cmd_query(args) -> int:
     c = load_customized(args.customized)
     order = c.cch.order
     n = c.cch.ug.vertex_count
-    pairs = _read_pairs(args.pairs)
+    pairs = read_pairs(args.pairs)
     state = QueryState.for_vertex_count(n)
     for s, t in pairs:
         _check_vertex(s, n, "source")

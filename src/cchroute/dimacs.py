@@ -39,6 +39,34 @@ def read_id_lines(path: str) -> list[int]:
     return out
 
 
+def read_pairs(path: str) -> list[tuple[int, int]]:
+    """Read one ``<s> <t>`` pair of integers per line (query batches)."""
+    pairs = []
+    for lineno, parts in _tokens(path):
+        if len(parts) != 2:
+            raise ParseError(f"expected '<s> <t>', got {' '.join(parts)!r}", lineno)
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"non-integer pair {' '.join(parts)!r}", lineno) from None
+    return pairs
+
+
+def _arc_line(parts: list[str], n: int, lineno: int) -> tuple[int, int, int]:
+    """0-based (tail, head, weight) of an ``a <tail> <head> <weight>`` line."""
+    if len(parts) != 4:
+        raise ParseError(f"expected 'a <tail> <head> <weight>', got {' '.join(parts)}", lineno)
+    try:
+        t, h, w = int(parts[1]), int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError("non-integer arc fields", lineno) from None
+    if not (1 <= t <= n and 1 <= h <= n):
+        raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
+    if not (0 <= w < INFINITY):
+        raise ConsistencyError(f"line {lineno}: weight {w} outside [0, {INFINITY})")
+    return t - 1, h - 1, w
+
+
 def load_dimacs_gr(path: str) -> InputGraph:
     """Load a DIMACS .gr shortest-path instance.
 
@@ -64,17 +92,7 @@ def load_dimacs_gr(path: str) -> InputGraph:
         elif kind == "a":
             if n is None:
                 raise ParseError("arc line before problem line", lineno)
-            if len(parts) != 4:
-                raise ParseError(f"expected 'a <tail> <head> <weight>', got {' '.join(parts)}", lineno)
-            try:
-                t, h, w = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer arc fields", lineno) from None
-            if not (1 <= t <= n and 1 <= h <= n):
-                raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
-            if not (0 <= w < INFINITY):
-                raise ConsistencyError(f"line {lineno}: weight {w} outside [0, {INFINITY})")
-            arcs.append((t - 1, h - 1, w))
+            arcs.append(_arc_line(parts, n, lineno))
         else:
             raise ParseError(f"unknown line type {kind!r}", lineno)
     if n is None:
@@ -174,19 +192,10 @@ def load_metric(path: str, g: InputGraph) -> list[int]:
             continue
         if parts[0] != "a":
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)
-        if len(parts) != 4:
-            raise ParseError(f"expected 'a <tail> <head> <weight>', got {' '.join(parts)}", lineno)
-        try:
-            t, h, w = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError("non-integer arc fields", lineno) from None
-        if not (1 <= t <= n and 1 <= h <= n):
-            raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
-        if not (0 <= w < INFINITY):
-            raise ConsistencyError(f"line {lineno}: weight {w} outside [0, {INFINITY})")
-        idx = g.arc_index(t - 1, h - 1)
+        t, h, w = _arc_line(parts, n, lineno)
+        idx = g.arc_index(t, h)
         if idx is None:
-            raise ConsistencyError(f"line {lineno}: arc ({t}, {h}) not in graph")
+            raise ConsistencyError(f"line {lineno}: arc ({t + 1}, {h + 1}) not in graph")
         if w < weights[idx]:
             weights[idx] = w
     return weights

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ConsistencyError
 
@@ -55,36 +56,29 @@ class InputGraph:
     def from_arcs(cls, vertex_count: int, arcs) -> InputGraph:
         """Build a graph from (tail, head, weight) triples.
 
-        Self-loops are dropped (counted in ``dropped_self_loops``) and
-        parallel arcs collapse to their minimum weight.
+        One pass over the sorted triples keeps the first, lightest, arc
+        of each (tail, head) run, so parallel arcs collapse to their
+        minimum weight and each tail's heads ascend strictly. Self-loops
+        are dropped (counted in ``dropped_self_loops``).
         """
-        best: dict[tuple[int, int], int] = {}
+        out_degree = [0] * vertex_count
+        head, weight, tail = [], [], []
         dropped = 0
-        for t, h, w in arcs:
+        last_t = last_h = -1
+        for t, h, w in sorted(arcs):
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ConsistencyError(f"arc ({t}, {h}) out of vertex range [0, {vertex_count})")
             if not (0 <= w < INFINITY):
                 raise ConsistencyError(f"arc ({t}, {h}) weight {w} outside [0, {INFINITY})")
             if t == h:
                 dropped += 1
-                continue
-            key = (t, h)
-            prev = best.get(key)
-            if prev is None or w < prev:
-                best[key] = w
-        ordered = sorted(best.items())
-        first_out = [0] * (vertex_count + 1)
-        head = []
-        weight = []
-        tail = []
-        for (t, h), w in ordered:
-            first_out[t + 1] += 1
-            tail.append(t)
-            head.append(h)
-            weight.append(w)
-        for u in range(vertex_count):
-            first_out[u + 1] += first_out[u]
-        return cls(vertex_count, first_out, head, weight, tail,
+            elif h != last_h or t != last_t:
+                last_t, last_h = t, h
+                out_degree[t] += 1
+                tail.append(t)
+                head.append(h)
+                weight.append(w)
+        return cls(vertex_count, list(accumulate(out_degree, initial=0)), head, weight, tail,
                    dropped_self_loops=dropped)
 
     def arc_index(self, u: int, v: int) -> int | None:
@@ -107,12 +101,10 @@ class InputGraph:
         return self._undirected
 
     def undirected_edges(self) -> list[tuple[int, int]]:
-        """All unordered pairs {u, v} with at least one stored direction."""
-        seen = set()
-        for i in range(len(self.head)):
-            t, h = self.tail[i], self.head[i]
-            seen.add((t, h) if t < h else (h, t))
-        return sorted(seen)
+        """All unordered pairs {u, v} with at least one stored direction,
+        as (u, v) with u < v, ascending."""
+        return [(u, v) for u, nbrs in enumerate(self.undirected_adjacency())
+                for v in nbrs if u < v]
 
 
 @dataclass

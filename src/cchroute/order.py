@@ -54,8 +54,7 @@ class RankOrder:
     decomposition: SeparatorDecomposition | None = None
 
     @classmethod
-    def from_vertex_at(cls, vertex_at: Sequence[int],
-                       decomposition: SeparatorDecomposition | None = None) -> RankOrder:
+    def from_vertex_at(cls, vertex_at: Sequence[int]) -> RankOrder:
         n = len(vertex_at)
         rank_of = [-1] * n
         for r, v in enumerate(vertex_at):
@@ -64,7 +63,7 @@ class RankOrder:
             if rank_of[v] != -1:
                 raise ConsistencyError(f"vertex {v} appears at ranks {rank_of[v]} and {r}")
             rank_of[v] = r
-        return cls(rank_of=rank_of, vertex_at=list(vertex_at), decomposition=decomposition)
+        return cls(rank_of=rank_of, vertex_at=list(vertex_at))
 
     @classmethod
     def identity(cls, n: int) -> RankOrder:

@@ -129,22 +129,24 @@ def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
     """The loaded hierarchy, its tails derived from the arc ranges, or a
     ConsistencyError if its arcs are malformed.
 
-    Queries climb the elimination tree, each vertex's first upward head,
-    to a root and path unpacking recurses on arcs with lower tails. Both
-    end only if every arc points from its tail up to an existing vertex.
-    Customization reads the input weight of every ``orig_up`` and
-    ``orig_down`` entry, so each must be SENTINEL or an input arc ID.
+    Queries climb the elimination tree, each vertex's first head, to a
+    root, which ends only if every first head lies in (tail, n). The other
+    heads are checked below n here; ``deserialize_cch`` checks that they
+    ascend once the tree is checked. Customization reads the input weight
+    of every ``orig_up`` and ``orig_down`` entry, so each must be SENTINEL
+    or an input arc ID.
     """
     if (first_arc[0] != 0 or first_arc[-1] != len(head)
             or not all(map(operator.le, first_arc, first_arc[1:]))):
         raise ConsistencyError("arc ranges do not run monotonically from 0 to the arc count")
-    tail = _arc_tails(first_arc)
-    if head and (max(head) >= n or not all(map(operator.lt, tail, head))):
+    if head and (max(head) >= n or any(head[lo] <= u for u, lo, hi
+                                       in zip(range(n), first_arc, first_arc[1:]) if lo < hi)):
         raise ConsistencyError("arc head outside (tail, vertex count)")
     for orig in (orig_up, orig_down):
         if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
             raise ConsistencyError("input arc ID outside [0, input arc count)")
-    return UpwardGraph(n, first_arc, head, tail, orig_up, orig_down, input_arc_count)
+    return UpwardGraph(n, first_arc, head, _arc_tails(first_arc), orig_up, orig_down,
+                       input_arc_count)
 
 
 def build_elimination_tree(ug: UpwardGraph) -> array:
@@ -318,7 +320,9 @@ def load_cch(path: str) -> Cch:
 
 def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
     """Load a CCHP from ``data``, or the one embedded in a CCHM at the
-    position of ``reader``, whose caller checks the trailer."""
+    position of ``reader``, whose caller checks the trailer. The heads
+    are checked to ascend after the tree derived from them, so that a
+    re-hung parent is reported as a tree fault."""
     r = reader if reader is not None else _Reader(data)
     r.header(MAGIC, VERSION, "preprocessing", sealed=reader is None)
     n, m, input_arc_count, fingerprint = r.array("I", 4)
@@ -331,5 +335,14 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
         raise FormatError("trailing bytes in artifact")
     ug = _checked_upward_graph(n, first_arc, head, orig_up, orig_down, input_arc_count)
     parent = build_elimination_tree(ug)
-    return Cch(ug=ug, parent=parent, decomposition=reconstruct_separator_decomposition(parent),
+    decomposition = reconstruct_separator_decomposition(parent)
+    # arc_index bisects each vertex's heads, so each must lie above prev:
+    # the head before it, or its tail at a range start
+    prev = head[-1:] + head[:-1]
+    for u, lo, hi in zip(range(n), first_arc, first_arc[1:]):
+        if lo < hi:
+            prev[lo] = u
+    if not all(map(operator.lt, prev, head)):
+        raise ConsistencyError("arc heads not strictly ascending above their tail")
+    return Cch(ug=ug, parent=parent, decomposition=decomposition,
                order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)

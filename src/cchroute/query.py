@@ -168,21 +168,14 @@ def _expand_arcs(graphs: SearchGraphs, side_up: bool, arc: int, out: list[int]) 
             work.append((False, down_leg))
 
 
-def _hop_arc(graphs: SearchGraphs, p: int, v: int) -> int:
-    """Hierarchy arc ID of the search-path hop between parent p and v."""
-    e = graphs.ug.arc_index(p, v)
-    if e is None:
-        raise ConsistencyError(f"search path hop ({p}, {v}) is not a hierarchy arc")
-    return e
-
-
 def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
     """Vertex sequence of the most recent query's shortest path.
 
     Returns None when the pair was unreachable. The sequence is an
     input-graph walk whose weight equals the returned distance. Each hop
-    (p, v) of the search path is the hierarchy arc ``ug.arc_index(p, v)``,
-    unique since a vertex's heads are distinct.
+    (p, v) of the search path is a hierarchy arc, found by
+    ``ug.arc_index(p, v)`` bisecting p's heads, which every loaded or
+    built hierarchy holds strictly ascending.
     """
     if state.last is None:
         raise StateError("no query has been run on this state")
@@ -196,7 +189,7 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
     v = meet
     while v != s:
         p = parent_up[v]
-        up_chain.append(_hop_arc(graphs, p, v))
+        up_chain.append(graphs.ug.arc_index(p, v))
         v = p
     path = [s]
     for e in reversed(up_chain):
@@ -204,7 +197,7 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
     v = meet
     while v != t:
         p = parent_down[v]
-        _expand_arcs(graphs, False, _hop_arc(graphs, p, v), path)
+        _expand_arcs(graphs, False, graphs.ug.arc_index(p, v), path)
         v = p
     return path
 

@@ -196,6 +196,13 @@ class ArtifactEditor:
         width = self.columns[column][1]
         struct.pack_into("<I" if width == 4 else "B", self.data, self.at(column, index), value)
 
+    def swap(self, column: str, i: int, j: int) -> None:
+        """Exchange entries ``i`` and ``j`` of ``column``."""
+        a, b = self.at(column, i), self.at(column, j)
+        width = self.columns[column][1]
+        self.data[a:a + width], self.data[b:b + width] = (self.data[b:b + width],
+                                                          self.data[a:a + width])
+
     def sealed(self) -> bytes:
         body = bytes(self.data[:-4])
         return body + zlib.crc32(body).to_bytes(4, "little")

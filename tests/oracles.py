@@ -1,4 +1,5 @@
-"""Loop oracles of ``customize()`` and of the ordering's minimum cut.
+"""Loop oracles of ``customize()``, of the ordering's minimum cut and of
+graph construction.
 
 Respect, the basic sweep and the perfect step run one triangle at a time
 on plain lists; ``cchroute.kernels`` must reproduce them element for
@@ -6,13 +7,18 @@ element: weights, witnesses and deletion marks
 (``test_customize.py::TestKernelsMatchLoopOracles``). Edmonds-Karp, one
 shortest augmenting path per BFS, gives the source side that
 ``order._min_cut`` must return (``test_order.py::TestMinCut``).
+``from_arcs`` collapses parallel arcs through a dict before it sorts, and
+``undirected_edges`` collects each arc's endpoints in a set; the one-pass
+``InputGraph`` methods must match them field for field
+(``test_graph.py::TestFromArcsOracle``).
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from cchroute import INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, UpwardGraph
+from cchroute import (INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, InputGraph,
+                      UpwardGraph)
 
 
 def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
@@ -166,3 +172,37 @@ def edmonds_karp_min_cut(adj: list[list[int]], sources: list[int], sinks: list[i
             else:
                 used.add((u, v))
             v = u
+
+
+def from_arcs(vertex_count: int, arcs) -> InputGraph:
+    """``InputGraph.from_arcs`` by a dict of the lightest weight per
+    (tail, head), sorted afterwards."""
+    best: dict[tuple[int, int], int] = {}
+    dropped = 0
+    for t, h, w in arcs:
+        if not (0 <= t < vertex_count and 0 <= h < vertex_count):
+            raise ConsistencyError(f"arc ({t}, {h}) out of vertex range [0, {vertex_count})")
+        if not (0 <= w < INFINITY):
+            raise ConsistencyError(f"arc ({t}, {h}) weight {w} outside [0, {INFINITY})")
+        if t == h:
+            dropped += 1
+            continue
+        key = (t, h)
+        prev = best.get(key)
+        if prev is None or w < prev:
+            best[key] = w
+    first_out = [0] * (vertex_count + 1)
+    head, weight, tail = [], [], []
+    for (t, h), w in sorted(best.items()):
+        first_out[t + 1] += 1
+        tail.append(t)
+        head.append(h)
+        weight.append(w)
+    for u in range(vertex_count):
+        first_out[u + 1] += first_out[u]
+    return InputGraph(vertex_count, first_out, head, weight, tail, dropped_self_loops=dropped)
+
+
+def undirected_edges(g: InputGraph) -> list[tuple[int, int]]:
+    """``InputGraph.undirected_edges`` by a set of every arc's endpoints."""
+    return sorted({(t, h) if t < h else (h, t) for t, h in zip(g.tail, g.head)})

@@ -242,6 +242,23 @@ class TestCustomizeCmd:
                      "--out", str(tmp_path / "s.cchm")]) == 3
         assert "rank ranges not contiguous" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("i, j", [(18, 20), (168, 172)], ids=["vertex-4", "vertex-32"])
+    def test_heads_swapped_with_their_arcs_exits_3(self, tmp_path, capsys, sample_artifacts,
+                                                   i, j):
+        # Two later heads of one vertex change places with their input arc
+        # IDs, so the elimination tree and every arc's input arc hold.
+        gr, _, clean, _ = sample_artifacts
+        cch = load_cch(str(clean))
+        edit = ArtifactEditor(clean.read_bytes(), cch)
+        for column in ("head", "orig_up", "orig_down"):
+            edit.swap(column, i, j)
+        cchp = tmp_path / "s.cchp"
+        cchp.write_bytes(edit.sealed())
+        assert main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(tmp_path / "s.cchm")]) == 3
+        err = capsys.readouterr().err
+        assert "not strictly ascending" in err and "Traceback" not in err
+
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
         cchp = tmp_path / "d.cchp"

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, QueryState,
-                      RankOrder, build_cch, build_reduced, customize, dijkstra,
-                      load_cch, load_customized, load_dimacs_co, load_dimacs_gr,
-                      query, save_cch, save_customized, unpack_path)
+from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, RankOrder,
+                      build_cch, build_reduced, customize, dijkstra, load_cch,
+                      load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
+                      save_customized)
 from cchroute.customize import serialize_customized
 from cchroute.kernels import schedule_of
 from cchroute.preprocess import deserialize_cch, serialize_cch
@@ -494,37 +494,38 @@ class TestCorruptedArtifactRejected:
         return c, path
 
     def test_heads_out_of_order_answer_or_raise(self, tmp_path):
-        # Swapping two heads of vertex 0 (its parent, the first head, stays)
-        # passes every load check, but a parent hop found by bisecting the
-        # unsorted heads may be missing. Unpacking must then raise a
-        # CchError, and the CLI exit 3, never fail with another exception.
-        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
-        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
-        cch = build_cch(g, coords)
-        n = cch.ug.vertex_count
+        # Swapping two later heads of vertex 0 (its parent, the first head,
+        # stays) keeps the elimination tree intact, but a hop found by
+        # bisecting the unsorted heads could go missing: loading rejects it.
+        c, _ = self._sample(tmp_path)
+        cch = c.cch
         assert cch.ug.first_arc[1] >= 3
         edit = ArtifactEditor(serialize_cch(cch), cch)
-        edit.put("head", 1, cch.ug.head[2])
-        edit.put("head", 2, cch.ug.head[1])
-        c = customize(deserialize_cch(edit.sealed()), list(g.weight))
-        st = QueryState.for_vertex_count(n)
-        for s in range(n):
-            for t in range(n):
-                try:
-                    query(s, t, st, c.graphs, c.cch.parent)
-                    unpack_path(st, c.graphs)
-                except CchError:
-                    pass
-        cchm = tmp_path / "swapped.cchm"
-        save_customized(c, str(cchm))
-        pairs = tmp_path / "pairs.txt"
-        pairs.write_text("".join(f"{s} {t}\n" for s in range(n) for t in range(n)))
-        out = subprocess.run([sys.executable, "-m", "cchroute.cli", "query", "--customized",
-                              str(cchm), "--pairs", str(pairs), "--paths"],
-                             capture_output=True, text=True,
-                             env={"PYTHONPATH": ":".join(sys.path)})
-        assert out.returncode in (0, 3), out.stderr
-        assert "Traceback" not in out.stderr
+        edit.swap("head", 1, 2)
+        with pytest.raises(ConsistencyError, match="not strictly ascending"):
+            deserialize_cch(edit.sealed())
+
+    # Entries 18/20 lie in vertex 4's arc range and 168/172 in vertex 32's,
+    # after its first arc. Moving their input arc IDs along with the heads
+    # keeps every input arc at its hierarchy arc, so only the order breaks.
+    # Without the ascent check the first makes customization fail with an
+    # IndexError and the second gives wrong distances.
+    @pytest.mark.parametrize("i, j", [(18, 20), (168, 172)], ids=["vertex-4", "vertex-32"])
+    def test_heads_swapped_with_their_arcs_rejected(self, tmp_path, i, j):
+        c, path = self._sample(tmp_path)
+        ug = c.cch.ug
+        assert ug.tail[i] == ug.tail[j] and ug.first_arc[ug.tail[i]] < i < j
+        cchp = tmp_path / "swapped.cchp"
+        save_cch(c.cch, str(cchp))
+        for target, cchm in ((cchp, False), (path, True)):
+            edit = ArtifactEditor(target.read_bytes(), c.cch, cchm=cchm)
+            for column in ("head", "orig_up", "orig_down"):
+                edit.swap(column, i, j)
+            target.write_bytes(edit.sealed())
+        with pytest.raises(ConsistencyError, match="not strictly ascending"):
+            load_cch(str(cchp))
+        with pytest.raises(ConsistencyError, match="not strictly ascending"):
+            load_customized(str(path))
 
     def _put(self, c, path, column, index, value):
         edit = ArtifactEditor(path.read_bytes(), c.cch, cchm=True)

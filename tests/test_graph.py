@@ -11,6 +11,7 @@ from cchroute import (ConsistencyError, FORBIDDEN, INFINITY,
                       load_dimacs_co, load_dimacs_gr, load_metric,
                       load_turn_table, saturating_add, store_dimacs_gr)
 from helpers import diamond, enumerate_path_distance, turn_respecting_distance
+import oracles
 
 
 def write(tmp_path, name, text):
@@ -202,6 +203,70 @@ class TestTurnExpansion:
                 got = dijkstra(exp.graph, a)[b]
                 want = turn_respecting_distance(g, turns, a, b)
                 assert got == want, (a, b, got, want)
+
+
+class TestFromArcsOracle:
+    """``from_arcs`` and ``undirected_edges`` against the dict- and
+    set-based oracles, on every field including ``dropped_self_loops``."""
+
+    @staticmethod
+    def _check(n, arcs):
+        got, want = InputGraph.from_arcs(n, arcs), oracles.from_arcs(n, arcs)
+        assert got == want
+        assert got.undirected_edges() == oracles.undirected_edges(want)
+        return got
+
+    def test_shuffled_parallel_arcs_and_self_loops(self):
+        rng = random.Random(5)
+        shapes = {"parallel ties": 0, "parallel distinct": 0, "self-loops": 0}
+        for case in range(600):
+            n = case % 3 if case < 60 else rng.randint(2, 9)  # n = 0, 1 and 2 first
+            arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 4))
+                    for _ in range(rng.randint(0, 3 * n))]
+            for t, h, w in rng.sample(arcs, len(arcs) // 2):
+                arcs.append((t, h, w if rng.random() < 0.5 else rng.randint(0, 9)))
+            rng.shuffle(arcs)
+            g = self._check(n, arcs)
+            weights = {}
+            for t, h, w in arcs:
+                weights.setdefault((t, h), []).append(w)
+            runs = [ws for (t, h), ws in weights.items() if t != h and len(ws) > 1]
+            shapes["parallel ties"] += any(len(set(ws)) < len(ws) for ws in runs)
+            shapes["parallel distinct"] += any(len(set(ws)) > 1 for ws in runs)
+            shapes["self-loops"] += g.dropped_self_loops > 0
+        assert min(shapes.values()) >= 100, shapes
+
+    @pytest.mark.parametrize("n, arcs", [
+        (2, [(0, 1, 3), (0, 2, 0)]), (2, [(0, 1, 3), (1, 0, INFINITY)]), (2, [(0, 0, -1)]),
+        (1, [(1, 1, 2), (0, 0, 1)]), (2, [(-1, 0, 1)]), (0, [(0, 0, 0)]),
+    ], ids=["head-past-n", "weight-infinity", "self-loop-negative", "tail-past-n",
+            "negative-tail", "no-vertices"])
+    def test_invalid_arc_rejected_by_both(self, n, arcs):
+        for build in (InputGraph.from_arcs, oracles.from_arcs):
+            with pytest.raises(ConsistencyError):
+                build(n, arcs)
+
+    def test_expand_turns_on_random_turn_tables(self):
+        rng = random.Random(8)
+        for _ in range(80):
+            n = rng.randint(1, 7)
+            g = InputGraph.from_arcs(n, [(rng.randrange(n), rng.randrange(n), rng.randint(0, 9))
+                                         for _ in range(rng.randint(0, 3 * n))])
+            turns = {}
+            for a in range(g.arc_count):
+                via = g.head[a]
+                for b in range(g.first_out[via], g.first_out[via + 1]):
+                    r = rng.random()
+                    if r < 0.2:
+                        turns[(a, b)] = FORBIDDEN
+                    elif r < 0.5:
+                        turns[(a, b)] = rng.randint(0, 9)
+            # every permitted turn (a, b) at head(a) == tail(b) is an arc
+            arcs = [(a, b, g.weight[a] + turns.get((a, b), 0))
+                    for a in range(g.arc_count) for b in range(g.arc_count)
+                    if g.head[a] == g.tail[b] and turns.get((a, b), 0) != FORBIDDEN]
+            rng.shuffle(arcs)
+            assert expand_turns(g, turns).graph == self._check(g.arc_count, arcs)
 
 
 class TestTurnTableFile:
