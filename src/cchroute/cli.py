@@ -26,7 +26,7 @@ from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines, 
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY, InputGraph
 from .order import RankOrder, export_order, import_order, nested_dissection_order
-from .preprocess import build_cch, graph_fingerprint, load_cch, save_cch
+from .preprocess import build_cch, contract, graph_fingerprint, load_cch, save_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
 
@@ -108,6 +108,9 @@ def cmd_customize(args) -> int:
     cch = load_cch(args.cch)
     if cch.fingerprint != graph_fingerprint(g):
         raise ConsistencyError("hierarchy was built for a different graph")
+    # catches an edited head that the load checks and the fingerprint miss
+    if cch.ug != contract(g, cch.order):
+        raise ConsistencyError("hierarchy is not the contraction of its graph under its order")
     weights = load_metric(args.weights, g) if args.weights else list(g.weight)
     _resolve_threads(args.threads)
     times: dict = {}

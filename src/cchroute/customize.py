@@ -12,19 +12,19 @@ which is what the query loops iterate; without the perfect step nothing
 is marked and the search graphs hold the whole hierarchy.
 
 ``customize()`` runs respect, basic and perfect as numpy kernels
-(``kernels.py``), one elimination-tree depth level at a time, then
-``build_reduced``. The basic step goes bottom up, deepest level first:
-the triangles below a vertex read its own arcs, which only its
-descendants write, all deeper, and relax the arcs between its upward
-neighbors, all ancestors of smaller depth, so the vertices of one level
-never touch each other's arcs. The perfect step goes top down over the
-same levels: an arc out of u becomes exact from the basic weights of u's
-arcs and the exact weights between u's upward neighbors, whose tails are
-of smaller depth. What the kernels need of the hierarchy alone, its depth
-levels, its arc keys and the opposite arc of every triangle, is built by
-the first ``customize()`` on a ``Cch`` and kept on it; that call counts the build under ``respect``, and later
-calls reuse it. The loop oracles in ``tests/oracles.py`` compute the same
-metric one triangle at a time.
+(``kernels.py``), one elimination-tree depth level at a time; the
+``Customized`` it returns builds its search graphs. The basic step goes
+bottom up, deepest level first: the triangles below a vertex read its
+own arcs, which only its descendants write, all deeper, and relax the
+arcs between its upward neighbors, all ancestors of smaller depth, so
+the vertices of one level never touch each other's arcs. The perfect
+step goes top down over the same levels: an arc out of u becomes exact
+from the basic weights of u's arcs and the exact weights between u's
+upward neighbors, whose tails are of smaller depth. Both steps run on
+``Cch.schedule``: the depth levels, arc keys and opposite arc of every
+triangle, built by the first ``customize()`` on a ``Cch`` and counted
+under ``respect``. The loop oracles in ``tests/oracles.py`` compute the
+same metric triangle by triangle.
 
 Witness recording: an arc improved by the basic step stores the two
 arcs of its improving triangle, so paths unpack in time proportional to
@@ -43,13 +43,13 @@ from __future__ import annotations
 import gc
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, compress, pairwise, repeat
 
 from .errors import ConsistencyError, FormatError
 from .graph import INFINITY, InputGraph
-from .preprocess import (Cch, SENTINEL, UpwardGraph, _cch_parts, _encode_array, _Reader,
-                         _sealed, deserialize_cch)
+from .preprocess import (Cch, SENTINEL, UpwardGraph, _cch_parts, _encode_array, _read_cch,
+                         _Reader, _sealed)
 
 CUSTOMIZED_MAGIC = b"CCHM"
 CUSTOMIZED_VERSION = 2
@@ -182,13 +182,16 @@ class Customized:
     """A hierarchy joined with one customized metric, ready for queries.
 
     ``input_weights`` is an ``array('I')``, whose bytes are the CCHM
-    encoding."""
+    encoding. ``graphs`` is derived at construction by ``build_reduced``."""
 
     cch: Cch
     metric: CustomizedMetric
-    graphs: SearchGraphs
+    graphs: SearchGraphs = field(init=False)
     perfect: bool
     input_weights: array
+
+    def __post_init__(self):
+        self.graphs = build_reduced(self.metric, self.cch.ug)
 
 
 def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
@@ -218,12 +221,11 @@ def customize(cch: Cch, weights: list[int], use_perfect: bool = True,
     phases: dict[str, float] = {}
     t0 = time.perf_counter()
     metric = CustomizedMetric(*metric_columns(cch, weights, use_perfect, phases))
-    graphs = build_reduced(metric, ug)
+    c = Customized(cch, metric, use_perfect, array("I", weights))
     total = time.perf_counter() - t0
     if timings is not None:
         timings.update(phases, construct=total - sum(phases.values()), total=total)
-    return Customized(cch=cch, metric=metric, graphs=graphs,
-                      perfect=use_perfect, input_weights=array("I", weights))
+    return c
 
 
 def query_input_graph(c: Customized) -> InputGraph:
@@ -276,7 +278,7 @@ def load_customized(path: str) -> Customized:
     perfect_flag = r.take(1)[0]
     if perfect_flag not in (0, 1):
         raise FormatError(f"perfect flag is {perfect_flag}, not 0 or 1")
-    cch = deserialize_cch(r.data, reader=r)
+    cch = _read_cch(r)
     arc_count = cch.ug.arc_count
     input_weights = r.array("I", cch.ug.input_arc_count)
     # Witnesses read as int32: 0xFFFFFFFF is SENTINEL, and any other value
@@ -294,7 +296,6 @@ def load_customized(path: str) -> Customized:
         raise FormatError("trailing bytes in artifact")
     if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
         raise ConsistencyError("basic-only customized artifact carries deletion marks")
-    graphs = build_reduced(metric, cch.ug)
-    _check_witnesses(graphs)
-    return Customized(cch=cch, metric=metric, graphs=graphs,
-                      perfect=bool(perfect_flag), input_weights=input_weights)
+    c = Customized(cch, metric, bool(perfect_flag), input_weights)
+    _check_witnesses(c.graphs)
+    return c

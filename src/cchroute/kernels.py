@@ -5,10 +5,10 @@ level up and perfect from the roots down.
 Only the customization path imports this module, so loading artifacts and
 answering queries never pay for numpy. Everything the kernels need that
 depends on the hierarchy alone, the depth levels, the arc keys and the
-opposite arc of every lower triangle, is one ``Schedule`` per ``Cch``:
-the first ``customize()`` on a hierarchy builds it, counting that time
-under ``respect``, and later calls reuse it. Every kernel returns exactly what
-the loop oracles in ``tests/oracles.py`` compute.
+opposite arc of every lower triangle, is ``Cch.schedule``, built by the
+first ``customize()`` on a hierarchy, which rejects it if it is not
+chordal. Every kernel returns exactly what the loop oracles in
+``tests/oracles.py`` compute.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from array import array
 
 import numpy as np
 
+from .errors import ConsistencyError
 from .graph import INFINITY
 from .preprocess import SENTINEL, Cch, UpwardGraph
 
@@ -85,8 +86,10 @@ class Schedule:
         for vertices in self.by_depth:
             arcs, later, ej = self.pairs(vertices)
             lo = self.bounds[-1]
-            v = np.repeat(head[arcs].astype(np.int64), later)
-            k = np.searchsorted(self.key, v * n + head[ej])
+            needle = np.repeat(head[arcs].astype(np.int64), later) * n + head[ej]
+            k = np.searchsorted(self.key, needle)
+            if not np.array_equal(self.key[np.minimum(k, len(self.key) - 1)], needle):
+                raise ConsistencyError("hierarchy is not chordal")
             self.tri_k[lo:lo + len(ej)] = k - self.opposite(arcs, later, 0)
             self.bounds.append(lo + len(ej))
         for column in (self.key, self.tri_k, *self.by_depth):
@@ -112,16 +115,6 @@ class Schedule:
         """Arc IDs ``k`` of the triangles ``pairs`` lists, from their
         ``tri_k`` entries."""
         return np.repeat(self.first[self.head[arcs]].astype(np.int64), later) + offsets
-
-
-def schedule_of(cch: Cch) -> Schedule:
-    """The hierarchy's schedule, built on the first call and kept on the
-    ``Cch``. Threads that get here together may each build one; they are
-    equal, and each caller goes on with the one it holds."""
-    schedule = cch._schedule
-    if schedule is None:
-        schedule = cch._schedule = Schedule(cch.ug)
-    return schedule
 
 
 def respect(ug: UpwardGraph, weights: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +208,7 @@ def metric_columns(cch: Cch, weights: list[int], use_perfect: bool, phases: dict
     search graphs.
     """
     t0 = time.perf_counter()
-    schedule = schedule_of(cch)
+    schedule = cch.schedule
     l_up, l_down = respect(cch.ug, weights)
     t1 = time.perf_counter()
     l_up, l_down, *witnesses = basic(schedule, l_up, l_down)

@@ -331,27 +331,34 @@ def dfs_postorder_reorder(order: RankOrder, parent: Sequence[int]) -> RankOrder:
     return RankOrder(rank_of=[post[r] for r in order.rank_of], vertex_at=vertex_at)
 
 
-def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
-    """Rebuild the separator decomposition from an elimination tree.
-
-    Requires the ranks to be a DFS post-order of the tree, so that each
-    subtree is the rank range [v - size[v] + 1, v] below its root v. That
-    holds exactly when no subtree's range reaches below its parent's:
-    bottom up, the children's ranges then lie in [p - size[p] + 1, p),
-    are disjoint and their sizes sum to size[p] - 1, so they tile it.
-    Each node's separator is the chain of single children down from its
-    subtree root (v's only child is v - 1 when size[v - 1] = size[v] - 1);
-    the subtrees below the chain's last vertex, found by stepping from
-    its top child down by subtree sizes, become the child cells. A
-    subtree that is a bare path is a leaf whose separator is the whole
-    path. Several roots hang as cells under a node with an empty
-    separator spanning all ranks.
-    """
-    n = len(parent)
+def postorder_subtree_sizes(parent: Sequence[int]) -> list[int]:
+    """``subtree_sizes`` of a non-empty tree whose ranks are its DFS
+    post-order, so each subtree is the rank range [v - size[v] + 1, v];
+    else ConsistencyError. That holds exactly when no subtree's range
+    reaches below its parent's: bottom up, the children's ranges then lie
+    in [p - size[p] + 1, p), are disjoint and their sizes sum to
+    size[p] - 1, so they tile it."""
+    if not parent:
+        raise ConsistencyError("empty elimination tree")
     size = subtree_sizes(parent)
     if any(v - size[v] < p - size[p] for v, p in enumerate(parent) if p != -1):
         raise ConsistencyError(
             "subtree rank ranges not contiguous; order is not a DFS post-order")
+    return size
+
+
+def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
+    """Rebuild the separator decomposition from an elimination tree that
+    ``postorder_subtree_sizes`` accepts. Each node's separator is the chain
+    of single children down from its subtree root (v's only child is v - 1
+    when size[v - 1] = size[v] - 1); the subtrees below the chain's last
+    vertex, found by stepping from its top child down by subtree sizes,
+    become the child cells. A subtree that is a bare path is a leaf whose
+    separator is the whole path. Several roots hang as cells under a node
+    with an empty separator spanning all ranks.
+    """
+    n = len(parent)
+    size = postorder_subtree_sizes(parent)
 
     def tiling(lo: int, hi: int) -> list[int]:
         """Roots of the subtrees that tile ranks [lo, hi), ascending."""
@@ -364,8 +371,6 @@ def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecom
         return roots
 
     roots = tiling(0, n)
-    if not roots:
-        raise ConsistencyError("empty elimination tree")
     top = SeparatorDecomposition(0, n, n)
     # Each entry is a subtree root and the node its own node hangs under;
     # the loop reads the entries it appends, so siblings keep their order.

@@ -7,8 +7,8 @@ neighbor is its parent in the elimination tree. The hierarchy's vertex
 IDs are ranks, read through the order from each input arc's endpoints,
 which keeps every later phase cache-friendly and makes rank comparisons
 plain integer comparisons. A CCHP stores the upward arcs, order and
-input-arc map behind a CRC32 trailer; loading derives tails, tree and
-separator decomposition.
+input-arc map behind a CRC32 trailer; the classes holding those columns
+derive the tails, tree, separator decomposition and schedule themselves.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
 from .order import (RankOrder, SeparatorDecomposition, dfs_postorder_reorder,
-                    nested_dissection_order, reconstruct_separator_decomposition)
+                    nested_dissection_order, postorder_subtree_sizes,
+                    reconstruct_separator_decomposition)
 
 SENTINEL = -1
 """Parent value of elimination-tree roots; also the 'no arc' marker."""
@@ -37,7 +39,7 @@ class UpwardGraph:
     """Chordal completion stored as upward arcs grouped by tail.
 
     Every column is an ``array('i')``, whose bytes are the CCHP encoding;
-    ``tail`` is not stored but derived from ``first_arc``.
+    ``tail`` is not stored but derived from ``first_arc`` at construction.
     ``orig_up[i]`` / ``orig_down[i]`` give the input arc whose direction
     matches arc i's tail->head (resp. head->tail) traversal, or SENTINEL
     for shortcuts and missing one-way directions. ``input_arc_count`` is
@@ -48,10 +50,15 @@ class UpwardGraph:
     vertex_count: int
     first_arc: array
     head: array
-    tail: array
+    tail: array = field(init=False)
     orig_up: array
     orig_down: array
     input_arc_count: int
+
+    def __post_init__(self):
+        self.tail = array("i")
+        for u, count in enumerate(map(operator.sub, self.first_arc[1:], self.first_arc)):
+            self.tail += array("i", [u]) * count
 
     @property
     def arc_count(self) -> int:
@@ -105,9 +112,8 @@ def contract(g: InputGraph, order: RankOrder) -> UpwardGraph:
         first_arc[u + 1] = len(head)
 
     m = len(head)
-    ug = UpwardGraph(n, first_arc, head, _arc_tails(first_arc),
-                     orig_up=array("i", [SENTINEL]) * m, orig_down=array("i", [SENTINEL]) * m,
-                     input_arc_count=g.arc_count)
+    ug = UpwardGraph(n, first_arc, head, orig_up=array("i", [SENTINEL]) * m,
+                     orig_down=array("i", [SENTINEL]) * m, input_arc_count=g.arc_count)
     for i, (t, h) in enumerate(ranked):
         if t < h:
             ug.orig_up[ug.arc_index(t, h)] = i
@@ -116,25 +122,16 @@ def contract(g: InputGraph, order: RankOrder) -> UpwardGraph:
     return ug
 
 
-def _arc_tails(first_arc: array) -> array:
-    """Tail of every arc, given each vertex's arc range."""
-    tails = array("i")
-    for u, count in enumerate(map(operator.sub, first_arc[1:], first_arc)):
-        tails += array("i", [u]) * count
-    return tails
-
-
 def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
                           orig_down: array, input_arc_count: int) -> UpwardGraph:
-    """The loaded hierarchy, its tails derived from the arc ranges, or a
-    ConsistencyError if its arcs are malformed.
+    """The loaded hierarchy, or a ConsistencyError if its arcs are malformed.
 
     Queries climb the elimination tree, each vertex's first head, to a
     root, which ends only if every first head lies in (tail, n). The other
-    heads are checked below n here; ``deserialize_cch`` checks that they
-    ascend once the tree is checked. Customization reads the input weight
-    of every ``orig_up`` and ``orig_down`` entry, so each must be SENTINEL
-    or an input arc ID.
+    heads are checked below n here; ``_read_cch`` checks that they ascend
+    once the tree is checked. Customization reads the input weight of every
+    ``orig_up`` and ``orig_down`` entry, so each must be SENTINEL or an
+    input arc ID.
     """
     if (first_arc[0] != 0 or first_arc[-1] != len(head)
             or not all(map(operator.le, first_arc, first_arc[1:]))):
@@ -145,8 +142,7 @@ def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
     for orig in (orig_up, orig_down):
         if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
             raise ConsistencyError("input arc ID outside [0, input arc count)")
-    return UpwardGraph(n, first_arc, head, _arc_tails(first_arc), orig_up, orig_down,
-                       input_arc_count)
+    return UpwardGraph(n, first_arc, head, orig_up, orig_down, input_arc_count)
 
 
 def build_elimination_tree(ug: UpwardGraph) -> array:
@@ -189,25 +185,31 @@ class Cch:
     contracted with; ``initial_order`` keeps the order ``build_cch`` was
     given or computed, with the decomposition a computed one records
     (rank ranges in its own rank space), and is None on a loaded ``Cch``.
-    ``parent``, the elimination tree, is an ``array('i')`` like the
-    hierarchy's columns; since ``order`` is its DFS post-order, each
-    subtree is one contiguous rank range, and ``decomposition`` is the one
-    ``reconstruct_separator_decomposition`` derives from ``parent`` alone.
     ``fingerprint`` is the ``graph_fingerprint`` of the input graph the
-    hierarchy was built from. The first
-    ``customize()`` builds the hierarchy's customization schedule
-    (``kernels.Schedule``: its depth levels, arc keys and triangle table)
-    into ``_schedule``, which takes no part in equality, ``repr`` or the
-    artifact.
+    hierarchy was built from. Construction derives ``parent``, the
+    elimination tree, and checks it with ``postorder_subtree_sizes``;
+    ``decomposition`` and ``schedule`` (``kernels.Schedule``) are built on
+    first use, outside equality, ``repr`` and the artifact.
     """
 
     ug: UpwardGraph
-    parent: array
-    decomposition: SeparatorDecomposition
+    parent: array = field(init=False)
     order: RankOrder
     fingerprint: int
     initial_order: RankOrder | None = None
-    _schedule: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.parent = build_elimination_tree(self.ug)
+        postorder_subtree_sizes(self.parent)
+
+    @cached_property
+    def decomposition(self) -> SeparatorDecomposition:
+        return reconstruct_separator_decomposition(self.parent)
+
+    @cached_property
+    def schedule(self):
+        from .kernels import Schedule  # numpy loads only on the customization path
+        return Schedule(self.ug)
 
 
 def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None) -> Cch:
@@ -215,19 +217,15 @@ def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None) -> Cch
 
     Computes (or takes) a nested dissection order, improves it to a DFS
     post-order of its elimination tree, and contracts once under the
-    improved order. The separator decomposition is reconstructed from the
-    final tree.
+    improved order.
     """
     if order is None:
         if coords is None:
             raise ConsistencyError("need coordinates to compute an order, or an explicit order")
         order = nested_dissection_order(g, coords)
     improved = dfs_postorder_reorder(order, graph_elimination_tree(g, order))
-    ug = contract(g, improved)
-    parent = build_elimination_tree(ug)
-    decomposition = reconstruct_separator_decomposition(parent)
-    return Cch(ug=ug, parent=parent, decomposition=decomposition, order=improved,
-               fingerprint=graph_fingerprint(g), initial_order=order)
+    return Cch(ug=contract(g, improved), order=improved, fingerprint=graph_fingerprint(g),
+               initial_order=order)
 
 
 def graph_fingerprint(g: InputGraph) -> int:
@@ -318,24 +316,26 @@ def load_cch(path: str) -> Cch:
         return deserialize_cch(f.read())
 
 
-def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
-    """Load a CCHP from ``data``, or the one embedded in a CCHM at the
-    position of ``reader``, whose caller checks the trailer. The heads
-    are checked to ascend after the tree derived from them, so that a
-    re-hung parent is reported as a tree fault."""
-    r = reader if reader is not None else _Reader(data)
-    r.header(MAGIC, VERSION, "preprocessing", sealed=reader is None)
+def deserialize_cch(data: bytes) -> Cch:
+    return _read_cch(_Reader(data))
+
+
+def _read_cch(r: _Reader) -> Cch:
+    """The CCHP at ``r``'s position: at the start a sealed file of its own,
+    else embedded in a CCHM that seals it. Heads are checked to ascend after
+    the tree, so that a re-hung parent is reported as a tree fault."""
+    sealed = r.pos == 0
+    r.header(MAGIC, VERSION, "preprocessing", sealed)
     n, m, input_arc_count, fingerprint = r.array("I", 4)
     first_arc = r.array("i", n + 1)
     head = r.array("i", m)
     vertex_at = r.array("I", n)
     orig_up = r.array("i", m)
     orig_down = r.array("i", m)
-    if reader is None and r.pos != r.end:
+    if sealed and r.pos != r.end:
         raise FormatError("trailing bytes in artifact")
-    ug = _checked_upward_graph(n, first_arc, head, orig_up, orig_down, input_arc_count)
-    parent = build_elimination_tree(ug)
-    decomposition = reconstruct_separator_decomposition(parent)
+    cch = Cch(ug=_checked_upward_graph(n, first_arc, head, orig_up, orig_down, input_arc_count),
+              order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)
     # arc_index bisects each vertex's heads, so each must lie above prev:
     # the head before it, or its tail at a range start
     prev = head[-1:] + head[:-1]
@@ -344,5 +344,4 @@ def deserialize_cch(data: bytes, reader: _Reader | None = None) -> Cch:
             prev[lo] = u
     if not all(map(operator.lt, prev, head)):
         raise ConsistencyError("arc heads not strictly ascending above their tail")
-    return Cch(ug=ug, parent=parent, decomposition=decomposition,
-               order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)
+    return cch

@@ -293,20 +293,19 @@ def rphast_distance(t: int, state: RphastState) -> int:
 
 
 def astar_with_cch_potential(s: int, t: int, search_graph: InputGraph,
-                             state: RphastState, vertex_map=None,
+                             state: RphastState, vertex_map: Sequence[int],
                              counters: dict | None = None) -> int:
     """A* on an arbitrary search graph guided by hierarchy distances.
 
     ``state`` must be a reverse-mode workspace over a metric whose arc
-    weights are lower bounds of the search graph's (after mapping search
-    vertices through ``vertex_map``). Distances toward the target are
-    then valid potentials; a relaxed arc with negative reduced cost means
-    the precondition was violated and raises.
+    weights are lower bounds of the search graph's, where ``vertex_map[v]``
+    is the hierarchy vertex of search vertex v. Distances toward the target
+    are then valid potentials; a relaxed arc with negative reduced cost
+    means the precondition was violated and raises.
     """
     if not state.reverse:
         raise StateError("potentials need a reverse-mode workspace")
-    mapped_t = vertex_map[t] if vertex_map is not None else t
-    rphast_source(mapped_t, state)
+    rphast_source(vertex_map[t], state)
 
     n = search_graph.vertex_count
     pot = [UNKNOWN] * n
@@ -314,7 +313,7 @@ def astar_with_cch_potential(s: int, t: int, search_graph: InputGraph,
     def potential(v: int) -> int:
         p = pot[v]
         if p == UNKNOWN:
-            p = rphast_distance(vertex_map[v] if vertex_map is not None else v, state)
+            p = rphast_distance(vertex_map[v], state)
             pot[v] = p
         return p
 

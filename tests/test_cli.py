@@ -259,6 +259,39 @@ class TestCustomizeCmd:
         err = capsys.readouterr().err
         assert "not strictly ascending" in err and "Traceback" not in err
 
+    @staticmethod
+    def _customize_moved_head(tmp_path, sample_artifacts, i, v):
+        """Exit code of ``customize`` on the sample CCHP with entry i of
+        ``head``, a later head of its vertex, moved to v between its
+        neighbours, so that the tree and the ascent of the heads hold."""
+        gr, _, clean, _ = sample_artifacts
+        cch = load_cch(str(clean))
+        ug = cch.ug
+        assert ug.first_arc[ug.tail[i]] < i and ug.tail[i + 1] == ug.tail[i]
+        assert ug.head[i - 1] < v < ug.head[i + 1] and v != ug.head[i]
+        edit = ArtifactEditor(clean.read_bytes(), cch)
+        edit.put("head", i, v)
+        cchp = tmp_path / "s.cchp"
+        cchp.write_bytes(edit.sealed())
+        return main(["customize", "--graph", gr, "--cch", str(cchp),
+                     "--out", str(tmp_path / "s.cchm")])
+
+    def test_non_chordal_hierarchy_exits_3(self, tmp_path, capsys, sample_artifacts):
+        # Vertex 1's third head moved from 11 to 12 leaves a lower triangle
+        # without its third arc.
+        assert self._customize_moved_head(tmp_path, sample_artifacts, 6, 12) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    # Entry 1338 (vertex 166) carries input arc 669 and entry 1294 (vertex
+    # 160) input arc 674. Each moves to another vertex of the clique above
+    # its tail, so the hierarchy stays chordal and customizes, and its
+    # queries answered 174 and 209 wrong distances from every 7th source.
+    @pytest.mark.parametrize("i, v", [(1338, 170), (1294, 165)], ids=["vertex-166", "vertex-160"])
+    def test_head_moved_inside_a_clique_exits_3(self, tmp_path, capsys, sample_artifacts, i, v):
+        assert self._customize_moved_head(tmp_path, sample_artifacts, i, v) == 3
+        err = capsys.readouterr().err
+        assert "not the contraction" in err and "Traceback" not in err
+
     def test_json_timings(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)
         cchp = tmp_path / "d.cchp"

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, RankOrde
                       load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
                       save_customized)
 from cchroute.customize import serialize_customized
-from cchroute.kernels import schedule_of
 from cchroute.preprocess import deserialize_cch, serialize_cch
 from cchroute.query import _expand_arcs
 from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, hierarchies_with_metrics,
@@ -326,7 +326,7 @@ class TestKernelsMatchLoopOracles:
         cch = build_cch(g, order=RankOrder.identity(leaves + 1))
         weights = traffic_metric(rng, g)
         assert_matches_loop_oracles(cch, weights, use_perfect=True)
-        schedule = schedule_of(cch)
+        schedule = cch.schedule
         assert schedule.tri_k.dtype == np.uint16 and schedule.tri_k.max() >= 256
         assert_matches_loop_oracles(cch, weights, use_perfect=False)
 
@@ -360,15 +360,15 @@ class TestSchedule:
             got = customize(cch, weights, use_perfect=use_perfect)
             want = customize(deserialize_cch(cchp), weights, use_perfect=use_perfect)
             assert serialize_customized(got) == serialize_customized(want)
-            schedule = schedule or cch._schedule
-            assert schedule is not None and cch._schedule is schedule
+            schedule = schedule or vars(cch).get("schedule")
+            assert schedule is not None and vars(cch)["schedule"] is schedule
 
     def test_invisible_in_equality_repr_and_artifact(self):
         _, g, cchp = self._grid(127)
         cch, twin = deserialize_cch(cchp), deserialize_cch(cchp)
         before = repr(cch)
         customize(cch, list(g.weight))
-        assert cch._schedule is not None and twin._schedule is None
+        assert "schedule" in vars(cch) and "schedule" not in vars(twin)
         assert cch == twin
         assert repr(cch) == before
         assert serialize_cch(cch) == cchp
@@ -526,6 +526,18 @@ class TestCorruptedArtifactRejected:
             load_cch(str(cchp))
         with pytest.raises(ConsistencyError, match="not strictly ascending"):
             load_customized(str(path))
+
+    def test_non_chordal_hierarchy_rejected(self, tmp_path):
+        # Vertex 1's third head moved from 11 to 12 keeps the tree and the
+        # ascent of the heads, so the CCHP loads, but a lower triangle of
+        # vertex 1 loses its third arc.
+        c, _ = self._sample(tmp_path)
+        edit = ArtifactEditor(serialize_cch(c.cch), c.cch)
+        assert c.cch.ug.head[5:8] == array("i", [5, 11, 65])
+        edit.put("head", 6, 12)
+        cch = deserialize_cch(edit.sealed())
+        with pytest.raises(ConsistencyError, match="hierarchy is not chordal"):
+            customize(cch, c.input_weights)
 
     def _put(self, c, path, column, index, value):
         edit = ArtifactEditor(path.read_bytes(), c.cch, cchm=True)

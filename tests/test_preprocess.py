@@ -267,6 +267,35 @@ class TestReconstruction:
                     assert label[w] == lab, (v, w)
 
 
+class TestDerivedOnConstruction:
+    """A ``Cch`` takes only what its artifact stores: it derives its tree
+    at construction and its decomposition and schedule on first use."""
+
+    def test_non_postorder_rejected_at_construction(self):
+        # Under the identity order, vertex 1 hangs under 3 and vertex 0
+        # under 2, so the subtree of 2 is {0, 2}, not a rank range.
+        g = InputGraph.from_arcs(4, [(0, 2, 1), (2, 0, 1), (1, 3, 1), (3, 1, 1),
+                                     (2, 3, 1), (3, 2, 1)])
+        order = RankOrder.identity(4)
+        with pytest.raises(ConsistencyError, match="rank ranges not contiguous"):
+            Cch(ug=contract(g, order), order=order, fingerprint=0)
+        assert build_cch(g, order=order).order.vertex_at != order.vertex_at
+
+    def test_decomposition_and_schedule_wait_for_first_use(self, tmp_path):
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        built = build_cch(g, coords)
+        cchp, cchm = tmp_path / "s.cchp", tmp_path / "s.cchm"
+        save_cch(built, str(cchp))
+        save_customized(customize(build_cch(g, coords), list(g.weight)), str(cchm))
+        for cch in (built, load_cch(str(cchp)), load_customized(str(cchm)).cch):
+            assert "decomposition" not in vars(cch) and "schedule" not in vars(cch)
+            decomposition = cch.decomposition
+            assert decomposition == reconstruct_separator_decomposition(cch.parent)
+            assert vars(cch)["decomposition"] is decomposition
+            assert "schedule" not in vars(cch)
+
+
 class TestArtifacts:
     def _roundtrip(self, cch, tmp_path):
         path = tmp_path / "x.cchp"
@@ -333,8 +362,7 @@ class TestArtifacts:
         save_cch(cch, str(p1))
         loaded = load_cch(str(p1))
         p2 = tmp_path / "b.cchp"
-        save_cch(Cch(ug=loaded.ug, parent=loaded.parent, decomposition=loaded.decomposition,
-                     order=loaded.order, fingerprint=loaded.fingerprint), str(p2))
+        save_cch(Cch(ug=loaded.ug, order=loaded.order, fingerprint=loaded.fingerprint), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_column_types_identical_after_load(self, tmp_path):

@@ -218,7 +218,8 @@ class TestAstar:
             if dist_s[t] == INFINITY:
                 continue
             counters = {}
-            got = astar_with_cch_potential(s, t, p, st, counters=counters)
+            got = astar_with_cch_potential(s, t, p, st, vertex_map=list(range(80)),
+                                           counters=counters)
             assert got == dist_s[t]
             dist_to_t = [dijkstra(p, v)[t] for v in range(80)]
             on_path = sum(1 for v in range(80)
@@ -259,7 +260,8 @@ class TestAstar:
         for _ in range(25):
             s, t = rng.randrange(120), rng.randrange(120)
             counters = {}
-            got = astar_with_cch_potential(s, t, doubled, st, counters=counters)
+            got = astar_with_cch_potential(s, t, doubled, st, vertex_map=list(range(120)),
+                                           counters=counters)
             stats = {}
             want = dijkstra(doubled, s, targets={t}, stats=stats)[t]
             assert got == want
@@ -281,7 +283,7 @@ class TestAstar:
         for _ in range(15):
             s, t = rng.randrange(40), rng.randrange(40)
             try:
-                astar_with_cch_potential(s, t, halved, st)
+                astar_with_cch_potential(s, t, halved, st, vertex_map=list(range(40)))
             except ConsistencyError:
                 saw_violation = True
                 break
@@ -291,7 +293,7 @@ class TestAstar:
         _, cch, c = customized_diamond()
         st = RphastState(c.graphs, cch.parent)
         with pytest.raises(StateError):
-            astar_with_cch_potential(0, 3, diamond(), st)
+            astar_with_cch_potential(0, 3, diamond(), st, vertex_map=list(range(4)))
 
 
 class TestKnn:
