@@ -169,7 +169,7 @@ def cmd_knn(args) -> int:
         st = RphastState(c.graphs, c.cch.parent)
         for s in sources:
             rphast_source(order.rank_of[s], st)
-            result = knn_query(order.rank_of[s], args.k, poi, c.cch.decomposition, st)
+            result = knn_query(order.rank_of[s], args.k, poi, None, st)
             for v, d in result:
                 print(f"{s}\t{order.vertex_at[v]}\t{_format_dist(d)}")
     else:
@@ -287,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", required=True, help="file with one source ID per line")
     p.add_argument("--targets", required=True, help="file with one target ID per line")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--algo", choices=("sep", "dijkstra"), default="sep")
+    p.add_argument("--algo", choices=("sep", "dijkstra"), default="sep",
+                   help="sep: bucket search on the elimination tree (every vertex "
+                        "keeps the k nearest targets below it; a query scans the "
+                        "buckets on the source's root path); dijkstra: plain Dijkstra")
     p.set_defaults(fn=cmd_knn)
 
     p = sub.add_parser("bench", help="end-to-end pipeline benchmark")

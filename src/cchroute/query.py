@@ -5,9 +5,10 @@ to one of its elimination-tree ancestors, so a search from any vertex
 only ever touches the vertex's root path. Point-to-point queries climb
 both root paths in rank-interleaved order, resetting tentative distances
 on the fly so the workspace is clean again when they return. One-to-many
-queries memoize exact distances down the tree (Lazy RPHAST); the k-NN
-search walks the separator decomposition and prunes cells against the
-k-th best distance found so far.
+queries memoize exact distances down the tree (Lazy RPHAST). k-NN keeps,
+per target set, a bucket on every vertex with the k nearest targets below
+it; a query climbs its source's root path once and scans the buckets
+there.
 
 Vertex IDs are ranks throughout this module.
 """
@@ -15,14 +16,12 @@ Vertex IDs are ranks throughout this module.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .customize import SearchGraphs
 from .errors import ConsistencyError, StateError
 from .graph import INFINITY, InputGraph
-from .order import SeparatorDecomposition
 from .preprocess import SENTINEL
 
 UNKNOWN = -1
@@ -360,9 +359,57 @@ def astar_with_cch_potential(s: int, t: int, search_graph: InputGraph,
 
 @dataclass
 class PoiIndex:
-    """Sorted target set for k-nearest-neighbor queries."""
+    """Sorted target set for k-nearest-neighbor queries.
+
+    It also caches the bucket table of the search graphs and k it was last
+    queried under. The table is built by the first ``knn_query`` for that
+    pair and rebuilt when either changes: the graphs are compared by
+    identity, and the cache holds them, so a freed ``SearchGraphs`` can
+    never pass for a new one.
+    """
 
     targets: list[int]
+    _table: tuple[SearchGraphs, int, list[tuple[tuple[int, int], ...]]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def buckets(self, graphs: SearchGraphs, k: int) -> list[tuple[tuple[int, int], ...]]:
+        """Per vertex v, the k smallest ``(d(v->p), p)`` over the targets p,
+        where d follows downward arcs only, i.e. backward-graph arcs out of p
+        up to v. Unreachable targets are left out.
+
+        One sweep in ascending rank: a vertex's candidates are final once
+        every vertex below it has pushed its bucket, plus the arc weight, up
+        along its backward arcs. Pushing only the k kept entries is exact:
+        a target dropped at u is beaten there by k others, ties going to
+        smaller IDs, and each of them stays at least as close through u to
+        every vertex above.
+        """
+        table = self._table
+        if table is not None and table[0] is graphs and table[1] == k:
+            return table[2]
+        adj = graphs.backward.adj
+        n = len(adj)
+        pending: list[dict[int, int] | None] = [None] * n
+        for p in self.targets:
+            pending[p] = {p: 0}
+        result: list[tuple[tuple[int, int], ...]] = [()] * n
+        for u in range(n):
+            found = pending[u]
+            if not found:
+                continue
+            pending[u] = None
+            bucket = tuple(sorted(zip(found.values(), found))[:k])
+            result[u] = bucket
+            for w, wt in adj[u]:
+                into = pending[w]
+                if into is None:
+                    into = pending[w] = {}
+                for d, p in bucket:
+                    nd = d + wt
+                    if nd < into.get(p, INFINITY):
+                        into[p] = nd
+        self._table = (graphs, k, result)
+        return result
 
 
 def knn_select(targets, n: int, original=None) -> PoiIndex:
@@ -378,61 +425,40 @@ def knn_select(targets, n: int, original=None) -> PoiIndex:
     return PoiIndex(targets=unique)
 
 
-def knn_query(s: int, k: int, poi: PoiIndex, decomp: SeparatorDecomposition,
+def knn_query(s: int, k: int, poi: PoiIndex, decomp: object,
               state: RphastState) -> list[tuple[int, int]]:
-    """k nearest targets by customized-metric distance from ``s``.
+    """k nearest targets by customized-metric distance from ``s``, as
+    ``(target, distance)`` pairs.
 
-    Walks the separator decomposition from the root. Visiting a node
-    computes exact distances to its whole separator (one descent), scans
-    the separator's targets by binary search on the sorted index, and
-    bounds every child cell by the smallest distance seen on its
-    enclosing separators: a path from ``s`` enters a cell that does not
-    hold ``s`` only through such a separator. Cells that cannot beat the
-    current k-th best are pruned; the cells holding ``s`` never are.
-    Ties break toward smaller vertex IDs. Unreachable targets never
-    appear; fewer than k reachable targets give a shorter result.
+    ``state`` must be a forward workspace fixed at ``s`` by
+    ``rphast_source``, whose climb left the upward distance from ``s`` to
+    every vertex of its root path in ``d_climb``. Every shortest path
+    from ``s`` to a target p meets p's downward search at a common
+    ancestor v, so scanning the buckets of ``s``'s root path (see
+    ``PoiIndex.buckets``) finds each answer at ``d_climb[v] + d(v->p)``;
+    a target missing from the bucket of its best meeting vertex is beaten
+    there by k others, so it is not an answer. No arc is relaxed. Ties
+    break toward smaller vertex IDs. Unreachable targets never appear;
+    fewer than k reachable targets give a shorter result. ``decomp`` is
+    accepted for compatibility and ignored.
     """
-    if state.source != s:
-        raise StateError("knn_query requires rphast_source(s) on this state")
+    if state.source != s or state.reverse:
+        raise StateError("knn_query requires rphast_source(s) on a forward state")
     if k <= 0:
         return []
-    targets = poi.targets
-    known = state.known
-    best: list[tuple[int, int]] = []
-    stack = [(decomp, INFINITY)]
-    while stack:
-        node, bound = stack.pop()
-        inside = node.cell_lo <= s < node.cell_hi
-        if not inside:
-            if bound == INFINITY:
-                continue
-            if len(best) == k and bound > best[-1][0]:
-                continue
-        sep_lo, hi = node.sep_lo, node.cell_hi
-        child_bound = bound
-        if sep_lo < hi:
-            rphast_distance(sep_lo, state)
-            dmin = INFINITY
-            for v in range(sep_lo, hi):
-                d = known[v]
-                if d < dmin:
-                    dmin = d
-            i = bisect_left(targets, sep_lo)
-            while i < len(targets) and targets[i] < hi:
-                x = targets[i]
-                d = known[x]
-                if d != INFINITY:
-                    insort(best, (d, x))
-                    if len(best) > k:
-                        best.pop()
-                i += 1
-            if dmin < child_bound:
-                child_bound = dmin
-        # Every child is bounded by its enclosing separators; the one
-        # holding s is popped first, then the others by rank.
-        ordered = sorted(node.children, key=lambda c: (not c.cell_lo <= s < c.cell_hi, c.cell_lo))
-        stack.extend((child, child_bound) for child in reversed(ordered))
-    return [(x, d) for d, x in best]
+    buckets = poi.buckets(state.graphs, k)
+    d_climb, parent = state.d_climb, state.parent
+    best: dict[int, int] = {}
+    v = s
+    while v != SENTINEL:
+        d = d_climb[v]
+        if d != INFINITY:
+            for b, p in buckets[v]:
+                nd = d + b
+                if nd < best.get(p, INFINITY):
+                    best[p] = nd
+        v = parent[v]
+    return [(p, d) for d, p in sorted(zip(best.values(), best))[:k]]
 
 
 def knn_dijkstra(g: InputGraph, s: int, k: int, targets) -> list[tuple[int, int]]:

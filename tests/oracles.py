@@ -10,7 +10,9 @@ shortest augmenting path per BFS, gives the source side that
 ``from_arcs`` collapses parallel arcs through a dict before it sorts, and
 ``undirected_edges`` collects each arc's endpoints in a set; the one-pass
 ``InputGraph`` methods must match them field for field
-(``test_graph.py::TestFromArcsOracle``).
+(``test_graph.py::TestFromArcsOracle``). One climb per target through
+the backward search graph gives the k-NN bucket table that
+``PoiIndex.buckets`` builds in one sweep (``test_query.py::TestKnnBuckets``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from cchroute import (INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, InputGraph,
-                      UpwardGraph)
+                      SearchGraphs, UpwardGraph)
 
 
 def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
@@ -206,3 +208,24 @@ def from_arcs(vertex_count: int, arcs) -> InputGraph:
 def undirected_edges(g: InputGraph) -> list[tuple[int, int]]:
     """``InputGraph.undirected_edges`` by a set of every arc's endpoints."""
     return sorted({(t, h) if t < h else (h, t) for t, h in zip(g.tail, g.head)})
+
+
+def knn_buckets(graphs: SearchGraphs, parent, targets, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """``PoiIndex.buckets`` by one climb per target: each target p relaxes
+    the backward arcs of its root path in ascending rank, which gives
+    d(v->p) on every ancestor v, and every vertex keeps its k smallest
+    finite ``(d(v->p), p)`` from the full candidate list."""
+    adj = graphs.backward.adj
+    found: list[list[tuple[int, int]]] = [[] for _ in adj]
+    for p in targets:
+        dist = {p: 0}
+        v = p
+        while v != SENTINEL:
+            d = dist.get(v, INFINITY)
+            if d < INFINITY:
+                found[v].append((d, p))
+                for w, wt in adj[v]:
+                    if d + wt < dist.get(w, INFINITY):
+                        dist[w] = d + wt
+            v = parent[v]
+    return [tuple(sorted(entries)[:k]) for entries in found]

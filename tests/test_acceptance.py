@@ -302,7 +302,7 @@ def test_knn_against_brute_force():
             ranked = sorted((dist[t], t) for t in poi.targets if dist[t] != INFINITY)
             for k in (1, 4, 8):
                 want = [(t, d) for d, t in ranked[:k]]
-                got = knn_query(s, k, poi, cch.decomposition, st)
+                got = knn_query(s, k, poi, None, st)
                 assert got == want, (s, k, targets)
             combos += 1
     assert combos >= 500

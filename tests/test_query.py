@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -14,9 +16,9 @@ from cchroute import (ConsistencyError, INFINITY, InputGraph, QueryState,
                       load_customized, query,
                       query_input_graph, rphast_distance, rphast_source,
                       save_customized, unpack_path)
-from cchroute.query import UNKNOWN
 from helpers import (diamond, grid_graph, hierarchies_with_metrics, random_connected_graph,
                      rank_relabeled)
+from oracles import knn_buckets
 
 
 def customized_diamond(use_perfect=True):
@@ -334,20 +336,20 @@ class TestKnn:
         st = RphastState(c.graphs, cch.parent)
         rphast_source(0, st)
         poi = knn_select([0], 4)
-        assert knn_query(0, 1, poi, cch.decomposition, st) == [(0, 0)]
+        assert knn_query(0, 1, poi, None, st) == [(0, 0)]
 
     def test_diamond_nearest_of_two(self):
         _, cch, c = customized_diamond()
         st = RphastState(c.graphs, cch.parent)
         rphast_source(0, st)
         poi = knn_select([2, 3], 4)
-        assert knn_query(0, 1, poi, cch.decomposition, st) == [(3, 2)]
+        assert knn_query(0, 1, poi, None, st) == [(3, 2)]
 
     def test_k_zero(self):
         _, cch, c = customized_diamond()
         st = RphastState(c.graphs, cch.parent)
         rphast_source(0, st)
-        assert knn_query(0, 0, knn_select([2], 4), cch.decomposition, st) == []
+        assert knn_query(0, 0, knn_select([2], 4), None, st) == []
 
     def test_random_instances_match_brute_force(self):
         rng = random.Random(163)
@@ -364,7 +366,7 @@ class TestKnn:
                 s = rng.randrange(n)
                 rphast_source(s, st)
                 for k in (1, 4, 8):
-                    got = knn_query(s, k, poi, cch.decomposition, st)
+                    got = knn_query(s, k, poi, None, st)
                     want = self.brute(p, s, k, poi.targets)
                     assert got == want, (s, k, targets)
 
@@ -382,7 +384,7 @@ class TestKnn:
             s = rng.randrange(n)
             rphast_source(s, st)
             for k in (1, 4, 20):
-                assert knn_query(s, k, poi, cch.decomposition, st) == \
+                assert knn_query(s, k, poi, None, st) == \
                     knn_dijkstra(p, s, k, poi.targets)
 
     def test_unreachable_targets_excluded(self):
@@ -396,7 +398,7 @@ class TestKnn:
         r = cch.order.rank_of
         rphast_source(r[0], st)
         poi = knn_select([r[1], r[2], r[3]], 4)
-        got = knn_query(r[0], 3, poi, cch.decomposition, st)
+        got = knn_query(r[0], 3, poi, None, st)
         assert got == [(r[1], 3)]
 
     def test_wrong_source_state_error(self):
@@ -404,38 +406,151 @@ class TestKnn:
         st = RphastState(c.graphs, cch.parent)
         rphast_source(1, st)
         with pytest.raises(StateError):
-            knn_query(0, 1, knn_select([2], 4), cch.decomposition, st)
+            knn_query(0, 1, knn_select([2], 4), None, st)
 
-    def test_cells_off_the_source_chain_are_pruned(self):
-        # Below the root, a cell that does not hold s but hangs off a cell
-        # that does is bounded by the distances to its enclosing
-        # separators. Once that bound exceeds the k-th best, nothing in
-        # the cell is visited, so none of its vertices gets a distance.
+    def test_buckets_hold_k_entries_in_order(self):
+        # Each vertex's bucket keeps at most k targets, ascending by
+        # (distance, id), and the answers read from them are exact.
         rng = random.Random(173)
-        g, coords = grid_graph(rng, 24, 24)
+        g, coords = grid_graph(rng, 24, 24, one_way=0.1)
         cch = build_cch(g, coords)
-        p = rank_relabeled(g, cch.order)
-        st = RphastState(customize(cch, list(g.weight)).graphs, cch.parent)
-        n, s, k = g.vertex_count, 0, 4
+        c = customize(cch, list(g.weight))
+        p = query_input_graph(c)
+        st = RphastState(c.graphs, cch.parent)
+        n = g.vertex_count
         poi = knn_select(range(0, n, 3), n)
-        rphast_source(s, st)
-        got = knn_query(s, k, poi, cch.decomposition, st)
-        assert got == knn_dijkstra(p, s, k, poi.targets)
-        kth_best = got[-1][1]
-        dist = dijkstra(p, s)
-        chain = [cch.decomposition]
-        while chain[-1].children:
-            chain.append(next(c for c in chain[-1].children if c.cell_lo <= s < c.cell_hi))
-        pruned = 0
-        bound = INFINITY
-        for depth, node in enumerate(chain[:-1]):
-            bound = min([bound, *dist[node.sep_lo:node.cell_hi]])
-            for child in node.children:
-                if depth > 0 and child is not chain[depth + 1] and bound > kth_best:
-                    assert st.known[child.sep_lo:child.cell_hi] == \
-                        [UNKNOWN] * (child.cell_hi - child.sep_lo)
-                    pruned += 1
-        assert pruned >= 2
+        for k in (1, 4):
+            for s in rng.sample(range(n), 40):
+                rphast_source(s, st)
+                assert knn_query(s, k, poi, None, st) == knn_dijkstra(p, s, k, poi.targets)
+            table = poi.buckets(c.graphs, k)
+            assert len(table) == n
+            assert all(len(b) <= k and list(b) == sorted(set(b)) for b in table)
+            assert any(len(b) == k for b in table)
+
+
+class TestKnnBuckets:
+    """The bucket table against per-target climbs (``oracles.knn_buckets``)
+    and every answer against ``knn_dijkstra``."""
+
+    @staticmethod
+    def instance(seed: int, use_perfect: bool):
+        # One-way arcs leave INFINITY on the missing direction, which the
+        # basic step keeps as arcs of the search graphs; zero weights make
+        # distance ties.
+        rng = random.Random(seed)
+        g, coords = random_connected_graph(rng, rng.randint(30, 90), one_way=0.3)
+        weights = [0 if rng.random() < 0.2 else w for w in g.weight]
+        return rng, customize(build_cch(g, coords), weights, use_perfect=use_perfect)
+
+    @staticmethod
+    def assert_exact(c, poi, k, sources):
+        cch = c.cch
+        assert poi.buckets(c.graphs, k) == \
+            knn_buckets(c.graphs, cch.parent, poi.targets, k)
+        p = query_input_graph(c)
+        st = RphastState(c.graphs, cch.parent)
+        for s in sources:
+            rphast_source(s, st)
+            assert knn_query(s, k, poi, None, st) == knn_dijkstra(p, s, k, poi.targets), (s, k)
+
+    @pytest.mark.parametrize("use_perfect", [True, False], ids=["perfect", "basic"])
+    @pytest.mark.parametrize("seed", [211, 223, 227])
+    def test_sweep_matches_per_target_climbs(self, tmp_path, use_perfect, seed):
+        rng, c = self.instance(seed, use_perfect)
+        n = c.cch.ug.vertex_count
+        cchm = tmp_path / "c.cchm"
+        save_customized(c, str(cchm))
+        loaded = load_customized(str(cchm))
+        for share in (1, n // 10, n // 2, n):
+            targets = rng.sample(range(n), max(1, share))
+            poi = knn_select(targets, n)
+            # Sources include targets, so some answers are at distance 0.
+            sources = rng.sample(range(n), 8) + targets[:4]
+            for k in (1, 3, len(poi.targets) + 2):
+                self.assert_exact(c, poi, k, sources)
+                self.assert_exact(loaded, poi, k, sources)
+
+    def test_one_index_under_two_metrics_and_two_ks(self):
+        # A new customization makes new search graphs, and the cached
+        # table of the old ones must not answer for them.
+        rng, c1 = self.instance(229, True)
+        cch, n = c1.cch, c1.cch.ug.vertex_count
+        weights = [w * rng.randint(1, 5) for w in c1.input_weights]
+        c2 = customize(cch, weights)
+        poi = knn_select(rng.sample(range(n), n // 4), n)
+        tables = {}
+        for c in (c1, c2, c1, c2):
+            p = query_input_graph(c)
+            st = RphastState(c.graphs, cch.parent)
+            for k in (2, 5, 2):
+                for s in rng.sample(range(n), 10):
+                    rphast_source(s, st)
+                    assert knn_query(s, k, poi, None, st) == \
+                        knn_dijkstra(p, s, k, poi.targets), (s, k)
+                tables[c is c1, k] = poi.buckets(c.graphs, k)
+        assert tables[True, 2] != tables[False, 2]
+        assert tables[True, 2] != tables[True, 5]
+
+    def test_table_is_cached_per_graphs_and_k(self):
+        rng, c = self.instance(233, True)
+        n = c.cch.ug.vertex_count
+        poi = knn_select(range(0, n, 4), n)
+        table = poi.buckets(c.graphs, 3)
+        assert poi.buckets(c.graphs, 3) is table
+        assert poi.buckets(c.graphs, 4) is not table
+
+    def test_shared_index_under_racing_threads(self):
+        # Eight threads share one index and alternate two metrics and two
+        # k values, so the cached table is replaced under them all the
+        # time; each query must still read a table of its own graphs and k.
+        rng, c1 = self.instance(241, True)
+        cch, n = c1.cch, c1.cch.ug.vertex_count
+        c2 = customize(cch, [w * rng.randint(1, 5) for w in c1.input_weights])
+        poi = knn_select(rng.sample(range(n), n // 4), n)
+        jobs = [(c, k, rng.sample(range(n), 6)) for c in (c1, c2) for k in (2, 5)] * 2
+        want = [[knn_dijkstra(query_input_graph(c), s, k, poi.targets) for s in sources]
+                for c, k, sources in jobs]
+        got = [None] * len(jobs)
+
+        def run(i):
+            c, k, sources = jobs[i]
+            st = RphastState(c.graphs, cch.parent)
+            answers = []
+            for s in sources:
+                rphast_source(s, st)
+                answers.append(knn_query(s, k, poi, None, st))
+            got[i] = answers
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_reverse_state_rejected(self):
+        _, cch, c = customized_diamond()
+        st = RphastState(c.graphs, cch.parent, reverse=True)
+        rphast_source(0, st)
+        with pytest.raises(StateError):
+            knn_query(0, 1, knn_select([2], 4), None, st)
+
+    def test_no_decomposition_is_built(self, tmp_path):
+        _, built = self.instance(239, True)
+        cchm = tmp_path / "c.cchm"
+        save_customized(built, str(cchm))
+        for c in (built, load_customized(str(cchm))):
+            n = c.cch.ug.vertex_count
+            poi = knn_select(range(0, n, 5), n)
+            self.assert_exact(c, poi, 3, range(n))
+            assert "decomposition" not in c.cch.__dict__
 
 
 class TestTurnExpandedPipeline:
@@ -494,8 +609,9 @@ def assert_every_query_matches_dijkstra(c, k, targets):
             assert rphast_distance(t, fwd) == dist[s][t], (s, t)
             assert rphast_distance(t, bwd) == dist[t][s], (t, s)
         nearest = sorted((dist[s][x], x) for x in targets if dist[s][x] != INFINITY)[:k]
-        got = knn_query(s, k, poi, cch.decomposition, fwd)
+        got = knn_query(s, k, poi, None, fwd)
         assert got == [(x, d) for d, x in nearest], s
+        assert poi.buckets(c.graphs, k) == knn_buckets(c.graphs, cch.parent, targets, k)
         assert knn_dijkstra(g, s, k, targets) == [(x, d) for d, x in nearest], s
 
 
