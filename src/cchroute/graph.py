@@ -14,6 +14,7 @@ never wraps around into a finite distance.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -35,16 +36,17 @@ class InputGraph:
     """Immutable weighted graph in adjacency-array form.
 
     ``first_out[u]:first_out[u+1]`` is the arc range of vertex ``u`` into
-    the parallel ``head``/``weight``/``tail`` arrays. Instances are
-    treated as immutable after construction and may be shared across
-    threads.
+    the parallel ``head``/``weight``/``tail`` arrays. Every column is an
+    ``array``: ``'i'`` for ``first_out``, ``head`` and ``tail``, ``'I'``
+    for ``weight``, about 12 bytes per arc. Instances are treated as
+    immutable after construction and may be shared across threads.
     """
 
     vertex_count: int
-    first_out: list[int]
-    head: list[int]
-    weight: list[int]
-    tail: list[int]
+    first_out: array
+    head: array
+    weight: array
+    tail: array
     dropped_self_loops: int = 0
     _undirected: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
@@ -62,7 +64,7 @@ class InputGraph:
         are dropped (counted in ``dropped_self_loops``).
         """
         out_degree = [0] * vertex_count
-        head, weight, tail = [], [], []
+        head, weight, tail = array("i"), array("I"), array("i")
         dropped = 0
         last_t = last_h = -1
         for t, h, w in sorted(arcs):
@@ -78,7 +80,7 @@ class InputGraph:
                 tail.append(t)
                 head.append(h)
                 weight.append(w)
-        return cls(vertex_count, list(accumulate(out_degree, initial=0)), head, weight, tail,
+        return cls(vertex_count, array("i", accumulate(out_degree, initial=0)), head, weight, tail,
                    dropped_self_loops=dropped)
 
     def arc_index(self, u: int, v: int) -> int | None:

@@ -349,7 +349,14 @@ def postorder_subtree_sizes(parent: Sequence[int]) -> list[int]:
 
 def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecomposition:
     """Rebuild the separator decomposition from an elimination tree that
-    ``postorder_subtree_sizes`` accepts. Each node's separator is the chain
+    ``postorder_subtree_sizes`` accepts."""
+    return decomposition_from_subtree_sizes(postorder_subtree_sizes(parent))
+
+
+def decomposition_from_subtree_sizes(size: Sequence[int]) -> SeparatorDecomposition:
+    """The separator decomposition of a tree whose ranks are its DFS
+    post-order, from the sizes ``postorder_subtree_sizes`` returned for
+    it. Each node's separator is the chain
     of single children down from its subtree root (v's only child is v - 1
     when size[v - 1] = size[v] - 1); the subtrees below the chain's last
     vertex, found by stepping from its top child down by subtree sizes,
@@ -357,8 +364,7 @@ def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecom
     separator is the whole path. Several roots hang as cells under a node
     with an empty separator spanning all ranks.
     """
-    n = len(parent)
-    size = postorder_subtree_sizes(parent)
+    n = len(size)
 
     def tiling(lo: int, hi: int) -> list[int]:
         """Roots of the subtrees that tile ranks [lo, hi), ascending."""

@@ -23,9 +23,8 @@ from functools import cached_property
 
 from .errors import ConsistencyError, FormatError
 from .graph import InputGraph
-from .order import (RankOrder, SeparatorDecomposition, dfs_postorder_reorder,
-                    nested_dissection_order, postorder_subtree_sizes,
-                    reconstruct_separator_decomposition)
+from .order import (RankOrder, SeparatorDecomposition, decomposition_from_subtree_sizes,
+                    dfs_postorder_reorder, nested_dissection_order, postorder_subtree_sizes)
 
 SENTINEL = -1
 """Parent value of elimination-tree roots; also the 'no arc' marker."""
@@ -187,9 +186,10 @@ class Cch:
     (rank ranges in its own rank space), and is None on a loaded ``Cch``.
     ``fingerprint`` is the ``graph_fingerprint`` of the input graph the
     hierarchy was built from. Construction derives ``parent``, the
-    elimination tree, and checks it with ``postorder_subtree_sizes``;
-    ``decomposition`` and ``schedule`` (``kernels.Schedule``) are built on
-    first use, outside equality, ``repr`` and the artifact.
+    elimination tree, and checks it with ``postorder_subtree_sizes``,
+    whose sizes it keeps for ``decomposition``; ``decomposition`` and
+    ``schedule`` (``kernels.Schedule``) are built on first use, outside
+    equality, ``repr`` and the artifact.
     """
 
     ug: UpwardGraph
@@ -197,14 +197,15 @@ class Cch:
     order: RankOrder
     fingerprint: int
     initial_order: RankOrder | None = None
+    _subtree_size: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.parent = build_elimination_tree(self.ug)
-        postorder_subtree_sizes(self.parent)
+        self._subtree_size = array("i", postorder_subtree_sizes(self.parent))
 
     @cached_property
     def decomposition(self) -> SeparatorDecomposition:
-        return reconstruct_separator_decomposition(self.parent)
+        return decomposition_from_subtree_sizes(self._subtree_size)
 
     @cached_property
     def schedule(self):

@@ -9,20 +9,21 @@ algorithms then run on the expanded graph unchanged.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .dimacs import FORBIDDEN
 from .errors import ConsistencyError
-from .graph import InputGraph
+from .graph import INFINITY, InputGraph
 
 
 @dataclass
 class TurnExpansion:
     """Expanded graph plus the input arc of every arc-vertex. Arc-vertex i
-    is input arc i, so ``arc_of_vertex`` is the identity."""
+    is input arc i, so ``arc_of_vertex`` is ``range(m)``."""
 
     graph: InputGraph
-    arc_of_vertex: list[int]
+    arc_of_vertex: range
 
 
 def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpansion:
@@ -31,6 +32,12 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
     ``turns`` maps (in-arc id, out-arc id) to a cost, or FORBIDDEN to drop
     the turn entirely; pairs absent from the table are free. Both arcs of
     a pair must share a via vertex: head(in) == tail(out).
+
+    The pairs come out grouped by in-arc with out-arcs strictly ascending,
+    which is the expanded graph's adjacency order, so one loop writes its
+    columns directly. It keeps ``InputGraph.from_arcs``'s rules: a weight
+    at or above INFINITY raises, and the (a, a) turn of a self-loop arc
+    a is dropped and counted in ``dropped_self_loops``.
     """
     m = g.arc_count
     for (a, b), cost in turns.items():
@@ -43,17 +50,28 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
         if cost != FORBIDDEN and cost < 0:
             raise ConsistencyError(f"turn ({a}, {b}) has negative cost {cost}")
 
-    expanded_arcs = []
+    first_out, head, weight, tail = array("i", [0]), array("i"), array("I"), array("i")
+    dropped = 0
+    g_first_out, g_head, g_weight = g.first_out, g.head, g.weight
     for a in range(m):
-        via = g.head[a]
-        la = g.weight[a]
-        for b in range(g.first_out[via], g.first_out[via + 1]):
+        via = g_head[a]
+        la = g_weight[a]
+        for b in range(g_first_out[via], g_first_out[via + 1]):
             cost = turns.get((a, b), 0)
             if cost == FORBIDDEN:
                 continue
-            expanded_arcs.append((a, b, la + cost))
-    expanded = InputGraph.from_arcs(m, expanded_arcs)
-    return TurnExpansion(graph=expanded, arc_of_vertex=list(range(m)))
+            w = la + cost
+            if not (0 <= w < INFINITY):
+                raise ConsistencyError(f"arc ({a}, {b}) weight {w} outside [0, {INFINITY})")
+            if a == b:
+                dropped += 1
+                continue
+            tail.append(a)
+            head.append(b)
+            weight.append(w)
+        first_out.append(len(head))
+    expanded = InputGraph(m, first_out, head, weight, tail, dropped_self_loops=dropped)
+    return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
 
 
 def expanded_coordinates(g: InputGraph, coords, expansion: TurnExpansion):

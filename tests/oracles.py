@@ -17,6 +17,7 @@ the backward search graph gives the k-NN bucket table that
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from cchroute import (INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, InputGraph,
@@ -178,7 +179,7 @@ def edmonds_karp_min_cut(adj: list[list[int]], sources: list[int], sinks: list[i
 
 def from_arcs(vertex_count: int, arcs) -> InputGraph:
     """``InputGraph.from_arcs`` by a dict of the lightest weight per
-    (tail, head), sorted afterwards."""
+    (tail, head), sorted afterwards, into the same array columns."""
     best: dict[tuple[int, int], int] = {}
     dropped = 0
     for t, h, w in arcs:
@@ -202,7 +203,8 @@ def from_arcs(vertex_count: int, arcs) -> InputGraph:
         weight.append(w)
     for u in range(vertex_count):
         first_out[u + 1] += first_out[u]
-    return InputGraph(vertex_count, first_out, head, weight, tail, dropped_self_loops=dropped)
+    return InputGraph(vertex_count, array("i", first_out), array("i", head), array("I", weight),
+                      array("i", tail), dropped_self_loops=dropped)
 
 
 def undirected_edges(g: InputGraph) -> list[tuple[int, int]]:

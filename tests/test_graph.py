@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -174,6 +175,44 @@ class TestTurnExpansion:
             expand_turns(g, {(0, 5): 3})
         with pytest.raises(ConsistencyError):
             expand_turns(g, {(1, 0): 3})  # arcs do not share a via vertex
+
+    def test_weight_reaching_infinity_raises_like_from_arcs(self):
+        g = InputGraph.from_arcs(3, [(0, 1, INFINITY - 6), (1, 2, 6)])
+        a01, a12 = g.arc_index(0, 1), g.arc_index(1, 2)
+        assert expand_turns(g, {(a01, a12): 5}).graph.weight[0] == INFINITY - 1
+        with pytest.raises(ConsistencyError) as got:
+            expand_turns(g, {(a01, a12): 6})
+        with pytest.raises(ConsistencyError) as want:
+            InputGraph.from_arcs(2, [(a01, a12, INFINITY)])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("columns", [list, array], ids=["lists", "arrays"])
+    @pytest.mark.parametrize("self_turn", [None, 0, 7, FORBIDDEN],
+                             ids=["absent", "free", "costed", "forbidden"])
+    def test_self_loop_arc_expands_as_from_arcs(self, columns, self_turn):
+        # built directly, since from_arcs drops self-loops: arc 0 is 0 -> 0
+        first_out, head, weight, tail = [0, 2, 3], [0, 1, 0], [3, 4, 5], [0, 0, 1]
+        if columns is array:
+            first_out, head, weight, tail = (array("i", first_out), array("i", head),
+                                             array("I", weight), array("i", tail))
+        g = InputGraph(2, first_out, head, weight, tail)
+        turns = {} if self_turn is None else {(0, 0): self_turn}
+        # every permitted turn (a, b) at head(a) == tail(b) as an arc,
+        # collapsed by from_arcs
+        arcs = [(a, b, g.weight[a] + turns.get((a, b), 0))
+                for a in range(3) for b in range(3)
+                if g.head[a] == g.tail[b] and turns.get((a, b), 0) != FORBIDDEN]
+        got = expand_turns(g, turns).graph
+        assert got == InputGraph.from_arcs(3, arcs)
+        assert got.dropped_self_loops == (self_turn != FORBIDDEN)
+
+    def test_columns_are_arrays(self):
+        g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 1, 6)])
+        exp = expand_turns(g, {})
+        for graph in (g, exp.graph):
+            assert [graph.first_out.typecode, graph.head.typecode, graph.weight.typecode,
+                    graph.tail.typecode] == ["i", "i", "I", "i"]
+        assert exp.arc_of_vertex == range(g.arc_count)
 
     def test_metric_equivalence_random(self):
         rng = random.Random(42)

@@ -7,6 +7,7 @@ from array import array
 
 import pytest
 
+import cchroute.order
 from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       RankOrder, build_cch, build_elimination_tree, contract,
                       customize, dijkstra, graph_elimination_tree, load_cch,
@@ -294,6 +295,22 @@ class TestDerivedOnConstruction:
             assert decomposition == reconstruct_separator_decomposition(cch.parent)
             assert vars(cch)["decomposition"] is decomposition
             assert "schedule" not in vars(cch)
+
+    def test_decomposition_reuses_the_construction_sizes(self, tmp_path, monkeypatch):
+        calls = []
+        sizes = cchroute.order.subtree_sizes
+        monkeypatch.setattr(cchroute.order, "subtree_sizes",
+                            lambda parent: calls.append(parent) or sizes(parent))
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        cchp = tmp_path / "s.cchp"
+        save_cch(build_cch(g, coords), str(cchp))
+        calls.clear()
+        cch = load_cch(str(cchp))
+        assert len(calls) == 1
+        decomposition = cch.decomposition
+        assert len(calls) == 1
+        assert decomposition == reconstruct_separator_decomposition(cch.parent)
 
 
 class TestArtifacts:
