@@ -6,9 +6,15 @@ function, ``query``/``knn`` answer batches against the customized
 artifact, and ``bench`` runs everything end to end with a seeded query
 workload and reports per-phase timings plus query statistics.
 
-Exit codes: 0 success, 2 parse errors, 3 consistency errors, 4 state
-errors, 5 I/O errors, 1 anything else. Vertex IDs in batch, source, and
-target files are 0-based original IDs; DIMACS files stay 1-based.
+``preprocess`` and ``bench`` share one build stage (``_build``), and
+``customize`` and ``bench`` one customization stage (``_customize``); each
+stage's arguments are declared once, in a parent parser.
+
+Exit codes: 0 success; ``EXIT_CODES`` maps each error class to its code:
+2 parse errors (``FormatError`` included), 3 consistency errors, 4 state
+errors, 5 I/O errors. Any other exception propagates (exit 1). Vertex
+IDs in batch, source, and target files are 0-based original IDs; DIMACS
+files stay 1-based.
 """
 
 from __future__ import annotations
@@ -21,38 +27,36 @@ import sys
 import time
 
 from . import __version__
-from .customize import customize, load_customized, query_input_graph, save_customized
+from .customize import (Customized, customize, load_customized, query_input_graph,
+                        save_customized)
 from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines, read_pairs
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY, InputGraph
 from .order import RankOrder, export_order, import_order, nested_dissection_order
-from .preprocess import build_cch, contract, graph_fingerprint, load_cch, save_cch
+from .preprocess import Cch, build_cch, contract, graph_fingerprint, load_cch, save_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
 
 BENCH_SCHEMA = "cchroute-bench/1"
+EXIT_CODES = {ParseError: 2, ConsistencyError: 3, StateError: 4, OSError: 5}
 
 
-def _check_positive(value: int, name: str) -> int:
+def _check_positive(value: int, name: str) -> None:
     if value < 1:
         raise ConsistencyError(f"{name} must be at least 1")
-    return value
 
 
-def _resolve_threads(flag: int | None) -> int:
-    """``--threads``, else ``CCH_THREADS``, else the CPU count, checked to be
-    a positive integer. Customization is sequential, so callers only
-    validate it."""
+def _check_threads(flag: int | None) -> None:
+    """Require ``--threads``, else ``CCH_THREADS`` when it is set, to be a
+    positive integer. Customization is sequential, so nothing reads it."""
     if flag is not None:
-        return _check_positive(flag, "--threads")
-    env = os.environ.get("CCH_THREADS")
-    if env:
+        _check_positive(flag, "--threads")
+    elif env := os.environ.get("CCH_THREADS"):
         try:
             value = int(env)
         except ValueError:
             raise ConsistencyError(f"CCH_THREADS must be an integer, got {env!r}") from None
-        return _check_positive(value, "CCH_THREADS")
-    return os.cpu_count() or 1
+        _check_positive(value, "CCH_THREADS")
 
 
 def _check_vertex(v: int, n: int, what: str) -> None:
@@ -82,13 +86,25 @@ def _order(args, g: InputGraph) -> RankOrder:
     return nested_dissection_order(g, load_dimacs_co(args.coords, g.vertex_count))
 
 
-def cmd_preprocess(args) -> int:
-    g = load_dimacs_gr(args.graph)
+def _build(args, g: InputGraph) -> tuple[Cch, float, float]:
+    """The hierarchy of ``g`` under ``_order``, with the seconds spent
+    ordering and contracting."""
     t0 = time.perf_counter()
     order = _order(args, g)
     t1 = time.perf_counter()
     cch = build_cch(g, order=order)
-    t2 = time.perf_counter()
+    return cch, t1 - t0, time.perf_counter() - t1
+
+
+def _customize(args, g: InputGraph, cch: Cch, timings: dict | None = None) -> Customized:
+    """``cch`` customized with the ``--weights`` file, else ``g``'s weights."""
+    weights = load_metric(args.weights, g) if args.weights else list(g.weight)
+    return customize(cch, weights, use_perfect=not args.no_perfect, timings=timings)
+
+
+def cmd_preprocess(args) -> int:
+    g = load_dimacs_gr(args.graph)
+    cch, order_s, contract_s = _build(args, g)
     save_cch(cch, args.out)
     if args.export_order:
         export_order(cch.order, args.export_order)
@@ -99,11 +115,12 @@ def cmd_preprocess(args) -> int:
           f"{cch.ug.arc_count} upward arcs ({shortcuts} shortcuts)")
     if g.dropped_self_loops:
         print(f"dropped {g.dropped_self_loops} self-loops at load time")
-    print(f"ordering {t1 - t0:.3f}s, contraction+tree {t2 - t1:.3f}s -> {args.out}")
+    print(f"ordering {order_s:.3f}s, contraction+tree {contract_s:.3f}s -> {args.out}")
     return 0
 
 
 def cmd_customize(args) -> int:
+    _check_threads(args.threads)
     g = load_dimacs_gr(args.graph)
     cch = load_cch(args.cch)
     if cch.fingerprint != graph_fingerprint(g):
@@ -111,10 +128,8 @@ def cmd_customize(args) -> int:
     # catches an edited head that the load checks and the fingerprint miss
     if cch.ug != contract(g, cch.order):
         raise ConsistencyError("hierarchy is not the contraction of its graph under its order")
-    weights = load_metric(args.weights, g) if args.weights else list(g.weight)
-    _resolve_threads(args.threads)
     times: dict = {}
-    c = customize(cch, weights, use_perfect=not args.no_perfect, timings=times)
+    c = _customize(args, g, cch, times)
     save_customized(c, args.out)
     if args.json:
         print(json.dumps({"schema": BENCH_SCHEMA, "kind": "customize",
@@ -142,15 +157,11 @@ def cmd_query(args) -> int:
         _check_vertex(s, n, "source")
         _check_vertex(t, n, "target")
         dist = query(order.rank_of[s], order.rank_of[t], state, c.graphs, c.cch.parent)
+        line = f"{s}\t{t}\t{_format_dist(dist)}"
         if args.paths:
             path = unpack_path(state, c.graphs)
-            if path is None:
-                print(f"{s}\t{t}\t{_format_dist(dist)}\t-")
-            else:
-                original = [order.vertex_at[v] for v in path]
-                print(f"{s}\t{t}\t{_format_dist(dist)}\t" + " ".join(map(str, original)))
-        else:
-            print(f"{s}\t{t}\t{_format_dist(dist)}")
+            line += "\t" + ("-" if path is None else " ".join(str(order.vertex_at[v]) for v in path))
+        print(line)
     return 0
 
 
@@ -164,20 +175,21 @@ def cmd_knn(args) -> int:
     for v in sources + targets:
         _check_vertex(v, n, "vertex")
     rank_targets = [order.rank_of[v] for v in targets]
-    poi = knn_select(rank_targets, n)
     if args.algo == "sep":
-        st = RphastState(c.graphs, c.cch.parent)
-        for s in sources:
-            rphast_source(order.rank_of[s], st)
-            result = knn_query(order.rank_of[s], args.k, poi, None, st)
-            for v, d in result:
-                print(f"{s}\t{order.vertex_at[v]}\t{_format_dist(d)}")
+        poi = knn_select(rank_targets, n)
+        state = RphastState(c.graphs, c.cch.parent)
+
+        def search(s: int) -> list[tuple[int, int]]:
+            rphast_source(s, state)
+            return knn_query(s, args.k, poi, None, state)
     else:
         g = query_input_graph(c)
-        for s in sources:
-            result = knn_dijkstra(g, order.rank_of[s], args.k, rank_targets)
-            for v, d in result:
-                print(f"{s}\t{order.vertex_at[v]}\t{_format_dist(d)}")
+
+        def search(s: int) -> list[tuple[int, int]]:
+            return knn_dijkstra(g, s, args.k, rank_targets)
+    for s in sources:
+        for v, d in search(order.rank_of[s]):
+            print(f"{s}\t{order.vertex_at[v]}\t{_format_dist(d)}")
     return 0
 
 
@@ -185,18 +197,14 @@ def cmd_bench(args) -> int:
     import random
 
     _check_positive(args.count, "--count")
+    _check_threads(args.threads)
     g = load_dimacs_gr(args.graph)
     n = g.vertex_count
-    _resolve_threads(args.threads)
-
+    cch, order_s, contract_s = _build(args, g)
     t0 = time.perf_counter()
-    order = _order(args, g)
-    t1 = time.perf_counter()
-    cch = build_cch(g, order=order)
-    t2 = time.perf_counter()
-    weights = load_metric(args.weights, g) if args.weights else list(g.weight)
-    c = customize(cch, weights, use_perfect=not args.no_perfect)
-    t3 = time.perf_counter()
+    c = _customize(args, g, cch)
+    phase_seconds = {"ordering": order_s, "contraction": contract_s,
+                     "customization": time.perf_counter() - t0}
 
     rng = random.Random(args.seed)
     rank_of = cch.order.rank_of
@@ -227,7 +235,6 @@ def cmd_bench(args) -> int:
         "mean_relaxed": statistics.fmean(s["relaxed"] for s in samples),
         "mean_path_vertices": statistics.fmean(s["path_vertices"] for s in samples),
     }
-    phase_seconds = {"ordering": t1 - t0, "contraction": t2 - t1, "customization": t3 - t2}
 
     if args.json:
         print(json.dumps({"schema": BENCH_SCHEMA, "kind": "bench",
@@ -254,25 +261,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="build the metric-independent artifact")
-    p.add_argument("--graph", required=True, help="DIMACS .gr file")
-    p.add_argument("--coords", help="DIMACS .co file (to compute a dissection order)")
-    p.add_argument("--order", help="pre-computed order file (overrides --coords)")
+    build = argparse.ArgumentParser(add_help=False)  # the arguments of _build
+    build.add_argument("--graph", required=True, help="DIMACS .gr file")
+    build.add_argument("--coords", help="DIMACS .co file (to compute a dissection order)")
+    build.add_argument("--order", help="pre-computed order file (overrides --coords)")
+    custom = argparse.ArgumentParser(add_help=False)  # the arguments of _customize
+    custom.add_argument("--weights", help="metric file overriding the graph's weights")
+    custom.add_argument("--no-perfect", action="store_true",
+                        help="stop after the basic customization")
+    custom.add_argument("--threads", type=int, default=None,
+                        help="validated and ignored; customization is sequential")
+
+    p = sub.add_parser("preprocess", parents=[build], help="build the metric-independent artifact")
     p.add_argument("--out", required=True, help="output artifact path")
     p.add_argument("--export-order", help="also write the improved order to this file")
     p.add_argument("--dump-decomposition", action="store_true",
                    help="print the separator decomposition as an indented tree")
     p.set_defaults(fn=cmd_preprocess)
 
-    p = sub.add_parser("customize", help="compute a customized metric")
+    p = sub.add_parser("customize", parents=[custom], help="compute a customized metric")
     p.add_argument("--graph", required=True, help="DIMACS .gr file the hierarchy was built from")
     p.add_argument("--cch", required=True, help="preprocessing artifact")
-    p.add_argument("--weights", help="metric file overriding the graph's weights")
     p.add_argument("--out", required=True, help="output customized artifact")
-    p.add_argument("--no-perfect", action="store_true",
-                   help="stop after the basic customization")
-    p.add_argument("--threads", type=int, default=None,
-                   help="validated and ignored; customization is sequential")
     p.add_argument("--json", action="store_true", help="machine-readable timing output")
     p.set_defaults(fn=cmd_customize)
 
@@ -293,38 +303,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "buckets on the source's root path); dijkstra: plain Dijkstra")
     p.set_defaults(fn=cmd_knn)
 
-    p = sub.add_parser("bench", help="end-to-end pipeline benchmark")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--coords")
-    p.add_argument("--order")
-    p.add_argument("--weights")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--no-perfect", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="validated and ignored; customization is sequential")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("bench", parents=[build, custom], help="end-to-end pipeline benchmark")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random query pairs")
+    p.add_argument("--count", type=int, default=1000, help="number of queries")
+    p.add_argument("--json", action="store_true",
+                   help="one JSON object per line: the report, then each query sample")
     p.set_defaults(fn=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> SearchGraphs:
             gc.enable()
 
 
-def _check_witnesses(graphs: SearchGraphs) -> None:
+def _check_witnesses(ug: UpwardGraph, m: CustomizedMetric) -> None:
     """Require every witness of a search arc to be a lower triangle of its
     arc whose legs survive in the directions they are traversed.
 
@@ -158,7 +158,6 @@ def _check_witnesses(graphs: SearchGraphs) -> None:
     tails and, since the down leg is a backward search arc and the up leg
     a forward one, reaches only arcs checked here.
     """
-    ug, m = graphs.ug, graphs.metric
     arc_count, head, tail = ug.arc_count, ug.head, ug.tail
     delete_up, delete_down = m.delete_up, m.delete_down
     for deleted, down_leg, up_leg, start, end in (
@@ -294,8 +293,10 @@ def load_customized(path: str) -> Customized:
         delete_down=bytearray(r.take(arc_count)))
     if r.pos != r.end:
         raise FormatError("trailing bytes in artifact")
+    # deleting the bytes 0 and 1 leaves only the marks that are neither
+    if metric.delete_up.translate(None, b"\0\1") or metric.delete_down.translate(None, b"\0\1"):
+        raise FormatError("deletion mark is not 0 or 1")
     if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
         raise ConsistencyError("basic-only customized artifact carries deletion marks")
-    c = Customized(cch, metric, bool(perfect_flag), input_weights)
-    _check_witnesses(c.graphs)
-    return c
+    _check_witnesses(cch.ug, metric)
+    return Customized(cch, metric, bool(perfect_flag), input_weights)

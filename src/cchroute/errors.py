@@ -22,7 +22,8 @@ class ParseError(CchError):
 
 
 class FormatError(ParseError):
-    """Binary artifact has a bad magic value or version, is truncated or fails its checksum."""
+    """Binary artifact has a bad magic value or version, a flag or deletion
+    mark other than 0 or 1, is truncated or fails its checksum."""
 
 
 class ConsistencyError(CchError):

@@ -231,7 +231,7 @@ def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None) -> Cch
 
 def graph_fingerprint(g: InputGraph) -> int:
     """CRC32 of the vertex and arc counts and the arcs (tail, head) of ``g``."""
-    columns = (array("I", (g.vertex_count, g.arc_count)), array("i", g.tail), array("i", g.head))
+    columns = (array("I", (g.vertex_count, g.arc_count)), g.tail, g.head)
     return zlib.crc32(b"".join(map(_encode_array, columns)))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dimacs import FORBIDDEN
 from .errors import ConsistencyError
-from .graph import INFINITY, InputGraph
+from .graph import INFINITY, Coordinates, InputGraph
 
 
 @dataclass
@@ -74,14 +74,8 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
     return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
 
 
-def expanded_coordinates(g: InputGraph, coords, expansion: TurnExpansion):
-    """Midpoint coordinates for arc-vertices, usable by inertial ordering."""
-    from .graph import Coordinates
-
-    xs = []
-    ys = []
-    for a in expansion.arc_of_vertex:
-        t, h = g.tail[a], g.head[a]
-        xs.append((coords.x[t] + coords.x[h]) // 2)
-        ys.append((coords.y[t] + coords.y[h]) // 2)
-    return Coordinates(x=xs, y=ys)
+def expanded_coordinates(g: InputGraph, coords):
+    """Midpoint coordinates for arc-vertices, usable by inertial ordering:
+    arc-vertex i is input arc i of ``g``."""
+    return Coordinates(x=[(coords.x[t] + coords.x[h]) // 2 for t, h in zip(g.tail, g.head)],
+                       y=[(coords.y[t] + coords.y[h]) // 2 for t, h in zip(g.tail, g.head)])

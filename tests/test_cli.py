@@ -8,9 +8,10 @@ import random
 
 import pytest
 
-from cchroute import (INFINITY, ConsistencyError, InputGraph, dijkstra, load_cch,
+from cchroute import (INFINITY, ConsistencyError, FormatError, InputGraph, dijkstra, load_cch,
                       load_customized, reconstruct_separator_decomposition)
-from cchroute.cli import main
+from cchroute import cli
+from cchroute.cli import EXIT_CODES, main
 from helpers import SAMPLE, ArtifactEditor, diamond, grid_graph, search_arcs
 
 
@@ -484,16 +485,16 @@ class TestKnnCmd:
 
 class TestThreadResolution:
     def test_env_fallback(self, tmp_path, capsys, monkeypatch):
-        from cchroute.cli import _resolve_threads
+        from cchroute.cli import _check_threads
         monkeypatch.setenv("CCH_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        assert _resolve_threads(2) == 2  # flag wins over the environment
+        _check_threads(None)
+        _check_threads(2)
         monkeypatch.setenv("CCH_THREADS", "zero")
-        import pytest
-        from cchroute import ConsistencyError
+        _check_threads(2)  # a valid flag wins over the environment
         with pytest.raises(ConsistencyError):
-            _resolve_threads(None)
-
+            _check_threads(None)
+        with pytest.raises(ConsistencyError):
+            _check_threads(0)
 
     @pytest.mark.parametrize("command", ["customize", "bench"])
     def test_threads_validated_and_not_echoed(self, tmp_path, capsys, monkeypatch, command):
@@ -506,6 +507,7 @@ class TestThreadResolution:
         assert main([*args, "--threads", "0"]) == 3
         monkeypatch.setenv("CCH_THREADS", "zero")
         assert main(args) == 3
+        assert main([*args, "--threads", "2"]) == 0
         monkeypatch.setenv("CCH_THREADS", "2")
         capsys.readouterr()
         assert main(args) == 0
@@ -603,3 +605,30 @@ def test_non_utf8_text_input_exits_2(tmp_path, capsys, sample_artifacts, command
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not UTF-8" in err and "Traceback" not in err
+
+
+class TestMain:
+    QUERY = ["query", "--customized", "c.cchm", "--pairs", "pairs.txt"]
+
+    @pytest.mark.parametrize("error, code", [*EXIT_CODES.items(), (FormatError, 2)],
+                             ids=lambda x: x.__name__ if isinstance(x, type) else str(x))
+    def test_error_class_maps_to_its_exit_code(self, capsys, monkeypatch, error, code):
+        def stub(args):
+            raise error("stub failure")
+        monkeypatch.setattr(cli, "cmd_query", stub)
+        assert main(self.QUERY) == code
+        assert capsys.readouterr().err == "error: stub failure\n"
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def stub(args):
+            raise RuntimeError("stub failure")
+        monkeypatch.setattr(cli, "cmd_query", stub)
+        with pytest.raises(RuntimeError, match="stub failure"):
+            main(self.QUERY)
+
+    @pytest.mark.parametrize("command", ["", "preprocess", "customize", "query", "knn", "bench"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command.split(), "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: cchroute {command}".rstrip())

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cchroute import (CchError, ConsistencyError, INFINITY, InputGraph, RankOrder,
+from cchroute import (CchError, ConsistencyError, FormatError, INFINITY, InputGraph, RankOrder,
                       build_cch, build_reduced, customize, dijkstra, load_cch,
                       load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
                       save_customized)
@@ -600,6 +600,34 @@ class TestCorruptedArtifactRejected:
         self._put(c, path, "delete_up", 0, 1)
         with pytest.raises(ConsistencyError, match="deletion marks"):
             load_customized(str(path))
+
+    @pytest.mark.parametrize("mark", [2, 255])
+    @pytest.mark.parametrize("column", ["delete_up", "delete_down"])
+    def test_deletion_mark_not_0_or_1(self, tmp_path, column, mark):
+        # An arc already marked deleted, so that only the mark's value is
+        # wrong: read as "any non-zero byte deletes", the file would load.
+        c, path = self._sample(tmp_path)
+        e = next(e for e, deleted in enumerate(getattr(c.metric, column)) if deleted)
+        self._put(c, path, column, e, mark)
+        with pytest.raises(FormatError, match="deletion mark is not 0 or 1"):
+            load_customized(str(path))
+
+    def test_witnesses_checked_before_search_graphs(self, tmp_path, monkeypatch):
+        c, path = self._sample(tmp_path)
+        clean = tmp_path / "clean.cchm"
+        save_customized(c, str(clean))
+        m, ug = c.metric, c.cch.ug
+        e = next(e for e in range(ug.arc_count) if not m.delete_up[e] and m.up_a[e] != -1)
+        self._put(c, path, "up_b", e, e)
+        module = sys.modules["cchroute.customize"]
+        calls = []
+        real = module.build_reduced
+        monkeypatch.setattr(module, "build_reduced", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ConsistencyError, match="lower triangle"):
+            load_customized(str(path))
+        assert calls == []
+        load_customized(str(clean))
+        assert len(calls) == 1
 
 
 class TestCorruptionFuzz:

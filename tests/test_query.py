@@ -239,8 +239,7 @@ class TestAstar:
             if rev is not None:
                 turns[(a, rev)] = 100
         exp = expand_turns(g, turns)
-        vertex_map = [cch.order.rank_of[g.tail[exp.arc_of_vertex[e]]]
-                      for e in range(exp.graph.vertex_count)]
+        vertex_map = [cch.order.rank_of[g.tail[e]] for e in range(exp.graph.vertex_count)]
         st = RphastState(c.graphs, cch.parent, reverse=True)
         for _ in range(25):
             s = rng.randrange(exp.graph.vertex_count)
@@ -570,7 +569,7 @@ class TestTurnExpandedPipeline:
                 if b != rev and rng.random() < 0.1:
                     turns[(a, b)] = -1  # FORBIDDEN
         exp = expand_turns(g, turns)
-        eco = expanded_coordinates(g, coords, exp)
+        eco = expanded_coordinates(g, coords)
         cch = build_cch(exp.graph, eco)
         p = rank_relabeled(exp.graph, cch.order)
         c = customize(cch, list(exp.graph.weight))
