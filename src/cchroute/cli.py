@@ -33,7 +33,7 @@ from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines, 
 from .errors import ConsistencyError, ParseError, StateError
 from .graph import INFINITY, InputGraph
 from .order import RankOrder, export_order, import_order, nested_dissection_order
-from .preprocess import Cch, build_cch, contract, graph_fingerprint, load_cch, save_cch
+from .preprocess import Cch, build_cch, load_cch, save_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
 
@@ -123,11 +123,7 @@ def cmd_customize(args) -> int:
     _check_threads(args.threads)
     g = load_dimacs_gr(args.graph)
     cch = load_cch(args.cch)
-    if cch.fingerprint != graph_fingerprint(g):
-        raise ConsistencyError("hierarchy was built for a different graph")
-    # catches an edited head that the load checks and the fingerprint miss
-    if cch.ug != contract(g, cch.order):
-        raise ConsistencyError("hierarchy is not the contraction of its graph under its order")
+    cch.check_graph(g)
     times: dict = {}
     c = _customize(args, g, cch, times)
     save_customized(c, args.out)

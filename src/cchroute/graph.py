@@ -31,6 +31,16 @@ def saturating_add(a: int, b: int) -> int:
     return c if c < INFINITY else INFINITY
 
 
+def find_arc(first: array, head: array, u: int, v: int) -> int | None:
+    """Index of arc (u, v) in an adjacency array whose heads ascend within
+    each tail's range ``first[u]:first[u+1]``, or None if absent."""
+    lo, hi = first[u], first[u + 1]
+    i = bisect_left(head, v, lo, hi)
+    if i < hi and head[i] == v:
+        return i
+    return None
+
+
 @dataclass
 class InputGraph:
     """Immutable weighted graph in adjacency-array form.
@@ -85,11 +95,7 @@ class InputGraph:
 
     def arc_index(self, u: int, v: int) -> int | None:
         """Index of the stored arc (u, v), or None if absent."""
-        lo, hi = self.first_out[u], self.first_out[u + 1]
-        i = bisect_left(self.head, v, lo, hi)
-        if i < hi and self.head[i] == v:
-            return i
-        return None
+        return find_arc(self.first_out, self.head, u, v)
 
     def undirected_adjacency(self) -> list[list[int]]:
         """Sorted neighbor lists of the undirected topology (cached)."""

@@ -17,12 +17,11 @@ import operator
 import sys
 import zlib
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError, FormatError
-from .graph import InputGraph
+from .graph import InputGraph, find_arc
 from .order import (RankOrder, SeparatorDecomposition, decomposition_from_subtree_sizes,
                     dfs_postorder_reorder, nested_dissection_order, postorder_subtree_sizes)
 
@@ -64,11 +63,7 @@ class UpwardGraph:
         return len(self.head)
 
     def arc_index(self, u: int, v: int) -> int | None:
-        lo, hi = self.first_arc[u], self.first_arc[u + 1]
-        i = bisect_left(self.head, v, lo, hi)
-        if i < hi and self.head[i] == v:
-            return i
-        return None
+        return find_arc(self.first_arc, self.head, u, v)
 
 
 def _ranks(g: InputGraph, order: RankOrder) -> list[int]:
@@ -110,15 +105,14 @@ def contract(g: InputGraph, order: RankOrder) -> UpwardGraph:
         pending[u] = []
         first_arc[u + 1] = len(head)
 
-    m = len(head)
-    ug = UpwardGraph(n, first_arc, head, orig_up=array("i", [SENTINEL]) * m,
-                     orig_down=array("i", [SENTINEL]) * m, input_arc_count=g.arc_count)
+    orig_up = array("i", [SENTINEL]) * len(head)
+    orig_down = array("i", [SENTINEL]) * len(head)
     for i, (t, h) in enumerate(ranked):
         if t < h:
-            ug.orig_up[ug.arc_index(t, h)] = i
+            orig_up[find_arc(first_arc, head, t, h)] = i
         else:
-            ug.orig_down[ug.arc_index(h, t)] = i
-    return ug
+            orig_down[find_arc(first_arc, head, h, t)] = i
+    return UpwardGraph(n, first_arc, head, orig_up, orig_down, g.arc_count)
 
 
 def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
@@ -202,6 +196,15 @@ class Cch:
     def __post_init__(self):
         self.parent = build_elimination_tree(self.ug)
         self._subtree_size = array("i", postorder_subtree_sizes(self.parent))
+
+    def check_graph(self, g: InputGraph) -> None:
+        """Raise ConsistencyError unless this hierarchy was built from ``g``:
+        the fingerprint must match, and then ``contract(g, order)``, which
+        catches a head moved inside a clique that the load checks miss."""
+        if self.fingerprint != graph_fingerprint(g):
+            raise ConsistencyError("hierarchy was built for a different graph")
+        if self.ug != contract(g, self.order):
+            raise ConsistencyError("hierarchy is not the contraction of its graph under its order")
 
     @cached_property
     def decomposition(self) -> SeparatorDecomposition:

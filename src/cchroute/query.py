@@ -300,51 +300,42 @@ def astar_with_cch_potential(s: int, t: int, search_graph: InputGraph,
     weights are lower bounds of the search graph's, where ``vertex_map[v]``
     is the hierarchy vertex of search vertex v. Distances toward the target
     are then valid potentials; a relaxed arc with negative reduced cost
-    means the precondition was violated and raises.
+    means the precondition was violated and raises. The potential of v is
+    the workspace's memo ``state.known[vertex_map[v]]``, computed by
+    ``rphast_distance`` while unknown. A vertex enters the heap only with
+    a finite potential and on a strict improvement, so the entry keyed
+    ``dist[u]`` plus u's potential is u's one current entry; the others
+    are stale and skipped.
     """
     if not state.reverse:
         raise StateError("potentials need a reverse-mode workspace")
     rphast_source(vertex_map[t], state)
-
-    n = search_graph.vertex_count
-    pot = [UNKNOWN] * n
-
-    def potential(v: int) -> int:
-        p = pot[v]
-        if p == UNKNOWN:
-            p = rphast_distance(vertex_map[v], state)
-            pot[v] = p
-        return p
-
+    known = state.known
     first_out, head, weight = search_graph.first_out, search_graph.head, search_graph.weight
-    dist = [INFINITY] * n
+    dist = [INFINITY] * search_graph.vertex_count
     dist[s] = 0
+    pot_s = rphast_distance(vertex_map[s], state)
+    heap = [(pot_s, s)] if pot_s != INFINITY else []
     settled = 0
-    pot_s = potential(s)
-    if pot_s == INFINITY:
-        if counters is not None:
-            counters["settled"] = 0
-        return INFINITY
-    heap = [(pot_s, s)]
-    done = [False] * n
     result = INFINITY
     while heap:
-        _, u = heapq.heappop(heap)
-        if done[u]:
+        key, u = heapq.heappop(heap)
+        du = dist[u]
+        pu = known[vertex_map[u]]
+        if key != du + pu:
             continue
-        done[u] = True
         settled += 1
         if u == t:
-            result = dist[u]
+            result = du
             break
-        du = dist[u]
-        pu = potential(u)
         for e in range(first_out[u], first_out[u + 1]):
             v = head[e]
-            w = weight[e]
-            pv = potential(v)
+            pv = known[vertex_map[v]]
+            if pv == UNKNOWN:
+                pv = rphast_distance(vertex_map[v], state)
             if pv == INFINITY:
                 continue
+            w = weight[e]
             if w + pv < pu:
                 raise ConsistencyError(
                     f"negative reduced cost on arc ({u}, {v}): potentials are not lower bounds")
@@ -466,25 +457,24 @@ def knn_dijkstra(g: InputGraph, s: int, k: int, targets) -> list[tuple[int, int]
 
     It settles every vertex at the k-th target's distance before it stops,
     then keeps the k smallest ``(distance, vertex)`` hits, so ties break
-    toward smaller vertex IDs exactly as in ``knn_query``.
+    toward smaller vertex IDs exactly as in ``knn_query``. A vertex is
+    pushed only on a strict improvement, never at INFINITY, so its one
+    current entry is the one at ``dist[u]``.
     """
     if k <= 0:
         return []
     target_set = set(targets)
-    n = g.vertex_count
-    dist = [INFINITY] * n
+    dist = [INFINITY] * g.vertex_count
     dist[s] = 0
-    done = bytearray(n)
     first_out, head, weight = g.first_out, g.head, g.weight
     heap = [(0, s)]
     found: list[tuple[int, int]] = []
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u] or d != dist[u] or d == INFINITY:
+        if d != dist[u]:
             continue
         if len(found) >= k and d > found[k - 1][1]:
             break
-        done[u] = 1
         if u in target_set:
             found.append((u, d))
         for e in range(first_out[u], first_out[u + 1]):

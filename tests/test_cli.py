@@ -432,12 +432,15 @@ class TestKnnCmd:
         dij_out = capsys.readouterr().out
         assert sep_out == dij_out and sep_out.strip()
 
-    @pytest.mark.parametrize("extra", [(), ("--no-perfect",)], ids=["perfect", "no-perfect"])
-    def test_sample_knn_pinned(self, tmp_path, capsys, extra):
-        # Digest of `knn --algo sep` on the sample sources and targets with
-        # k = 4 (pruned cells) and k = 15 (every target), the same in both
-        # modes. How the searches iterate the search graphs may change;
-        # this output may not.
+    @pytest.mark.parametrize("extra, algo", [((), "sep"), (("--no-perfect",), "sep"),
+                                             ((), "dijkstra"), (("--no-perfect",), "dijkstra")],
+                             ids=["perfect", "no-perfect", "perfect-dijkstra",
+                                  "no-perfect-dijkstra"])
+    def test_sample_knn_pinned(self, tmp_path, capsys, extra, algo):
+        # Digest of `knn` on the sample sources and targets with k = 4
+        # (pruned cells) and k = 15 (every target), the same in both modes
+        # and for both algorithms. How the searches iterate their graphs may
+        # change; this output may not.
         gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
         cchp, cchm = tmp_path / "s.cchp", tmp_path / "s.cchm"
         assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)]) == 0
@@ -446,7 +449,7 @@ class TestKnnCmd:
         capsys.readouterr()
         for k in ("4", "15"):
             assert main(["knn", "--customized", str(cchm), "--sources", str(SAMPLE / "sources.txt"),
-                         "--targets", str(SAMPLE / "targets.txt"), "-k", k, "--algo", "sep"]) == 0
+                         "--targets", str(SAMPLE / "targets.txt"), "-k", k, "--algo", algo]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d5a30fdcdd9213f4907036841f90f4dae08203fc60e581981656bfe48ce06ab")

@@ -14,8 +14,8 @@ from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       load_customized, load_dimacs_co, load_dimacs_gr,
                       nested_dissection_order, reconstruct_separator_decomposition,
                       save_cch, save_customized)
-from cchroute.preprocess import serialize_cch
-from helpers import (SAMPLE, diamond, grid_graph, naive_elimination_arcs,
+from cchroute.preprocess import deserialize_cch, serialize_cch
+from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, naive_elimination_arcs,
                      random_connected_graph, random_order, rank_relabeled)
 
 
@@ -311,6 +311,44 @@ class TestDerivedOnConstruction:
         decomposition = cch.decomposition
         assert len(calls) == 1
         assert decomposition == reconstruct_separator_decomposition(cch.parent)
+
+
+class TestCheckGraph:
+    @pytest.fixture(scope="class")
+    def sample(self):
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        cch = build_cch(g, load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count))
+        return g, cch, serialize_cch(cch)
+
+    def test_clean_hierarchy_passes(self, sample):
+        g, _, data = sample
+        deserialize_cch(data).check_graph(g)
+
+    def test_head_moved_inside_a_clique(self, sample):
+        # Entry 1338 (vertex 166 to 172) moved to 170, another vertex of the
+        # clique above 166: the file loads, keeps its fingerprint and
+        # customizes, so only the re-contraction tells it apart.
+        g, cch, data = sample
+        assert (cch.ug.tail[1338], cch.ug.head[1338]) == (166, 172)
+        edit = ArtifactEditor(data, cch)
+        edit.put("head", 1338, 170)
+        moved = deserialize_cch(edit.sealed())
+        assert moved.fingerprint == cch.fingerprint
+        customize(moved, list(g.weight))
+        with pytest.raises(ConsistencyError, match="not the contraction"):
+            moved.check_graph(g)
+
+    def test_graph_with_an_arc_dropped(self, sample, tmp_path):
+        g, _, data = sample
+        lines = (SAMPLE / "grid.gr").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("a "))
+        del lines[i]
+        lines = [f"p sp {g.vertex_count} {g.arc_count - 1}" if line.startswith("p ") else line
+                 for line in lines]
+        gr = tmp_path / "dropped.gr"
+        gr.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConsistencyError, match="different graph"):
+            deserialize_cch(data).check_graph(load_dimacs_gr(str(gr)))
 
 
 class TestArtifacts:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import threading
@@ -9,7 +10,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies
 
-from cchroute import (ConsistencyError, INFINITY, InputGraph, QueryState,
+from cchroute import (FORBIDDEN, ConsistencyError, INFINITY, InputGraph, QueryState,
                       RankOrder, RphastState, StateError,
                       astar_with_cch_potential, build_cch, customize, dijkstra,
                       expand_turns, knn_dijkstra, knn_query, knn_select,
@@ -247,6 +248,37 @@ class TestAstar:
             want = dijkstra(exp.graph, s)[t]
             got = astar_with_cch_potential(s, t, exp.graph, st, vertex_map=vertex_map)
             assert got == want
+
+    def test_turn_expanded_grid_pinned(self):
+        # distances and settle counts of seeded pairs, pinned: the settle
+        # order depends on how stale heap entries are told apart
+        rng = random.Random(163)
+        g, coords = grid_graph(rng, 10, 10, one_way=0.1)
+        turns = {}
+        for a in range(g.arc_count):
+            via = g.head[a]
+            for b in range(g.first_out[via], g.first_out[via + 1]):
+                if g.head[b] == g.tail[a]:
+                    turns[(a, b)] = FORBIDDEN if rng.random() < 0.7 else 500
+                elif rng.random() < 0.1:
+                    turns[(a, b)] = FORBIDDEN
+                elif rng.random() < 0.3:
+                    turns[(a, b)] = rng.randint(1, 300)
+        exp = expand_turns(g, turns)
+        cch = build_cch(g, coords)
+        c = customize(cch, list(g.weight))
+        vertex_map = [cch.order.rank_of[t] for t in g.tail]
+        st = RphastState(c.graphs, cch.parent, reverse=True)
+        m = exp.graph.vertex_count
+        lines = []
+        for _ in range(300):
+            s, t = rng.randrange(m), rng.randrange(m)
+            counters = {}
+            d = astar_with_cch_potential(s, t, exp.graph, st, vertex_map=vertex_map,
+                                         counters=counters)
+            lines.append(f"{d} {counters['settled']}\n")
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "3607f354af34cef5b0751ce1563a026361667bb0da47f0db2b894c7135e2e998")
 
     def test_inflated_weights_beat_dijkstra_settles(self):
         rng = random.Random(151)
@@ -582,9 +614,9 @@ class TestTurnExpandedPipeline:
 
 
 def assert_every_query_matches_dijkstra(c, k, targets):
-    """All pairs through ``query``/``unpack_path``, forward and reverse
-    RPHAST rows and k-NN from every source, against plain Dijkstra on the
-    customized input graph."""
+    """All pairs through ``query``/``unpack_path`` and A* on the customized
+    input graph, forward and reverse RPHAST rows and k-NN from every source,
+    against plain Dijkstra on that graph."""
     cch = c.cch
     n = cch.ug.vertex_count
     g = query_input_graph(c)
@@ -592,6 +624,7 @@ def assert_every_query_matches_dijkstra(c, k, targets):
     st = QueryState.for_vertex_count(n)
     fwd = RphastState(c.graphs, cch.parent)
     bwd = RphastState(c.graphs, cch.parent, reverse=True)
+    pot = RphastState(c.graphs, cch.parent, reverse=True)
     poi = knn_select(targets, n)
     for s in range(n):
         for t in range(n):
@@ -602,6 +635,12 @@ def assert_every_query_matches_dijkstra(c, k, targets):
             else:
                 assert path[0] == s and path[-1] == t
                 assert path_weight(g, path) == dist[s][t], (s, t, path)
+            counters = {}
+            assert astar_with_cch_potential(s, t, g, pot, vertex_map=range(n),
+                                            counters=counters) == dist[s][t], (s, t)
+            # the potentials are exact, so an unreachable target is known
+            # before the start is settled
+            assert dist[s][t] != INFINITY or counters["settled"] == 0, (s, t)
         rphast_source(s, fwd)
         rphast_source(s, bwd)
         for t in range(n):
