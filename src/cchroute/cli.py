@@ -27,13 +27,14 @@ import sys
 import time
 
 from . import __version__
-from .customize import (Customized, customize, load_customized, query_input_graph,
-                        save_customized)
-from .dimacs import load_dimacs_co, load_dimacs_gr, load_metric, read_id_lines, read_pairs
+from .customize import Customized, customize, query_input_graph
 from .errors import ConsistencyError, ParseError, StateError
+from .formats import (export_order, import_order, load_cch, load_customized, load_dimacs_co,
+                      load_dimacs_gr, load_metric, read_id_lines, read_pairs, save_cch,
+                      save_customized)
 from .graph import INFINITY, InputGraph
-from .order import RankOrder, export_order, import_order, nested_dissection_order
-from .preprocess import Cch, build_cch, load_cch, save_cch
+from .order import RankOrder, nested_dissection_order
+from .preprocess import Cch, build_cch
 from .query import (QueryState, RphastState, knn_dijkstra, knn_query, knn_select,
                     query, rphast_source, unpack_path)
 
@@ -57,11 +58,6 @@ def _check_threads(flag: int | None) -> None:
         except ValueError:
             raise ConsistencyError(f"CCH_THREADS must be an integer, got {env!r}") from None
         _check_positive(value, "CCH_THREADS")
-
-
-def _check_vertex(v: int, n: int, what: str) -> None:
-    if not (0 <= v < n):
-        raise ConsistencyError(f"{what} {v} out of range [0, {n})")
 
 
 def _dump_decomposition(decomp, out) -> None:
@@ -147,11 +143,9 @@ def cmd_query(args) -> int:
     c = load_customized(args.customized)
     order = c.cch.order
     n = c.cch.ug.vertex_count
-    pairs = read_pairs(args.pairs)
+    pairs = read_pairs(args.pairs, n)
     state = QueryState.for_vertex_count(n)
     for s, t in pairs:
-        _check_vertex(s, n, "source")
-        _check_vertex(t, n, "target")
         dist = query(order.rank_of[s], order.rank_of[t], state, c.graphs, c.cch.parent)
         line = f"{s}\t{t}\t{_format_dist(dist)}"
         if args.paths:
@@ -166,10 +160,8 @@ def cmd_knn(args) -> int:
     c = load_customized(args.customized)
     order = c.cch.order
     n = c.cch.ug.vertex_count
-    sources = read_id_lines(args.sources)
-    targets = read_id_lines(args.targets)
-    for v in sources + targets:
-        _check_vertex(v, n, "vertex")
+    sources = read_id_lines(args.sources, n)
+    targets = read_id_lines(args.targets, n)
     rank_targets = [order.rank_of[v] for v in targets]
     if args.algo == "sep":
         poi = knn_select(rank_targets, n)

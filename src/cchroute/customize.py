@@ -46,13 +46,9 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, pairwise, repeat
 
-from .errors import ConsistencyError, FormatError
+from .errors import ConsistencyError
 from .graph import INFINITY, InputGraph
-from .preprocess import (Cch, SENTINEL, UpwardGraph, _cch_parts, _encode_array, _read_cch,
-                         _Reader, _sealed)
-
-CUSTOMIZED_MAGIC = b"CCHM"
-CUSTOMIZED_VERSION = 2
+from .preprocess import Cch, SENTINEL, UpwardGraph
 
 
 @dataclass
@@ -63,11 +59,8 @@ class CustomizedMetric:
     basic step (SENTINEL means the arc still carries its respected weight);
     ``down_a``/``down_b`` likewise for ``l_down``. ``customize()`` and
     ``load_customized()`` store weights as ``array('I')`` and witnesses as
-    ``array('i')``, whose bytes are the CCHM encoding: like every column of
-    both artifacts, they are written by ``_encode_array`` and read by
-    ``_Reader.array``. The loop oracles of the tests fill plain lists.
-    Deletion marks are one byte per arc, stored as written in CCHM
-    artifacts.
+    ``array('i')``; the loop oracles of the tests fill plain lists.
+    Deletion marks are one byte per arc, 0 or 1.
     """
 
     l_up: array | list[int]
@@ -148,7 +141,7 @@ def build_reduced(m: CustomizedMetric, ug: UpwardGraph) -> SearchGraphs:
             gc.enable()
 
 
-def _check_witnesses(ug: UpwardGraph, m: CustomizedMetric) -> None:
+def check_witnesses(ug: UpwardGraph, m: CustomizedMetric) -> None:
     """Require every witness of a search arc to be a lower triangle of its
     arc whose legs survive in the directions they are traversed.
 
@@ -180,8 +173,8 @@ def _check_witnesses(ug: UpwardGraph, m: CustomizedMetric) -> None:
 class Customized:
     """A hierarchy joined with one customized metric, ready for queries.
 
-    ``input_weights`` is an ``array('I')``, whose bytes are the CCHM
-    encoding. ``graphs`` is derived at construction by ``build_reduced``."""
+    ``input_weights`` is an ``array('I')``. ``graphs`` is derived at
+    construction by ``build_reduced``."""
 
     cch: Cch
     metric: CustomizedMetric
@@ -245,58 +238,3 @@ def query_input_graph(c: Customized) -> InputGraph:
         if o != SENTINEL and w[o] < INFINITY:
             arcs.append((ug.head[i], ug.tail[i], w[o]))
     return InputGraph.from_arcs(ug.vertex_count, arcs)
-
-
-def save_customized(c: Customized, path: str) -> None:
-    # Part by part: joining them first would hold the artifact twice at
-    # the moment a recustomization also holds two metrics.
-    with open(path, "wb") as f:
-        f.writelines(_sealed(_customized_parts(c)))
-
-
-def serialize_customized(c: Customized) -> bytes:
-    return b"".join(_sealed(_customized_parts(c)))
-
-
-def _customized_parts(c: Customized):
-    """The CCHM encoding of ``c`` without its trailer, one column at a time."""
-    m = c.metric
-    yield CUSTOMIZED_MAGIC + bytes([CUSTOMIZED_VERSION, 1 if c.perfect else 0])
-    yield from _cch_parts(c.cch)
-    yield from map(_encode_array, (c.input_weights, m.l_up, m.l_down,
-                                   m.up_a, m.up_b, m.down_a, m.down_b))
-    yield bytes(m.delete_up)
-    yield bytes(m.delete_down)
-
-
-def load_customized(path: str) -> Customized:
-    """Load a CCHM. Its one CRC32 trailer covers the embedded CCHP too."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    r.header(CUSTOMIZED_MAGIC, CUSTOMIZED_VERSION, "customized", sealed=True)
-    perfect_flag = r.take(1)[0]
-    if perfect_flag not in (0, 1):
-        raise FormatError(f"perfect flag is {perfect_flag}, not 0 or 1")
-    cch = _read_cch(r)
-    arc_count = cch.ug.arc_count
-    input_weights = r.array("I", cch.ug.input_arc_count)
-    # Witnesses read as int32: 0xFFFFFFFF is SENTINEL, and any other value
-    # of 2**31 or more turns negative, which the witness check rejects.
-    metric = CustomizedMetric(
-        l_up=r.array("I", arc_count),
-        l_down=r.array("I", arc_count),
-        up_a=r.array("i", arc_count),
-        up_b=r.array("i", arc_count),
-        down_a=r.array("i", arc_count),
-        down_b=r.array("i", arc_count),
-        delete_up=bytearray(r.take(arc_count)),
-        delete_down=bytearray(r.take(arc_count)))
-    if r.pos != r.end:
-        raise FormatError("trailing bytes in artifact")
-    # deleting the bytes 0 and 1 leaves only the marks that are neither
-    if metric.delete_up.translate(None, b"\0\1") or metric.delete_down.translate(None, b"\0\1"):
-        raise FormatError("deletion mark is not 0 or 1")
-    if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
-        raise ConsistencyError("basic-only customized artifact carries deletion marks")
-    _check_witnesses(cch.ug, metric)
-    return Customized(cch, metric, bool(perfect_flag), input_weights)

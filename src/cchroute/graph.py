@@ -14,6 +14,7 @@ never wraps around into a finite distance.
 from __future__ import annotations
 
 import heapq
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -39,6 +40,15 @@ def find_arc(first: array, head: array, u: int, v: int) -> int | None:
     if i < hi and head[i] == v:
         return i
     return None
+
+
+def le_bytes(arr: array) -> bytes:
+    """Little-endian bytes of a 4-byte ``array``: the encoding of every
+    artifact column and of ``graph_fingerprint``'s input."""
+    if sys.byteorder != "little":  # pragma: no cover
+        arr = array(arr.typecode, arr)
+        arr.byteswap()
+    return arr.tobytes()
 
 
 @dataclass

@@ -15,7 +15,6 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .dimacs import read_id_lines
 from .errors import ConsistencyError
 from .graph import Coordinates, InputGraph
 
@@ -266,20 +265,6 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
     for v, r in enumerate(rank_of):
         vertex_at[r] = v
     return RankOrder(rank_of=rank_of, vertex_at=vertex_at, decomposition=root)
-
-
-def import_order(path: str, n: int) -> RankOrder:
-    """Read an order file: n lines, line r holds the vertex at rank r."""
-    vertex_at = read_id_lines(path)
-    if len(vertex_at) != n:
-        raise ConsistencyError(f"order file has {len(vertex_at)} lines, expected {n}")
-    return RankOrder.from_vertex_at(vertex_at)
-
-
-def export_order(order: RankOrder, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for v in order.vertex_at:
-            f.write(f"{v}\n")
 
 
 def subtree_sizes(parent: Sequence[int]) -> list[int]:

@@ -6,37 +6,32 @@ result, grouped by tail with heads ascending; every vertex's first upward
 neighbor is its parent in the elimination tree. The hierarchy's vertex
 IDs are ranks, read through the order from each input arc's endpoints,
 which keeps every later phase cache-friendly and makes rank comparisons
-plain integer comparisons. A CCHP stores the upward arcs, order and
-input-arc map behind a CRC32 trailer; the classes holding those columns
+plain integer comparisons. The classes holding the stored columns
 derive the tails, tree, separator decomposition and schedule themselves.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ConsistencyError, FormatError
-from .graph import InputGraph, find_arc
+from .errors import ConsistencyError
+from .graph import InputGraph, find_arc, le_bytes
 from .order import (RankOrder, SeparatorDecomposition, decomposition_from_subtree_sizes,
                     dfs_postorder_reorder, nested_dissection_order, postorder_subtree_sizes)
 
 SENTINEL = -1
 """Parent value of elimination-tree roots; also the 'no arc' marker."""
 
-MAGIC = b"CCHP"
-VERSION = 2
-
 
 @dataclass
 class UpwardGraph:
     """Chordal completion stored as upward arcs grouped by tail.
 
-    Every column is an ``array('i')``, whose bytes are the CCHP encoding;
+    Every column is an ``array('i')``, whose bytes are the CCHP's;
     ``tail`` is not stored but derived from ``first_arc`` at construction.
     ``orig_up[i]`` / ``orig_down[i]`` give the input arc whose direction
     matches arc i's tail->head (resp. head->tail) traversal, or SENTINEL
@@ -115,29 +110,6 @@ def contract(g: InputGraph, order: RankOrder) -> UpwardGraph:
     return UpwardGraph(n, first_arc, head, orig_up, orig_down, g.arc_count)
 
 
-def _checked_upward_graph(n: int, first_arc: array, head: array, orig_up: array,
-                          orig_down: array, input_arc_count: int) -> UpwardGraph:
-    """The loaded hierarchy, or a ConsistencyError if its arcs are malformed.
-
-    Queries climb the elimination tree, each vertex's first head, to a
-    root, which ends only if every first head lies in (tail, n). The other
-    heads are checked below n here; ``_read_cch`` checks that they ascend
-    once the tree is checked. Customization reads the input weight of every
-    ``orig_up`` and ``orig_down`` entry, so each must be SENTINEL or an
-    input arc ID.
-    """
-    if (first_arc[0] != 0 or first_arc[-1] != len(head)
-            or not all(map(operator.le, first_arc, first_arc[1:]))):
-        raise ConsistencyError("arc ranges do not run monotonically from 0 to the arc count")
-    if head and (max(head) >= n or any(head[lo] <= u for u, lo, hi
-                                       in zip(range(n), first_arc, first_arc[1:]) if lo < hi)):
-        raise ConsistencyError("arc head outside (tail, vertex count)")
-    for orig in (orig_up, orig_down):
-        if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
-            raise ConsistencyError("input arc ID outside [0, input arc count)")
-    return UpwardGraph(n, first_arc, head, orig_up, orig_down, input_arc_count)
-
-
 def build_elimination_tree(ug: UpwardGraph) -> array:
     """Parent array: each vertex's lowest upward neighbor, or SENTINEL."""
     first, head = ug.first_arc, ug.head
@@ -197,6 +169,42 @@ class Cch:
         self.parent = build_elimination_tree(self.ug)
         self._subtree_size = array("i", postorder_subtree_sizes(self.parent))
 
+    @classmethod
+    def from_columns(cls, first_arc: array, head: array, vertex_at: array, orig_up: array,
+                     orig_down: array, input_arc_count: int, fingerprint: int) -> Cch:
+        """The hierarchy a CCHP stores, or a ConsistencyError if its columns
+        are malformed.
+
+        Queries climb the elimination tree, each vertex's first head, to a
+        root, which ends only if every first head lies in (tail, n); every
+        other head must lie below n. Customization reads the input weight of
+        every ``orig_up`` and ``orig_down`` entry, so each must be SENTINEL
+        or an input arc ID. ``arc_index`` bisects each vertex's heads, so
+        they must ascend; that is checked after the tree, so that a re-hung
+        parent is reported as a tree fault.
+        """
+        n = len(first_arc) - 1
+        if (first_arc[0] != 0 or first_arc[-1] != len(head)
+                or not all(map(operator.le, first_arc, first_arc[1:]))):
+            raise ConsistencyError("arc ranges do not run monotonically from 0 to the arc count")
+        if head and (max(head) >= n or any(head[lo] <= u for u, lo, hi
+                                           in zip(range(n), first_arc, first_arc[1:]) if lo < hi)):
+            raise ConsistencyError("arc head outside (tail, vertex count)")
+        for orig in (orig_up, orig_down):
+            if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
+                raise ConsistencyError("input arc ID outside [0, input arc count)")
+        cch = cls(ug=UpwardGraph(n, first_arc, head, orig_up, orig_down, input_arc_count),
+                  order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)
+        # each head must lie above prev: the head before it, or its tail at
+        # a range start
+        prev = head[-1:] + head[:-1]
+        for u, lo, hi in zip(range(n), first_arc, first_arc[1:]):
+            if lo < hi:
+                prev[lo] = u
+        if not all(map(operator.lt, prev, head)):
+            raise ConsistencyError("arc heads not strictly ascending above their tail")
+        return cch
+
     def check_graph(self, g: InputGraph) -> None:
         """Raise ConsistencyError unless this hierarchy was built from ``g``:
         the fingerprint must match, and then ``contract(g, order)``, which
@@ -235,117 +243,4 @@ def build_cch(g: InputGraph, coords=None, order: RankOrder | None = None) -> Cch
 def graph_fingerprint(g: InputGraph) -> int:
     """CRC32 of the vertex and arc counts and the arcs (tail, head) of ``g``."""
     columns = (array("I", (g.vertex_count, g.arc_count)), g.tail, g.head)
-    return zlib.crc32(b"".join(map(_encode_array, columns)))
-
-
-def _encode_array(arr: array) -> bytes:
-    """Little-endian bytes of a 4-byte ``array``."""
-    if sys.byteorder != "little":  # pragma: no cover
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr.tobytes()
-
-
-def _sealed(parts):
-    """``parts``, then the CRC32 of all their bytes as a 4-byte trailer."""
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-        yield part
-    yield crc.to_bytes(4, "little")
-
-
-class _Reader:
-    """Cursor over an artifact's bytes. ``array`` reads every column of
-    both artifacts, the inverse of ``_encode_array``; ``take`` reads the
-    magic, version and flag bytes and the deletion marks, and ``header``
-    checks the first two and the trailer."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.end = len(data)
-
-    def header(self, magic: bytes, version: int, kind: str, sealed: bool) -> None:
-        """Check the magic and version; then, if ``sealed``, match the
-        trailer against the CRC32 of all bytes before it and end reads there."""
-        if self.take(4) != magic:
-            raise FormatError(f"bad magic; not a {kind} artifact")
-        if (found := self.take(1)[0]) != version:
-            raise FormatError(f"unsupported {kind} artifact version {found}")
-        if sealed:
-            self.end = len(self.data) - 4
-            if (self.end < self.pos or zlib.crc32(memoryview(self.data)[:self.end])
-                    != int.from_bytes(self.data[self.end:], "little")):
-                raise FormatError("checksum mismatch: artifact corrupted or truncated")
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > self.end:
-            raise FormatError("truncated artifact")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def array(self, typecode: str, count: int) -> array:
-        """Read ``count`` little-endian 4-byte values into an ``array``."""
-        arr = array(typecode)
-        arr.frombytes(self.take(4 * count))
-        if sys.byteorder != "little":  # pragma: no cover
-            arr.byteswap()
-        return arr
-
-
-def save_cch(cch: Cch, path: str) -> None:
-    """Serialize the preprocessing artifact (little-endian 4-byte columns)."""
-    with open(path, "wb") as f:
-        f.writelines(_sealed(_cch_parts(cch)))
-
-
-def serialize_cch(cch: Cch) -> bytes:
-    return b"".join(_sealed(_cch_parts(cch)))
-
-
-def _cch_parts(cch: Cch):
-    """The CCHP encoding of ``cch`` without its trailer, one column at a time."""
-    ug = cch.ug
-    header = array("I", (ug.vertex_count, ug.arc_count, ug.input_arc_count, cch.fingerprint))
-    yield MAGIC + bytes([VERSION])
-    yield from map(_encode_array, (header, ug.first_arc, ug.head, array("I", cch.order.vertex_at),
-                                   ug.orig_up, ug.orig_down))
-
-
-def load_cch(path: str) -> Cch:
-    with open(path, "rb") as f:
-        return deserialize_cch(f.read())
-
-
-def deserialize_cch(data: bytes) -> Cch:
-    return _read_cch(_Reader(data))
-
-
-def _read_cch(r: _Reader) -> Cch:
-    """The CCHP at ``r``'s position: at the start a sealed file of its own,
-    else embedded in a CCHM that seals it. Heads are checked to ascend after
-    the tree, so that a re-hung parent is reported as a tree fault."""
-    sealed = r.pos == 0
-    r.header(MAGIC, VERSION, "preprocessing", sealed)
-    n, m, input_arc_count, fingerprint = r.array("I", 4)
-    first_arc = r.array("i", n + 1)
-    head = r.array("i", m)
-    vertex_at = r.array("I", n)
-    orig_up = r.array("i", m)
-    orig_down = r.array("i", m)
-    if sealed and r.pos != r.end:
-        raise FormatError("trailing bytes in artifact")
-    cch = Cch(ug=_checked_upward_graph(n, first_arc, head, orig_up, orig_down, input_arc_count),
-              order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)
-    # arc_index bisects each vertex's heads, so each must lie above prev:
-    # the head before it, or its tail at a range start
-    prev = head[-1:] + head[:-1]
-    for u, lo, hi in zip(range(n), first_arc, first_arc[1:]):
-        if lo < hi:
-            prev[lo] = u
-    if not all(map(operator.lt, prev, head)):
-        raise ConsistencyError("arc heads not strictly ascending above their tail")
-    return cch
+    return zlib.crc32(b"".join(map(le_bytes, columns)))

@@ -12,9 +12,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .dimacs import FORBIDDEN
 from .errors import ConsistencyError
 from .graph import INFINITY, Coordinates, InputGraph
+
+FORBIDDEN = -1
+"""Turn-table cost sentinel: the (in, out) arc pair may not be taken."""
 
 
 @dataclass

@@ -153,6 +153,28 @@ class TestCustomizeCmd:
         assert main(["customize", "--graph", gr2, "--cch", str(cchp),
                      "--out", str(tmp_path / "x.cchm")]) == 3
 
+    def test_graph_with_a_self_loop_is_its_own_metric_file(self, tmp_path, capsys):
+        # load_dimacs_gr drops the self-loop line, and load_metric skips it
+        # once its IDs and weight are checked.
+        gr, order, cchp = tmp_path / "loop.gr", tmp_path / "loop.order", tmp_path / "loop.cchp"
+        gr.write_text("p sp 3 4\na 1 2 5\na 2 3 6\na 1 1 7\na 3 1 2\n")
+        order.write_text("0\n1\n2\n")
+        assert main(["preprocess", "--graph", str(gr), "--order", str(order),
+                     "--out", str(cchp)]) == 0
+        outs = []
+        for extra in ((), ("--weights", str(gr))):
+            out = tmp_path / f"loop{len(outs)}.cchm"
+            assert main(["customize", "--graph", str(gr), "--cch", str(cchp),
+                         "--out", str(out), *extra]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        metric = tmp_path / "loop.metric"
+        metric.write_text(f"a 1 1 {INFINITY}\n")
+        capsys.readouterr()
+        assert main(["customize", "--graph", str(gr), "--cch", str(cchp), "--weights", str(metric),
+                     "--out", str(tmp_path / "x.cchm")]) == 3
+        assert "line 1: weight" in capsys.readouterr().err
+
     def test_graph_with_a_repointed_arc_exits_3(self, tmp_path, capsys, sample_artifacts):
         # Same vertex and arc counts, one arc's head moved: the hierarchy's
         # graph fingerprint no longer matches.
@@ -395,6 +417,16 @@ class TestQueryCmd:
         assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 3
 
 
+    def test_out_of_range_pair_rejected_before_any_line(self, tmp_path, capsys):
+        g, (gr, co) = diamond_files(tmp_path)
+        cchm = self._pipeline(tmp_path, gr, co)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("0 1\n\n2 4\n")
+        capsys.readouterr()
+        assert main(["query", "--customized", str(cchm), "--pairs", str(pairs)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "line 3: vertex ID 4 out of [0, 4)" in err
+
     def test_out_of_range_witness_exits_3(self, tmp_path, capsys):
         rng = random.Random(241)
         g, coords = grid_graph(rng, 6, 6)
@@ -484,6 +516,20 @@ class TestKnnCmd:
         for k in ("0", "-1"):
             assert main(["knn", "--customized", str(cchm), "--sources", str(ids),
                          "--targets", str(ids), "-k", k]) == 3
+
+
+    def test_sources_checked_before_targets_are_read(self, tmp_path, capsys):
+        g, (gr, co) = diamond_files(tmp_path)
+        cchp, cchm = tmp_path / "d.cchp", tmp_path / "d.cchm"
+        main(["preprocess", "--graph", gr, "--coords", co, "--out", str(cchp)])
+        main(["customize", "--graph", gr, "--cch", str(cchp), "--out", str(cchm)])
+        sources, targets = tmp_path / "s.txt", tmp_path / "t.txt"
+        sources.write_text("0\n9\n")
+        targets.write_text("x\n")
+        capsys.readouterr()
+        assert main(["knn", "--customized", str(cchm), "--sources", str(sources),
+                     "--targets", str(targets), "-k", "1"]) == 3
+        assert "line 2: vertex ID 9 out of [0, 4)" in capsys.readouterr().err
 
 
 class TestThreadResolution:
@@ -608,6 +654,74 @@ def test_non_utf8_text_input_exits_2(tmp_path, capsys, sample_artifacts, command
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not UTF-8" in err and "Traceback" not in err
+
+
+class TestTextInputFuzz:
+    """Seeded mutations of every text input the CLI reads, each run through
+    the subcommand that reads it: every run exits 0, 2, 3 or 5, never with
+    a traceback."""
+
+    MUTATIONS = 40
+    TOKENS = [b"x", b"-1", b"0", str(2**40).encode()]
+
+    @classmethod
+    def _mutate(cls, rng: random.Random, data: bytes) -> bytes:
+        """``data`` with one non-blank line changed: a token dropped,
+        duplicated or replaced, the line cut short, or a byte 0xff put in."""
+        lines = data.split(b"\n")
+        i = rng.choice([i for i, line in enumerate(lines) if line.strip()])
+        line, tokens = lines[i], lines[i].split()
+        kind = rng.randrange(5)
+        j = rng.randrange(len(tokens))
+        if kind == 0:
+            del tokens[j]
+        elif kind == 1:
+            tokens.insert(j, tokens[j])
+        elif kind == 2:
+            tokens[j] = rng.choice(cls.TOKENS)
+        if kind < 3:
+            lines[i] = b" ".join(tokens)
+        elif kind == 3:
+            lines[i] = line[:rng.randrange(len(line))]
+        else:
+            cut = rng.randrange(len(line) + 1)
+            lines[i] = line[:cut] + b"\xff" + line[cut:]
+        return b"\n".join(lines)
+
+    def test_mutated_inputs_exit_with_a_documented_code(self, tmp_path, capsys, sample_artifacts):
+        gr, co, cchp, cchm = map(str, sample_artifacts)
+        order, metric = tmp_path / "order.txt", tmp_path / "metric.txt"
+        assert main(["preprocess", "--graph", gr, "--coords", co, "--out", str(tmp_path / "o.cchp"),
+                     "--export-order", str(order)]) == 0
+        with open(gr) as f:
+            arcs = [line.split() for line in f if line.startswith("a ")]
+        metric.write_text("".join(f"a {t} {h} {2 * int(w)}\n" for _, t, h, w in arcs))
+        queries, sources, targets = (str(SAMPLE / f) for f in
+                                     ("queries.txt", "sources.txt", "targets.txt"))
+        mut, out = str(tmp_path / "mutated"), str(tmp_path / "out")
+        knn = ["knn", "--customized", cchm, "-k", "2"]
+        cases = {
+            gr: ["preprocess", "--graph", mut, "--coords", co, "--out", out],
+            co: ["preprocess", "--graph", gr, "--coords", mut, "--out", out],
+            str(metric): ["customize", "--graph", gr, "--cch", cchp, "--weights", mut, "--out", out],
+            str(order): ["preprocess", "--graph", gr, "--order", mut, "--out", out],
+            queries: ["query", "--customized", cchm, "--pairs", mut],
+            sources: [*knn, "--sources", mut, "--targets", targets],
+            targets: [*knn, "--sources", sources, "--targets", mut],
+        }
+        rng = random.Random(263)
+        codes = set()
+        for source, argv in cases.items():
+            data = open(source, "rb").read()
+            for _ in range(self.MUTATIONS):
+                mutated = self._mutate(rng, data)
+                with open(mut, "wb") as f:
+                    f.write(mutated)
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 5) and "Traceback" not in err, (argv, mutated)
+                codes.add(code)
+        assert codes == {0, 2, 3}
 
 
 class TestMain:

@@ -16,8 +16,7 @@ from cchroute import (CchError, ConsistencyError, FormatError, INFINITY, InputGr
                       build_cch, build_reduced, customize, dijkstra, load_cch,
                       load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
                       save_customized)
-from cchroute.customize import serialize_customized
-from cchroute.preprocess import deserialize_cch, serialize_cch
+from cchroute.formats import deserialize_cch, serialize_cch, serialize_customized
 from cchroute.query import _expand_arcs
 from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, hierarchies_with_metrics,
                      random_connected_graph, rank_relabeled, search_arcs)

@@ -1,0 +1,153 @@
+"""On-disk formats: artifact round trips, vertex-ID files, module layering."""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from cchroute import (ConsistencyError, ParseError, build_cch, customize, import_order,
+                      load_cch, load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
+                      save_customized)
+from cchroute.formats import read_id_lines, read_pairs, serialize_cch, serialize_customized
+from helpers import SAMPLE
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "cchroute"
+
+
+def perfbench_grid(out_dir: Path) -> tuple[str, str]:
+    """``.gr`` and ``.co`` of perfbench's seed-1 grid at side 30."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    paths = gen.generate(1, str(out_dir), side=30)
+    return paths["grid.gr"], paths["grid.co"]
+
+
+class TestArtifactRoundTrip:
+    """Both codecs write the same bytes to a file as to memory, and a loaded
+    artifact saves back to the bytes it was read from."""
+
+    @pytest.fixture(scope="class", params=["sample", "perfbench-seed-1"])
+    def instance(self, request, tmp_path_factory):
+        if request.param == "sample":
+            gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
+        else:
+            gr, co = perfbench_grid(tmp_path_factory.mktemp("grid"))
+        g = load_dimacs_gr(gr)
+        return g, build_cch(g, load_dimacs_co(co, g.vertex_count))
+
+    def test_cchp(self, tmp_path, instance):
+        _, cch = instance
+        first, again = tmp_path / "a.cchp", tmp_path / "b.cchp"
+        save_cch(cch, str(first))
+        assert first.read_bytes() == serialize_cch(cch)
+        save_cch(load_cch(str(first)), str(again))
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("perfect", [True, False], ids=["perfect", "no-perfect"])
+    def test_cchm(self, tmp_path, instance, perfect):
+        g, cch = instance
+        c = customize(cch, list(g.weight), use_perfect=perfect)
+        first, again = tmp_path / "a.cchm", tmp_path / "b.cchm"
+        save_customized(c, str(first))
+        assert first.read_bytes() == serialize_customized(c)
+        save_customized(load_customized(str(first)), str(again))
+        assert again.read_bytes() == first.read_bytes()
+
+
+class TestVertexIdFiles:
+    """ID files are checked against the vertex count as they are read, so
+    the first bad line decides the error and names its line."""
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "ids.txt"
+        path.write_text(text)
+        return str(path)
+
+    def test_ids_in_range(self, tmp_path):
+        assert read_id_lines(self._write(tmp_path, "c ids\n2\n\n0\n"), 3) == [2, 0]
+        assert read_pairs(self._write(tmp_path, "0 2\n2 1\n"), 3) == [(0, 2), (2, 1)]
+
+    @pytest.mark.parametrize("text, line, v", [("0\n\n3\n", 3, 3), ("-1\n", 1, -1)])
+    def test_id_out_of_range_names_its_line(self, tmp_path, text, line, v):
+        with pytest.raises(ConsistencyError, match=rf"^line {line}: vertex ID {v} out of \[0, 3\)$"):
+            read_id_lines(self._write(tmp_path, text), 3)
+
+    @pytest.mark.parametrize("text, line, v", [("0 1\n1 3\n", 2, 3), ("-1 0\n", 1, -1)])
+    def test_pair_out_of_range_names_its_line(self, tmp_path, text, line, v):
+        with pytest.raises(ConsistencyError, match=rf"^line {line}: vertex ID {v} out of \[0, 3\)$"):
+            read_pairs(self._write(tmp_path, text), 3)
+
+    def test_first_bad_line_decides(self, tmp_path):
+        with pytest.raises(ConsistencyError, match="line 1"):
+            read_id_lines(self._write(tmp_path, "7\nx\n"), 3)
+        with pytest.raises(ParseError, match="line 1"):
+            read_id_lines(self._write(tmp_path, "x\n7\n"), 3)
+        with pytest.raises(ConsistencyError, match="line 1"):
+            read_pairs(self._write(tmp_path, "0 7\n0\n"), 3)
+
+    def test_order_id_out_of_range_before_line_count(self, tmp_path):
+        with pytest.raises(ConsistencyError, match="line 2: vertex ID 5"):
+            import_order(self._write(tmp_path, "0\n5\n"), 3)
+
+
+ALGORITHM_MODULES = {"graph", "order", "turns", "preprocess", "kernels", "customize", "query"}
+"""Modules that hold the algorithms; none of them reads or writes a file
+format, so each imports only its peers and ``errors``."""
+
+
+def package_imports(path: Path):
+    """``(module, name)`` for every import of a package module in ``path``,
+    at any depth, with ``name`` None for an import of the module itself."""
+    modules = {p.stem for p in path.parent.glob("*.py")}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("cchroute")):
+            module = (node.module or "").removeprefix("cchroute").lstrip(".") or "__init__"
+            for alias in node.names:
+                if module == "__init__" and alias.name in modules:
+                    yield alias.name, None
+                else:
+                    yield module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("cchroute."):
+                    yield alias.name.split(".")[1], None
+
+
+def layering_faults(package: Path) -> list[str]:
+    """Every import in ``package`` that breaks the layering rules."""
+    faults = []
+    for path in sorted(package.glob("*.py")):
+        for module, name in package_imports(path):
+            if module == path.stem:
+                continue
+            if name and name.startswith("_") and not name.startswith("__"):
+                faults.append(f"{path.name} uses {module}.{name}, a private name")
+            if path.stem in ALGORITHM_MODULES and module not in ALGORITHM_MODULES | {"errors"}:
+                faults.append(f"{path.name} imports {module}")
+    return faults
+
+
+def test_package_layering():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(
+        ALGORITHM_MODULES | {"__init__", "cli", "errors", "formats"})
+    assert layering_faults(PACKAGE) == []
+
+
+def test_layering_check_sees_every_import_form(tmp_path):
+    for name, text in [("__init__", ""), ("formats", ""),
+                       ("order", "def f():\n    from .formats import load\n"),
+                       ("turns", "from . import formats\n"),
+                       ("query", "import cchroute.formats\nfrom cchroute.customize import _hidden\n")]:
+        (tmp_path / f"{name}.py").write_text(text)
+    assert layering_faults(tmp_path) == [
+        "order.py imports formats",
+        "query.py imports formats",
+        "query.py uses customize._hidden, a private name",
+        "turns.py imports formats",
+    ]

@@ -13,7 +13,7 @@ from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, Ran
                       load_dimacs_gr, nested_dissection_order,
                       reconstruct_separator_decomposition)
 from cchroute.order import _min_cut
-from cchroute.preprocess import serialize_cch
+from cchroute.formats import serialize_cch
 from helpers import (SAMPLE, assert_cells_are_components, brute_force_min_cut,
                      brute_force_min_cut_sides, grid_graph, is_postorder, perturbed_grid,
                      random_connected_graph, random_order, subtree_members)

@@ -14,7 +14,7 @@ from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       load_customized, load_dimacs_co, load_dimacs_gr,
                       nested_dissection_order, reconstruct_separator_decomposition,
                       save_cch, save_customized)
-from cchroute.preprocess import deserialize_cch, serialize_cch
+from cchroute.formats import deserialize_cch, serialize_cch
 from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, naive_elimination_arcs,
                      random_connected_graph, random_order, rank_relabeled)
 
