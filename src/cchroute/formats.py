@@ -188,7 +188,9 @@ def load_turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
     """Load turn costs: lines ``t <inTail> <inHead> <outHead> <cost|x>``.
 
     Returns a mapping (in-arc, out-arc) -> cost with FORBIDDEN for ``x``.
-    Pairs absent from the table default to cost 0 at expansion time.
+    Pairs absent from the table default to cost 0 at expansion time. A
+    line whose in-arc or out-arc is a self-loop is skipped once its IDs
+    and cost are checked, as ``load_dimacs_gr`` drops that arc.
     """
     table: dict[tuple[int, int], int] = {}
     for lineno, parts in _tokens(path):
@@ -203,10 +205,12 @@ def load_turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
         n = g.vertex_count
         if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
             raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
-        in_arc = g.arc_index(a - 1, b - 1)
-        out_arc = g.arc_index(b - 1, c - 1)
-        if in_arc is None or out_arc is None:
-            raise ConsistencyError(f"line {lineno}: turn references nonexistent arc")
+        self_loop = a == b or b == c
+        if not self_loop:
+            in_arc = g.arc_index(a - 1, b - 1)
+            out_arc = g.arc_index(b - 1, c - 1)
+            if in_arc is None or out_arc is None:
+                raise ConsistencyError(f"line {lineno}: turn references nonexistent arc")
         if parts[4] == "x":
             cost = FORBIDDEN
         else:
@@ -216,6 +220,8 @@ def load_turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
                 raise ParseError(f"cost must be an integer or 'x', got {parts[4]!r}", lineno) from None
             if not (0 <= cost < INFINITY):
                 raise ConsistencyError(f"line {lineno}: turn cost {cost} outside [0, {INFINITY})")
+        if self_loop:
+            continue
         key = (in_arc, out_arc)
         if key in table:
             raise ConsistencyError(f"line {lineno}: duplicate turn entry")
@@ -333,14 +339,21 @@ def serialize_cch(cch: Cch) -> bytes:
 
 def load_cch(path: str) -> Cch:
     with open(path, "rb") as f:
-        return deserialize_cch(f.read())
+        columns = _read_cch(f.read())
+    return Cch.from_columns(*columns)
 
 
 def deserialize_cch(data: bytes) -> Cch:
+    return Cch.from_columns(*_read_cch(data))
+
+
+def _read_cch(data: bytes) -> tuple:
+    """The columns of a CCHP, checked against its header and trailer. The
+    reader, and with it the file's bytes, ends when this returns."""
     r = _Reader(data, CCHP_MAGIC, CCHP_VERSION, "preprocessing")
     columns = _cch_columns(r)
     r.finish()
-    return Cch.from_columns(*columns)
+    return columns
 
 
 def _customized_parts(c: Customized):
@@ -372,7 +385,21 @@ def serialize_customized(c: Customized) -> bytes:
 def load_customized(path: str) -> Customized:
     """Load a CCHM. The embedded hierarchy is checked before the metric is read."""
     with open(path, "rb") as f:
-        r = _Reader(f.read(), CCHM_MAGIC, CCHM_VERSION, "customized")
+        perfect_flag, cch, input_weights, metric = _read_customized(f.read())
+    # deleting the bytes 0 and 1 leaves only the marks that are neither
+    if metric.delete_up.translate(None, b"\0\1") or metric.delete_down.translate(None, b"\0\1"):
+        raise FormatError("deletion mark is not 0 or 1")
+    if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
+        raise ConsistencyError("basic-only customized artifact carries deletion marks")
+    check_witnesses(cch.ug, metric)
+    return Customized(cch, metric, bool(perfect_flag), input_weights)
+
+
+def _read_customized(data: bytes) -> tuple:
+    """The perfect flag, hierarchy, input weights and metric of a CCHM.
+    The reader, and with it the file's bytes, ends when this returns, so
+    they are gone before the witness checks and the search graphs."""
+    r = _Reader(data, CCHM_MAGIC, CCHM_VERSION, "customized")
     perfect_flag = r.take(1)[0]
     if perfect_flag not in (0, 1):
         raise FormatError(f"perfect flag is {perfect_flag}, not 0 or 1")
@@ -392,10 +419,4 @@ def load_customized(path: str) -> Customized:
         delete_up=bytearray(r.take(arc_count)),
         delete_down=bytearray(r.take(arc_count)))
     r.finish()
-    # deleting the bytes 0 and 1 leaves only the marks that are neither
-    if metric.delete_up.translate(None, b"\0\1") or metric.delete_down.translate(None, b"\0\1"):
-        raise FormatError("deletion mark is not 0 or 1")
-    if not perfect_flag and (any(metric.delete_up) or any(metric.delete_down)):
-        raise ConsistencyError("basic-only customized artifact carries deletion marks")
-    check_witnesses(cch.ug, metric)
-    return Customized(cch, metric, bool(perfect_flag), input_weights)
+    return perfect_flag, cch, input_weights, metric

@@ -76,18 +76,29 @@ class InputGraph:
 
     @classmethod
     def from_arcs(cls, vertex_count: int, arcs) -> InputGraph:
-        """Build a graph from (tail, head, weight) triples.
+        """Build a graph from (tail, head, weight) triples in any order:
+        ``from_sorted_arcs`` over them sorted."""
+        return cls.from_sorted_arcs(vertex_count, sorted(arcs))
 
-        One pass over the sorted triples keeps the first, lightest, arc
-        of each (tail, head) run, so parallel arcs collapse to their
-        minimum weight and each tail's heads ascend strictly. Self-loops
-        are dropped (counted in ``dropped_self_loops``).
+    @classmethod
+    def from_sorted_arcs(cls, vertex_count: int, arcs) -> InputGraph:
+        """Build a graph from (tail, head, weight) triples in ascending order.
+
+        ``arcs`` may be any iterable, a generator included, and is read
+        once, so the triples need never be held at once. The pass keeps
+        the first, lightest, arc of each (tail, head) run, so parallel arcs
+        collapse to their minimum weight and each tail's heads ascend
+        strictly. Self-loops are dropped (counted in
+        ``dropped_self_loops``). A vertex out of range, a weight outside
+        [0, INFINITY), or an order that would change the graph raises
+        ConsistencyError: a (tail, head) pair below the one kept before it,
+        or a parallel arc lighter than the first of its run.
         """
         out_degree = [0] * vertex_count
         head, weight, tail = array("i"), array("I"), array("i")
         dropped = 0
         last_t = last_h = -1
-        for t, h, w in sorted(arcs):
+        for t, h, w in arcs:
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ConsistencyError(f"arc ({t}, {h}) out of vertex range [0, {vertex_count})")
             if not (0 <= w < INFINITY):
@@ -95,11 +106,15 @@ class InputGraph:
             if t == h:
                 dropped += 1
             elif h != last_h or t != last_t:
+                if t < last_t or t == last_t and h < last_h:
+                    raise ConsistencyError(f"arc ({t}, {h}, {w}) out of ascending order")
                 last_t, last_h = t, h
                 out_degree[t] += 1
                 tail.append(t)
                 head.append(h)
                 weight.append(w)
+            elif w < weight[-1]:
+                raise ConsistencyError(f"arc ({t}, {h}, {w}) out of ascending order")
         return cls(vertex_count, array("i", accumulate(out_degree, initial=0)), head, weight, tail,
                    dropped_self_loops=dropped)
 

@@ -9,11 +9,10 @@ algorithms then run on the expanded graph unchanged.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
-from .graph import INFINITY, Coordinates, InputGraph
+from .graph import Coordinates, InputGraph
 
 FORBIDDEN = -1
 """Turn-table cost sentinel: the (in, out) arc pair may not be taken."""
@@ -35,11 +34,12 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
     the turn entirely; pairs absent from the table are free. Both arcs of
     a pair must share a via vertex: head(in) == tail(out).
 
-    The pairs come out grouped by in-arc with out-arcs strictly ascending,
-    which is the expanded graph's adjacency order, so one loop writes its
-    columns directly. It keeps ``InputGraph.from_arcs``'s rules: a weight
-    at or above INFINITY raises, and the (a, a) turn of a self-loop arc
-    a is dropped and counted in ``dropped_self_loops``.
+    The permitted pairs come out grouped by in-arc with out-arcs strictly
+    ascending, the order ``InputGraph.from_sorted_arcs`` takes, so they
+    stream into it one at a time and are never held as a list. Its rules
+    hold here too: a weight at or above INFINITY raises, and the (a, a)
+    turn of a self-loop arc a is dropped and counted in
+    ``dropped_self_loops``.
     """
     m = g.arc_count
     for (a, b), cost in turns.items():
@@ -51,29 +51,20 @@ def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpans
                 f"head {g.head[a]} != tail {g.tail[b]}")
         if cost != FORBIDDEN and cost < 0:
             raise ConsistencyError(f"turn ({a}, {b}) has negative cost {cost}")
-
-    first_out, head, weight, tail = array("i", [0]), array("i"), array("I"), array("i")
-    dropped = 0
-    g_first_out, g_head, g_weight = g.first_out, g.head, g.weight
-    for a in range(m):
-        via = g_head[a]
-        la = g_weight[a]
-        for b in range(g_first_out[via], g_first_out[via + 1]):
-            cost = turns.get((a, b), 0)
-            if cost == FORBIDDEN:
-                continue
-            w = la + cost
-            if not (0 <= w < INFINITY):
-                raise ConsistencyError(f"arc ({a}, {b}) weight {w} outside [0, {INFINITY})")
-            if a == b:
-                dropped += 1
-                continue
-            tail.append(a)
-            head.append(b)
-            weight.append(w)
-        first_out.append(len(head))
-    expanded = InputGraph(m, first_out, head, weight, tail, dropped_self_loops=dropped)
+    expanded = InputGraph.from_sorted_arcs(m, _permitted_turns(g, turns))
     return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
+
+
+def _permitted_turns(g: InputGraph, turns: dict[tuple[int, int], int]):
+    """(in-arc, out-arc, weight) of every turn ``turns`` does not forbid,
+    by in-arc, then out-arc."""
+    first_out, head, weight = g.first_out, g.head, g.weight
+    for a in range(g.arc_count):
+        via, la = head[a], weight[a]
+        for b in range(first_out[via], first_out[via + 1]):
+            cost = turns.get((a, b), 0)
+            if cost != FORBIDDEN:
+                yield a, b, la + cost
 
 
 def expanded_coordinates(g: InputGraph, coords):

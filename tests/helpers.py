@@ -7,6 +7,7 @@ the code paths they check.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import struct
 import zlib
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from cchroute import Coordinates, InputGraph, INFINITY, RankOrder, build_cch, customize
 
-SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+REPO = Path(__file__).resolve().parent.parent
+SAMPLE = REPO / "sample"
 """The repository's sample instance (grid.gr, grid.co, query files)."""
 
 
@@ -206,6 +208,53 @@ class ArtifactEditor:
     def sealed(self) -> bytes:
         body = bytes(self.data[:-4])
         return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def swappable_heads(ug) -> list[tuple[int, int]]:
+    """``(i, j)``, the second and the last arc, of every vertex with three
+    or more heads, in vertex order. Swapping the two heads together with
+    their input arc IDs keeps the elimination tree (each vertex's first
+    head) and every input arc at its hierarchy arc: only the ascent of
+    the heads breaks."""
+    first = ug.first_arc
+    return [(first[u] + 1, first[u + 1] - 1) for u in range(ug.vertex_count)
+            if first[u + 1] - first[u] >= 3]
+
+
+def head_moves(ug):
+    """``(i, v, chordal)`` for every move of one entry of ``head`` that a
+    hierarchy still loads with, by i, then v. Entry i is neither the first
+    arc of its tail (the tree parent) nor the last, and v lies strictly
+    between the heads before and after it, so the tree and the ascent of
+    the heads hold. ``chordal`` tells whether the moved hierarchy is still
+    chordal: v is linked to every other head of the tail, and no vertex
+    below the tail has both the tail and the old head among its heads,
+    since that triangle would lose the moved arc."""
+    first, head, tail = ug.first_arc, ug.head, ug.tail
+    arcs = set(zip(tail, head))
+    below = [[] for _ in range(ug.vertex_count)]
+    for z, u in arcs:
+        below[u].append(z)
+    for i in range(ug.arc_count):
+        u, x = tail[i], head[i]
+        if not first[u] < i < first[u + 1] - 1:
+            continue
+        others = [w for w in head[first[u]:first[u + 1]] if w != x]
+        keeps_triangles = not any((z, x) in arcs for z in below[u])
+        for v in range(head[i - 1] + 1, head[i + 1]):
+            if v != x:
+                yield i, v, keeps_triangles and all((min(v, w), max(v, w)) in arcs
+                                                    for w in others)
+
+
+def perfbench_instance(out_dir, seed: int = 1, side: int = 30) -> dict[str, str]:
+    """Paths of the benchmark's seeded grid files (``grid.gr``, ``grid.co``,
+    ``grid.turns``, ``inputs.json``), generated into ``out_dir`` by
+    ``perfbench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.generate(seed, str(out_dir), side=side)
 
 
 def search_arcs(graph) -> list[tuple[int, int, int]]:

@@ -12,7 +12,8 @@ from cchroute import (INFINITY, ConsistencyError, FormatError, InputGraph, dijks
                       load_customized, reconstruct_separator_decomposition)
 from cchroute import cli
 from cchroute.cli import EXIT_CODES, main
-from helpers import SAMPLE, ArtifactEditor, diamond, grid_graph, search_arcs
+from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, head_moves, search_arcs,
+                     swappable_heads)
 
 
 def write_instance(tmp_path, g, coords, prefix="g"):
@@ -265,13 +266,18 @@ class TestCustomizeCmd:
                      "--out", str(tmp_path / "s.cchm")]) == 3
         assert "rank ranges not contiguous" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("i, j", [(18, 20), (168, 172)], ids=["vertex-4", "vertex-32"])
+    # The ids name the vertices of the edits that these tests once made at
+    # fixed positions of the sample hierarchy; each edit is now derived
+    # from the hierarchy, so it holds under any order.
+    @pytest.mark.parametrize("pick", [0, -1], ids=["vertex-4", "vertex-32"])
     def test_heads_swapped_with_their_arcs_exits_3(self, tmp_path, capsys, sample_artifacts,
-                                                   i, j):
+                                                   pick):
         # Two later heads of one vertex change places with their input arc
-        # IDs, so the elimination tree and every arc's input arc hold.
+        # IDs, so the elimination tree and every arc's input arc hold: the
+        # first and the last such swap of the hierarchy.
         gr, _, clean, _ = sample_artifacts
         cch = load_cch(str(clean))
+        i, j = swappable_heads(cch.ug)[pick]
         edit = ArtifactEditor(clean.read_bytes(), cch)
         for column in ("head", "orig_up", "orig_down"):
             edit.swap(column, i, j)
@@ -283,13 +289,15 @@ class TestCustomizeCmd:
         assert "not strictly ascending" in err and "Traceback" not in err
 
     @staticmethod
-    def _customize_moved_head(tmp_path, sample_artifacts, i, v):
-        """Exit code of ``customize`` on the sample CCHP with entry i of
-        ``head``, a later head of its vertex, moved to v between its
-        neighbours, so that the tree and the ascent of the heads hold."""
+    def _customize_moved_head(tmp_path, sample_artifacts, chordal, pick):
+        """Exit code of ``customize`` on the sample CCHP with one later head
+        of a vertex moved between its neighbours, so that the tree and the
+        ascent of the heads hold: entry ``pick`` of the hierarchy's
+        ``head_moves`` that keep it chordal, or of those that do not."""
         gr, _, clean, _ = sample_artifacts
         cch = load_cch(str(clean))
         ug = cch.ug
+        i, v = [(i, v) for i, v, stays in head_moves(ug) if stays == chordal][pick]
         assert ug.first_arc[ug.tail[i]] < i and ug.tail[i + 1] == ug.tail[i]
         assert ug.head[i - 1] < v < ug.head[i + 1] and v != ug.head[i]
         edit = ArtifactEditor(clean.read_bytes(), cch)
@@ -300,18 +308,16 @@ class TestCustomizeCmd:
                      "--out", str(tmp_path / "s.cchm")])
 
     def test_non_chordal_hierarchy_exits_3(self, tmp_path, capsys, sample_artifacts):
-        # Vertex 1's third head moved from 11 to 12 leaves a lower triangle
-        # without its third arc.
-        assert self._customize_moved_head(tmp_path, sample_artifacts, 6, 12) == 3
+        # The first head move that leaves a triangle without its third arc.
+        assert self._customize_moved_head(tmp_path, sample_artifacts, False, 0) == 3
         assert "Traceback" not in capsys.readouterr().err
 
-    # Entry 1338 (vertex 166) carries input arc 669 and entry 1294 (vertex
-    # 160) input arc 674. Each moves to another vertex of the clique above
-    # its tail, so the hierarchy stays chordal and customizes, and its
-    # queries answered 174 and 209 wrong distances from every 7th source.
-    @pytest.mark.parametrize("i, v", [(1338, 170), (1294, 165)], ids=["vertex-166", "vertex-160"])
-    def test_head_moved_inside_a_clique_exits_3(self, tmp_path, capsys, sample_artifacts, i, v):
-        assert self._customize_moved_head(tmp_path, sample_artifacts, i, v) == 3
+    # The first and the last head move to another vertex of the clique
+    # above its tail: the hierarchy stays chordal and customizes, and the
+    # moved arc carries its input arc to the wrong vertex.
+    @pytest.mark.parametrize("pick", [-1, 0], ids=["vertex-166", "vertex-160"])
+    def test_head_moved_inside_a_clique_exits_3(self, tmp_path, capsys, sample_artifacts, pick):
+        assert self._customize_moved_head(tmp_path, sample_artifacts, True, pick) == 3
         err = capsys.readouterr().err
         assert "not the contraction" in err and "Traceback" not in err
 

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import threading
-from array import array
 
 import numpy as np
 import pytest
@@ -18,8 +17,9 @@ from cchroute import (CchError, ConsistencyError, FormatError, INFINITY, InputGr
                       save_customized)
 from cchroute.formats import deserialize_cch, serialize_cch, serialize_customized
 from cchroute.query import _expand_arcs
-from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, hierarchies_with_metrics,
-                     random_connected_graph, rank_relabeled, search_arcs)
+from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, head_moves,
+                     hierarchies_with_metrics, random_connected_graph, rank_relabeled,
+                     search_arcs, swappable_heads)
 from oracles import basic_sweep, perfect, respect
 
 
@@ -504,15 +504,16 @@ class TestCorruptedArtifactRejected:
         with pytest.raises(ConsistencyError, match="not strictly ascending"):
             deserialize_cch(edit.sealed())
 
-    # Entries 18/20 lie in vertex 4's arc range and 168/172 in vertex 32's,
-    # after its first arc. Moving their input arc IDs along with the heads
-    # keeps every input arc at its hierarchy arc, so only the order breaks.
-    # Without the ascent check the first makes customization fail with an
-    # IndexError and the second gives wrong distances.
-    @pytest.mark.parametrize("i, j", [(18, 20), (168, 172)], ids=["vertex-4", "vertex-32"])
-    def test_heads_swapped_with_their_arcs_rejected(self, tmp_path, i, j):
+    # The first and the last vertex of the hierarchy with three or more
+    # heads swap their second and last heads along with the input arc IDs,
+    # which keeps every input arc at its hierarchy arc, so only the order
+    # breaks. The ids name the vertices of the edits that this test once
+    # made at fixed positions of the sample hierarchy.
+    @pytest.mark.parametrize("pick", [0, -1], ids=["vertex-4", "vertex-32"])
+    def test_heads_swapped_with_their_arcs_rejected(self, tmp_path, pick):
         c, path = self._sample(tmp_path)
         ug = c.cch.ug
+        i, j = swappable_heads(ug)[pick]
         assert ug.tail[i] == ug.tail[j] and ug.first_arc[ug.tail[i]] < i < j
         cchp = tmp_path / "swapped.cchp"
         save_cch(c.cch, str(cchp))
@@ -527,13 +528,15 @@ class TestCorruptedArtifactRejected:
             load_customized(str(path))
 
     def test_non_chordal_hierarchy_rejected(self, tmp_path):
-        # Vertex 1's third head moved from 11 to 12 keeps the tree and the
-        # ascent of the heads, so the CCHP loads, but a lower triangle of
-        # vertex 1 loses its third arc.
+        # The first later head of a vertex that, moved between its
+        # neighbours, keeps the tree and the ascent of the heads, so the
+        # CCHP loads, but leaves a triangle without its third arc.
         c, _ = self._sample(tmp_path)
+        ug = c.cch.ug
+        i, v = next((i, v) for i, v, chordal in head_moves(ug) if not chordal)
+        assert ug.first_arc[ug.tail[i]] < i and ug.head[i - 1] < v < ug.head[i + 1]
         edit = ArtifactEditor(serialize_cch(c.cch), c.cch)
-        assert c.cch.ug.head[5:8] == array("i", [5, 11, 65])
-        edit.put("head", 6, 12)
+        edit.put("head", i, v)
         cch = deserialize_cch(edit.sealed())
         with pytest.raises(ConsistencyError, match="hierarchy is not chordal"):
             customize(cch, c.input_weights)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import ast
-import importlib.util
+import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,19 +13,9 @@ from cchroute import (ConsistencyError, ParseError, build_cch, customize, import
                       load_cch, load_customized, load_dimacs_co, load_dimacs_gr, save_cch,
                       save_customized)
 from cchroute.formats import read_id_lines, read_pairs, serialize_cch, serialize_customized
-from helpers import SAMPLE
+from helpers import REPO, SAMPLE, perfbench_instance
 
-REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "cchroute"
-
-
-def perfbench_grid(out_dir: Path) -> tuple[str, str]:
-    """``.gr`` and ``.co`` of perfbench's seed-1 grid at side 30."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    paths = gen.generate(1, str(out_dir), side=30)
-    return paths["grid.gr"], paths["grid.co"]
 
 
 class TestArtifactRoundTrip:
@@ -36,7 +27,8 @@ class TestArtifactRoundTrip:
         if request.param == "sample":
             gr, co = str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co")
         else:
-            gr, co = perfbench_grid(tmp_path_factory.mktemp("grid"))
+            paths = perfbench_instance(tmp_path_factory.mktemp("grid"))  # seed 1, side 30
+            gr, co = paths["grid.gr"], paths["grid.co"]
         g = load_dimacs_gr(gr)
         return g, build_cch(g, load_dimacs_co(co, g.vertex_count))
 
@@ -57,6 +49,25 @@ class TestArtifactRoundTrip:
         assert first.read_bytes() == serialize_customized(c)
         save_customized(load_customized(str(first)), str(again))
         assert again.read_bytes() == first.read_bytes()
+
+
+def test_cchm_loader_lets_go_of_the_file(tmp_path):
+    """``load_customized`` copies every column out of the file's bytes and
+    lets go of them before it checks the witnesses and builds the search
+    graphs, so its tracemalloc peak beyond what it returns stays below
+    half the file's size. Bytes held to the end would add the whole file."""
+    g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+    cch = build_cch(g, load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count))
+    path = str(tmp_path / "sample.cchm")
+    save_customized(customize(cch, list(g.weight)), path)
+    load_customized(path)  # the imports and caches of a first call are not the loader's
+    tracemalloc.start()
+    try:
+        c = load_customized(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.cch.ug.arc_count and peak - kept < os.path.getsize(path) / 2
 
 
 class TestVertexIdFiles:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -11,7 +12,8 @@ from cchroute import (ConsistencyError, FORBIDDEN, INFINITY,
                       InputGraph, ParseError, dijkstra, expand_turns,
                       load_dimacs_co, load_dimacs_gr, load_metric,
                       load_turn_table, saturating_add, store_dimacs_gr)
-from helpers import diamond, enumerate_path_distance, turn_respecting_distance
+from helpers import (diamond, enumerate_path_distance, perfbench_instance,
+                     turn_respecting_distance)
 import oracles
 
 
@@ -206,6 +208,24 @@ class TestTurnExpansion:
         assert got == InputGraph.from_arcs(3, arcs)
         assert got.dropped_self_loops == (self_turn != FORBIDDEN)
 
+    def test_expansion_streams_its_turns(self, tmp_path):
+        # The permitted turns go straight into the expanded graph's columns:
+        # a list of (tail, head, weight) tuples would take several times
+        # their bytes.
+        paths = perfbench_instance(tmp_path)
+        g = load_dimacs_gr(paths["grid.gr"])
+        turns = load_turn_table(paths["grid.turns"], g)
+        expand_turns(g, turns)  # the imports and caches of a first call are not the expansion's
+        tracemalloc.start()
+        try:
+            expanded = expand_turns(g, turns).graph
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (expanded.first_out, expanded.head, expanded.weight, expanded.tail)
+        assert expanded.arc_count > 2 * g.arc_count
+        assert peak < 2 * sum(len(column) * column.itemsize for column in columns)
+
     def test_columns_are_arrays(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 1, 6)])
         exp = expand_turns(g, {})
@@ -242,6 +262,26 @@ class TestTurnExpansion:
                 got = dijkstra(exp.graph, a)[b]
                 want = turn_respecting_distance(g, turns, a, b)
                 assert got == want, (a, b, got, want)
+
+
+class TestFromSortedArcs:
+    def test_reads_a_generator_once_like_from_arcs(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 5))
+                    for _ in range(rng.randint(0, 4 * n))]
+            got = InputGraph.from_sorted_arcs(n, (arc for arc in sorted(arcs)))
+            assert got == InputGraph.from_arcs(n, map(list, arcs)) == oracles.from_arcs(n, arcs)
+
+    @pytest.mark.parametrize("arcs", [
+        [(1, 0, 1), (0, 1, 1)], [(0, 2, 1), (0, 1, 1)], [(0, 1, 5), (0, 1, 3)],
+        [(0, 1, 5), (0, 0, 1), (0, 1, 3)], [(0, 1, 1), (0, 2, 1), (0, 1, 1)],
+    ], ids=["tail", "head", "parallel-weight", "parallel-after-self-loop", "run-resumed"])
+    def test_arc_out_of_order_raises(self, arcs):
+        with pytest.raises(ConsistencyError, match="out of ascending order"):
+            InputGraph.from_sorted_arcs(3, arcs)
+        assert InputGraph.from_arcs(3, arcs) == oracles.from_arcs(3, arcs)
 
 
 class TestFromArcsOracle:
@@ -322,6 +362,19 @@ class TestTurnTableFile:
         path.write_text("t 2 1 2 5\n")
         with pytest.raises(ConsistencyError):
             load_turn_table(str(path), g)
+
+    def test_turn_through_a_dropped_self_loop_is_skipped(self, tmp_path):
+        # the .gr reader drops the self-loop 1 -> 1, as the metric reader does
+        gr = write(tmp_path, "g.gr", "p sp 3 3\na 1 1 7\na 1 2 5\na 2 3 4\n")
+        g = load_dimacs_gr(gr)
+        assert load_metric(gr, g) == [5, 4]
+        table = write(tmp_path, "t.txt", "t 1 1 2 3\nt 1 2 2 x\nt 1 2 3 9\n")
+        assert load_turn_table(table, g) == {(g.arc_index(0, 1), g.arc_index(1, 2)): 9}
+        # its IDs and cost are still checked
+        for line, error in [("t 1 1 4 3", "vertex ID out of"), ("t 1 1 2 -1", "turn cost -1"),
+                            ("t 1 1 2 y", "cost must be")]:
+            with pytest.raises((ConsistencyError, ParseError), match=error):
+                load_turn_table(write(tmp_path, "bad.txt", line + "\n"), g)
 
 
 class TestDijkstra:

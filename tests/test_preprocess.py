@@ -15,8 +15,9 @@ from cchroute import (Cch, ConsistencyError, FormatError, InputGraph,
                       nested_dissection_order, reconstruct_separator_decomposition,
                       save_cch, save_customized)
 from cchroute.formats import deserialize_cch, serialize_cch
-from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, naive_elimination_arcs,
-                     random_connected_graph, random_order, rank_relabeled)
+from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, head_moves,
+                     naive_elimination_arcs, random_connected_graph, random_order,
+                     rank_relabeled)
 
 
 class TestPermute:
@@ -325,13 +326,14 @@ class TestCheckGraph:
         deserialize_cch(data).check_graph(g)
 
     def test_head_moved_inside_a_clique(self, sample):
-        # Entry 1338 (vertex 166 to 172) moved to 170, another vertex of the
-        # clique above 166: the file loads, keeps its fingerprint and
-        # customizes, so only the re-contraction tells it apart.
+        # The first head move to another vertex of the clique above its
+        # tail: the file loads, keeps its fingerprint and customizes, so
+        # only the re-contraction tells it apart.
         g, cch, data = sample
-        assert (cch.ug.tail[1338], cch.ug.head[1338]) == (166, 172)
+        i, v = next((i, v) for i, v, chordal in head_moves(cch.ug) if chordal)
+        assert v != cch.ug.head[i]
         edit = ArtifactEditor(data, cch)
-        edit.put("head", 1338, 170)
+        edit.put("head", i, v)
         moved = deserialize_cch(edit.sealed())
         assert moved.fingerprint == cch.fingerprint
         customize(moved, list(g.weight))
