@@ -2,7 +2,7 @@
 
 from .errors import CchError, ConsistencyError, FormatError, ParseError, StateError
 from .graph import INFINITY, Coordinates, InputGraph, dijkstra, saturating_add
-from .turns import FORBIDDEN, TurnExpansion, expand_turns, expanded_coordinates
+from .turns import FORBIDDEN, TurnExpansion, TurnTable, expand_turns, expanded_coordinates
 from .order import (RankOrder, Separator, SeparatorDecomposition,
                     dfs_postorder_reorder, inertial_flow_separator, nested_dissection_order,
                     reconstruct_separator_decomposition)
@@ -22,7 +22,7 @@ __all__ = [
     "INFINITY", "Coordinates", "InputGraph", "dijkstra", "saturating_add",
     "FORBIDDEN", "load_dimacs_co", "load_dimacs_gr", "load_metric",
     "load_turn_table", "store_dimacs_gr",
-    "TurnExpansion", "expand_turns", "expanded_coordinates",
+    "TurnExpansion", "TurnTable", "expand_turns", "expanded_coordinates",
     "RankOrder", "Separator", "SeparatorDecomposition", "dfs_postorder_reorder",
     "export_order", "import_order", "inertial_flow_separator",
     "nested_dissection_order", "reconstruct_separator_decomposition",

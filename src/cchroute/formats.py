@@ -24,13 +24,14 @@ from __future__ import annotations
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 
 from .customize import Customized, CustomizedMetric, check_witnesses
 from .errors import ConsistencyError, FormatError, ParseError
 from .graph import INFINITY, Coordinates, InputGraph, le_bytes
 from .order import RankOrder
 from .preprocess import Cch
-from .turns import FORBIDDEN
+from .turns import FORBIDDEN, TurnTable
 
 CCHP_MAGIC = b"CCHP"
 CCHP_VERSION = 2
@@ -184,15 +185,20 @@ def load_dimacs_co(path: str, n: int) -> Coordinates:
     return Coordinates(x=xs, y=ys)  # type: ignore[arg-type]
 
 
-def load_turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
+def load_turn_table(path: str, g: InputGraph) -> TurnTable:
     """Load turn costs: lines ``t <inTail> <inHead> <outHead> <cost|x>``.
 
-    Returns a mapping (in-arc, out-arc) -> cost with FORBIDDEN for ``x``.
-    Pairs absent from the table default to cost 0 at expansion time. A
-    line whose in-arc or out-arc is a self-loop is skipped once its IDs
-    and cost are checked, as ``load_dimacs_gr`` drops that arc.
+    Returns the ``TurnTable`` of ``g``, with FORBIDDEN for ``x``. Pairs
+    absent from the file are free, as are pairs listed with cost 0; a
+    pair listed twice is rejected either way. A line whose in-arc or
+    out-arc is a self-loop is skipped once its IDs and cost are checked,
+    as ``load_dimacs_gr`` drops that arc.
     """
-    table: dict[tuple[int, int], int] = {}
+    table = TurnTable.free(g)
+    first, cost = table.first, table.cost
+    first_out, head = g.first_out, g.head
+    n = g.vertex_count
+    seen = bytearray(len(cost))
     for lineno, parts in _tokens(path):
         if parts[0] != "t":
             raise ParseError(f"unknown line type {parts[0]!r}", lineno)
@@ -202,30 +208,34 @@ def load_turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
             a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError:
             raise ParseError("non-integer vertex fields", lineno) from None
-        n = g.vertex_count
         if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
             raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
         self_loop = a == b or b == c
         if not self_loop:
-            in_arc = g.arc_index(a - 1, b - 1)
-            out_arc = g.arc_index(b - 1, c - 1)
-            if in_arc is None or out_arc is None:
+            # the arcs (a, b) and (b, c), found as g.arc_index finds them;
+            # 1-based vertex v's out-arcs are first_out[v - 1]:first_out[v]
+            in_end, via_start, via_end = first_out[a], first_out[b - 1], first_out[b]
+            in_arc = bisect_left(head, b - 1, first_out[a - 1], in_end)
+            out_arc = bisect_left(head, c - 1, via_start, via_end)
+            if (in_arc == in_end or head[in_arc] != b - 1
+                    or out_arc == via_end or head[out_arc] != c - 1):
                 raise ConsistencyError(f"line {lineno}: turn references nonexistent arc")
         if parts[4] == "x":
-            cost = FORBIDDEN
+            turn_cost = FORBIDDEN
         else:
             try:
-                cost = int(parts[4])
+                turn_cost = int(parts[4])
             except ValueError:
                 raise ParseError(f"cost must be an integer or 'x', got {parts[4]!r}", lineno) from None
-            if not (0 <= cost < INFINITY):
-                raise ConsistencyError(f"line {lineno}: turn cost {cost} outside [0, {INFINITY})")
+            if not (0 <= turn_cost < INFINITY):
+                raise ConsistencyError(f"line {lineno}: turn cost {turn_cost} outside [0, {INFINITY})")
         if self_loop:
             continue
-        key = (in_arc, out_arc)
-        if key in table:
+        k = first[in_arc] + out_arc - via_start
+        if seen[k]:
             raise ConsistencyError(f"line {lineno}: duplicate turn entry")
-        table[key] = cost
+        seen[k] = 1
+        cost[k] = turn_cost
     return table
 
 

@@ -9,13 +9,78 @@ algorithms then run on the expanded graph unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 
 from .errors import ConsistencyError
-from .graph import Coordinates, InputGraph
+from .graph import INFINITY, Coordinates, InputGraph
 
 FORBIDDEN = -1
 """Turn-table cost sentinel: the (in, out) arc pair may not be taken."""
+
+
+def _candidate_offsets(g: InputGraph) -> array:
+    """m + 1 prefix sums of ``out_degree(head[a])`` over the arcs a of ``g``."""
+    first_out = g.first_out
+    degree = list(map(sub, first_out[1:], first_out))
+    return array("i", accumulate(map(degree.__getitem__, g.head), initial=0))
+
+
+@dataclass
+class TurnTable:
+    """Turn costs of ``graph`` as two columns, one entry per candidate turn.
+
+    The candidate out-arcs of in-arc a are the out-arcs of ``head[a]``,
+    the contiguous range ``first_out[head[a]]:first_out[head[a] + 1]``, so
+    the cost of turn (a, b) sits at ``first[a] + (b - first_out[head[a]])``
+    of ``cost``. ``first`` holds m + 1 offsets (``'i'``) and ``cost`` one
+    ``'q'`` per candidate: 0 for a free turn, FORBIDDEN for one that may
+    not be taken. The table fits every graph with ``graph``'s topology.
+    """
+
+    graph: InputGraph = field(repr=False)
+    first: array
+    cost: array
+
+    @classmethod
+    def free(cls, g: InputGraph) -> TurnTable:
+        """The table of ``g`` in which every turn is free."""
+        first = _candidate_offsets(g)
+        return cls(g, first, array("q", bytes(8 * first[-1])))
+
+    @classmethod
+    def from_dict(cls, g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnTable:
+        """The table of a mapping (in-arc id, out-arc id) -> cost, or
+        FORBIDDEN; pairs absent from it are free. Both arcs of a pair must
+        share a via vertex: head(in) == tail(out)."""
+        table = cls.free(g)
+        first, cost = table.first, table.cost
+        first_out, head, tail, m = g.first_out, g.head, g.tail, g.arc_count
+        for (a, b), c in turns.items():
+            if not (0 <= a < m and 0 <= b < m):
+                raise ConsistencyError(f"turn ({a}, {b}) references nonexistent arc")
+            if head[a] != tail[b]:
+                raise ConsistencyError(
+                    f"turn ({a}, {b}) does not share a via vertex: "
+                    f"head {head[a]} != tail {tail[b]}")
+            if c != FORBIDDEN and c < 0:
+                raise ConsistencyError(f"turn ({a}, {b}) has negative cost {c}")
+            try:
+                cost[first[a] + b - first_out[head[a]]] = c
+            except OverflowError:  # 2**63 or more; any cost from INFINITY up fails expansion
+                raise ConsistencyError(
+                    f"turn ({a}, {b}) cost {c} outside [0, {INFINITY})") from None
+        return table
+
+    def to_dict(self) -> dict[tuple[int, int], int]:
+        """(in-arc, out-arc) -> cost of every turn that is not free."""
+        first, cost = self.first, self.cost
+        first_out, head = self.graph.first_out, self.graph.head
+        return {(a, first_out[head[a]] + k - first[a]): cost[k]
+                for a in range(len(first) - 1) for k in range(first[a], first[a + 1])
+                if cost[k]}
 
 
 @dataclass
@@ -27,44 +92,51 @@ class TurnExpansion:
     arc_of_vertex: range
 
 
-def expand_turns(g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnExpansion:
+def expand_turns(g: InputGraph, turns: TurnTable | dict[tuple[int, int], int]) -> TurnExpansion:
     """Expand ``g`` into its turn-aware graph.
 
-    ``turns`` maps (in-arc id, out-arc id) to a cost, or FORBIDDEN to drop
-    the turn entirely; pairs absent from the table are free. Both arcs of
-    a pair must share a via vertex: head(in) == tail(out).
+    ``turns`` is a ``TurnTable`` that fits ``g``, or a mapping that
+    ``TurnTable.from_dict`` converts. A table whose offsets do not fit
+    ``g`` raises ConsistencyError.
 
-    The permitted pairs come out grouped by in-arc with out-arcs strictly
-    ascending, the order ``InputGraph.from_sorted_arcs`` takes, so they
-    stream into it one at a time and are never held as a list. Its rules
-    hold here too: a weight at or above INFINITY raises, and the (a, a)
-    turn of a self-loop arc a is dropped and counted in
-    ``dropped_self_loops``.
+    One pass over the in-arcs writes the expanded columns, reading each
+    candidate turn's cost by index. Tails ascend, heads ascend strictly
+    within an in-arc and every ID lies in [0, m), so of the rules of
+    ``InputGraph.from_sorted_arcs`` only two can apply, and they apply as
+    there: a weight at or above INFINITY raises, and the (a, a) turn of a
+    self-loop arc a is dropped and counted in ``dropped_self_loops``.
     """
-    m = g.arc_count
-    for (a, b), cost in turns.items():
-        if not (0 <= a < m and 0 <= b < m):
-            raise ConsistencyError(f"turn ({a}, {b}) references nonexistent arc")
-        if g.head[a] != g.tail[b]:
-            raise ConsistencyError(
-                f"turn ({a}, {b}) does not share a via vertex: "
-                f"head {g.head[a]} != tail {g.tail[b]}")
-        if cost != FORBIDDEN and cost < 0:
-            raise ConsistencyError(f"turn ({a}, {b}) has negative cost {cost}")
-    expanded = InputGraph.from_sorted_arcs(m, _permitted_turns(g, turns))
-    return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
-
-
-def _permitted_turns(g: InputGraph, turns: dict[tuple[int, int], int]):
-    """(in-arc, out-arc, weight) of every turn ``turns`` does not forbid,
-    by in-arc, then out-arc."""
+    if not isinstance(turns, TurnTable):
+        turns = TurnTable.from_dict(g, turns)
+    first, cost = turns.first, turns.cost
+    if first != _candidate_offsets(g) or len(cost) != first[-1]:
+        raise ConsistencyError("turn table does not fit the graph: "
+                               "its offsets are not those of the graph's candidate turns")
     first_out, head, weight = g.first_out, g.head, g.weight
-    for a in range(g.arc_count):
-        via, la = head[a], weight[a]
-        for b in range(first_out[via], first_out[via + 1]):
-            cost = turns.get((a, b), 0)
-            if cost != FORBIDDEN:
-                yield a, b, la + cost
+    m = g.arc_count
+    x_first, x_head, x_weight, x_tail = array("i", [0]), array("i"), array("I"), array("i")
+    add_head, add_weight, add_tail = x_head.append, x_weight.append, x_tail.append
+    dropped = 0
+    for a in range(m):
+        lo = first_out[head[a]]
+        base = first[a] - lo
+        la = weight[a]
+        for b in range(lo, lo + first[a + 1] - first[a]):
+            c = cost[base + b]
+            if c == FORBIDDEN:
+                continue
+            w = la + c
+            if w >= INFINITY:
+                raise ConsistencyError(f"arc ({a}, {b}) weight {w} outside [0, {INFINITY})")
+            if b == a:
+                dropped += 1
+                continue
+            add_head(b)
+            add_weight(w)
+            add_tail(a)
+        x_first.append(len(x_head))
+    expanded = InputGraph(m, x_first, x_head, x_weight, x_tail, dropped_self_loops=dropped)
+    return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
 
 
 def expanded_coordinates(g: InputGraph, coords):

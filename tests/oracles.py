@@ -10,7 +10,10 @@ shortest augmenting path per BFS, gives the source side that
 ``from_arcs`` collapses parallel arcs through a dict before it sorts, and
 ``undirected_edges`` collects each arc's endpoints in a set; the one-pass
 ``InputGraph`` methods must match them field for field
-(``test_graph.py::TestFromArcsOracle``). One climb per target through
+(``test_graph.py::TestFromArcsOracle``). ``turn_table`` is the turn-file
+loader as a dict keyed by arc pairs; ``load_turn_table``'s columns must
+hold its entries and raise its errors
+(``test_graph.py::TestTurnTableOracle``). One climb per target through
 the backward search graph gives the k-NN bucket table that
 ``PoiIndex.buckets`` builds in one sweep (``test_query.py::TestKnnBuckets``).
 """
@@ -20,8 +23,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 
-from cchroute import (INFINITY, SENTINEL, ConsistencyError, CustomizedMetric, InputGraph,
-                      SearchGraphs, UpwardGraph)
+from cchroute import (FORBIDDEN, INFINITY, SENTINEL, ConsistencyError, CustomizedMetric,
+                      InputGraph, ParseError, SearchGraphs, UpwardGraph)
 
 
 def respect(ug: UpwardGraph, weights: list[int]) -> CustomizedMetric:
@@ -205,6 +208,52 @@ def from_arcs(vertex_count: int, arcs) -> InputGraph:
         first_out[u + 1] += first_out[u]
     return InputGraph(vertex_count, array("i", first_out), array("i", head), array("I", weight),
                       array("i", tail), dropped_self_loops=dropped)
+
+
+def turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
+    """``formats.load_turn_table`` as a dict (in-arc, out-arc) -> cost, keyed
+    through ``InputGraph.arc_index``, with a duplicate found by key. Each
+    line is checked in the loader's order and raises its class and message."""
+    table: dict[tuple[int, int], int] = {}
+    n = g.vertex_count
+    with open(path, encoding="utf-8") as f:
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(f, start=1)]
+    for lineno, line in lines:
+        if not line or line.startswith("c"):
+            continue
+        parts = line.split()
+        if parts[0] != "t":
+            raise ParseError(f"unknown line type {parts[0]!r}", lineno)
+        if len(parts) != 5:
+            raise ParseError(f"expected 't <inTail> <inHead> <outHead> <cost|x>', got {' '.join(parts)}", lineno)
+        try:
+            a, b, c = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError:
+            raise ParseError("non-integer vertex fields", lineno) from None
+        if not (1 <= a <= n and 1 <= b <= n and 1 <= c <= n):
+            raise ConsistencyError(f"line {lineno}: vertex ID out of [1, {n}]")
+        self_loop = a == b or b == c
+        if not self_loop:
+            in_arc = g.arc_index(a - 1, b - 1)
+            out_arc = g.arc_index(b - 1, c - 1)
+            if in_arc is None or out_arc is None:
+                raise ConsistencyError(f"line {lineno}: turn references nonexistent arc")
+        if parts[4] == "x":
+            cost = FORBIDDEN
+        else:
+            try:
+                cost = int(parts[4])
+            except ValueError:
+                raise ParseError(f"cost must be an integer or 'x', got {parts[4]!r}", lineno) from None
+            if not (0 <= cost < INFINITY):
+                raise ConsistencyError(f"line {lineno}: turn cost {cost} outside [0, {INFINITY})")
+        if self_loop:
+            continue
+        key = (in_arc, out_arc)
+        if key in table:
+            raise ConsistencyError(f"line {lineno}: duplicate turn entry")
+        table[key] = cost
+    return table
 
 
 def undirected_edges(g: InputGraph) -> list[tuple[int, int]]:

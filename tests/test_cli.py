@@ -309,8 +309,14 @@ class TestCustomizeCmd:
 
     def test_non_chordal_hierarchy_exits_3(self, tmp_path, capsys, sample_artifacts):
         # The first head move that leaves a triangle without its third arc.
+        # cmd_customize runs Cch.check_graph before it customizes, so the
+        # compare rejects the move first; the chordality raise is reachable
+        # only through the library, where test_customize.py's
+        # test_non_chordal_hierarchy_rejected pins it.
         assert self._customize_moved_head(tmp_path, sample_artifacts, False, 0) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "not the contraction" in err
 
     # The first and the last head move to another vertex of the clique
     # above its tail: the hierarchy stays chordal and customizes, and the

@@ -9,7 +9,7 @@ from array import array
 import pytest
 
 from cchroute import (ConsistencyError, FORBIDDEN, INFINITY,
-                      InputGraph, ParseError, dijkstra, expand_turns,
+                      InputGraph, ParseError, TurnTable, dijkstra, expand_turns,
                       load_dimacs_co, load_dimacs_gr, load_metric,
                       load_turn_table, saturating_add, store_dimacs_gr)
 from helpers import (diamond, enumerate_path_distance, perfbench_instance,
@@ -234,6 +234,47 @@ class TestTurnExpansion:
                     graph.tail.typecode] == ["i", "i", "I", "i"]
         assert exp.arc_of_vertex == range(g.arc_count)
 
+    def test_table_round_trips_through_a_dict(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            g = InputGraph.from_arcs(n, [(rng.randrange(n), rng.randrange(n), rng.randint(0, 9))
+                                         for _ in range(rng.randint(0, 3 * n))])
+            turns = {(a, b): rng.choice((FORBIDDEN, 0, rng.randint(1, 9)))
+                     for a in range(g.arc_count)
+                     for b in range(g.first_out[g.head[a]], g.first_out[g.head[a] + 1])
+                     if rng.random() < 0.5}
+            table = TurnTable.from_dict(g, turns)
+            assert len(table.first) == g.arc_count + 1 and len(table.cost) == table.first[-1]
+            assert table.to_dict() == {pair: c for pair, c in turns.items() if c}
+            assert TurnTable.from_dict(g, table.to_dict()) == table
+            assert expand_turns(g, table) == expand_turns(g, turns)
+
+    # the largest cost the column holds fails expansion, a larger one the conversion
+    @pytest.mark.parametrize("cost, error", [(2**63 - 1, f"weight {2**63 + 3} outside"),
+                                             (2**63, f"cost {2**63} outside")],
+                             ids=["held", "past-the-column"])
+    def test_cost_from_infinity_up_raises(self, cost, error):
+        g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
+        with pytest.raises(ConsistencyError, match=error):
+            expand_turns(g, {(g.arc_index(0, 1), g.arc_index(1, 2)): cost})
+
+    def test_table_of_another_graph_raises(self):
+        path = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
+        both_ways = InputGraph.from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 6)])
+        cycle = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 0, 5)])
+        table = TurnTable.free(both_ways)
+        for g in (path, cycle):  # fewer arcs; as many arcs and candidates, spread otherwise
+            with pytest.raises(ConsistencyError, match="turn table does not fit the graph"):
+                expand_turns(g, table)
+        assert len(table.cost) == len(TurnTable.free(cycle).cost)
+        short = TurnTable(both_ways, table.first, table.cost[:-1])
+        with pytest.raises(ConsistencyError, match="turn table does not fit the graph"):
+            expand_turns(both_ways, short)
+        # a table fits every graph of its graph's topology
+        heavier = InputGraph.from_arcs(3, [(0, 1, 9), (1, 0, 9), (1, 2, 9)])
+        assert expand_turns(heavier, table).graph.head == expand_turns(both_ways, table).graph.head
+
     def test_metric_equivalence_random(self):
         rng = random.Random(42)
         for _ in range(25):
@@ -354,7 +395,7 @@ class TestTurnTableFile:
         path = tmp_path / "turns.txt"
         path.write_text("c comment\nt 1 2 3 x\n")
         table = load_turn_table(str(path), g)
-        assert table == {(g.arc_index(0, 1), g.arc_index(1, 2)): FORBIDDEN}
+        assert table.to_dict() == {(g.arc_index(0, 1), g.arc_index(1, 2)): FORBIDDEN}
 
     def test_nonexistent_arc(self, tmp_path):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
@@ -369,12 +410,95 @@ class TestTurnTableFile:
         g = load_dimacs_gr(gr)
         assert load_metric(gr, g) == [5, 4]
         table = write(tmp_path, "t.txt", "t 1 1 2 3\nt 1 2 2 x\nt 1 2 3 9\n")
-        assert load_turn_table(table, g) == {(g.arc_index(0, 1), g.arc_index(1, 2)): 9}
+        assert load_turn_table(table, g).to_dict() == {(g.arc_index(0, 1), g.arc_index(1, 2)): 9}
         # its IDs and cost are still checked
         for line, error in [("t 1 1 4 3", "vertex ID out of"), ("t 1 1 2 -1", "turn cost -1"),
                             ("t 1 1 2 y", "cost must be")]:
             with pytest.raises((ConsistencyError, ParseError), match=error):
                 load_turn_table(write(tmp_path, "bad.txt", line + "\n"), g)
+
+
+class TestTurnTableOracle:
+    """``load_turn_table`` against the dict loader of ``oracles.turn_table``
+    on mutations of perfbench's turn file."""
+
+    TOKENS = ("x", "-1", "0", str(2**40))
+    # each mutation edits the line as the ones before it left it
+    KINDS = ("self-loop", "no-arc", "replace", "drop", "repeat", "line")
+
+    @staticmethod
+    def _mutate(rng, lines, g):
+        """One mutation of a random line, or half the time two on the same
+        line, so that the order of the loader's checks shows."""
+        lines = list(lines)
+        i = rng.randrange(len(lines))
+        original, parts = lines[i], lines[i].split()
+        kinds = rng.sample(TestTurnTableOracle.KINDS, rng.choice((1, 2)))
+        kinds.sort(key=TestTurnTableOracle.KINDS.index)
+        for kind in kinds:
+            if kind == "self-loop":
+                j = rng.choice((1, 2))
+                parts[j + 1] = parts[j]
+            elif kind == "no-arc":
+                via = int(parts[2]) - 1
+                parts[3] = str(rng.choice([v + 1 for v in range(g.vertex_count)
+                                           if v != via and g.arc_index(via, v) is None]))
+            elif kind == "replace":
+                parts[rng.randrange(5)] = rng.choice(TestTurnTableOracle.TOKENS)
+            elif kind == "drop":
+                del parts[rng.randrange(len(parts))]
+            elif kind == "repeat":
+                j = rng.randrange(len(parts))
+                parts.insert(j, parts[j])
+            lines[i] = " ".join(parts)
+            if kind == "line":  # the line as it was, anywhere
+                lines.insert(rng.randrange(len(lines) + 1), original)
+        return kinds, lines
+
+    def test_mutated_files_load_as_the_oracle(self, tmp_path):
+        paths = perfbench_instance(tmp_path, side=20)
+        g = load_dimacs_gr(paths["grid.gr"])
+        with open(paths["grid.turns"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        rng = random.Random(23)
+        loaded, kinds, messages = 0, set(), set()
+        for case in range(200):
+            applied, mutated = self._mutate(rng, lines, g)
+            kinds.update(applied)
+            path = write(tmp_path, "mutated.turns", "\n".join(mutated) + "\n")
+            try:
+                want = oracles.turn_table(path, g)
+            except (ParseError, ConsistencyError) as exc:
+                with pytest.raises(type(exc)) as got:
+                    load_turn_table(path, g)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc), (case, applied)
+                messages.add(" ".join(str(exc).split(": ", 1)[1].split()[:2]))
+                continue
+            table = load_turn_table(path, g)
+            assert table.to_dict() == {pair: c for pair, c in want.items() if c}, (case, applied)
+            assert expand_turns(g, table) == expand_turns(g, want), (case, applied)
+            loaded += 1
+        # every mutation kind, every error but a non-integer cost, and loads
+        assert len(kinds) == 6 and len(messages) == 7 and loaded >= 30, (kinds, messages, loaded)
+
+    def test_table_keeps_about_its_columns(self, tmp_path):
+        # The table is its two columns: a dict keyed by arc-pair tuples
+        # keeps several times their bytes.
+        paths = perfbench_instance(tmp_path)
+        g = load_dimacs_gr(paths["grid.gr"])
+        load_turn_table(paths["grid.turns"], g)  # the imports and caches of a first call
+        kept = {}
+        for name, load in (("columns", load_turn_table), ("dict", oracles.turn_table)):
+            tracemalloc.start()
+            try:
+                table = load(paths["grid.turns"], g)
+                kept[name] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            if name == "columns":
+                columns = table.first.itemsize * len(table.first) + table.cost.itemsize * len(table.cost)
+            del table
+        assert kept["columns"] < 2 * columns < kept["dict"], (kept, columns)
 
 
 class TestDijkstra:
