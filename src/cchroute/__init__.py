@@ -1,7 +1,7 @@
 """Customizable contraction hierarchies routing toolkit."""
 
 from .errors import CchError, ConsistencyError, FormatError, ParseError, StateError
-from .graph import INFINITY, Coordinates, InputGraph, dijkstra, saturating_add
+from .graph import INFINITY, Coordinates, InputGraph, dijkstra
 from .turns import FORBIDDEN, TurnExpansion, TurnTable, expand_turns, expanded_coordinates
 from .order import (RankOrder, Separator, SeparatorDecomposition,
                     dfs_postorder_reorder, inertial_flow_separator, nested_dissection_order,
@@ -19,7 +19,7 @@ from .query import (PoiIndex, QueryState, RphastState, astar_with_cch_potential,
 
 __all__ = [
     "CchError", "ConsistencyError", "FormatError", "ParseError", "StateError",
-    "INFINITY", "Coordinates", "InputGraph", "dijkstra", "saturating_add",
+    "INFINITY", "Coordinates", "InputGraph", "dijkstra",
     "FORBIDDEN", "load_dimacs_co", "load_dimacs_gr", "load_metric",
     "load_turn_table", "store_dimacs_gr",
     "TurnExpansion", "TurnTable", "expand_turns", "expanded_coordinates",

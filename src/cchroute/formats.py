@@ -188,13 +188,14 @@ def load_dimacs_co(path: str, n: int) -> Coordinates:
 def load_turn_table(path: str, g: InputGraph) -> TurnTable:
     """Load turn costs: lines ``t <inTail> <inHead> <outHead> <cost|x>``.
 
-    Returns the ``TurnTable`` of ``g``, with FORBIDDEN for ``x``. Pairs
-    absent from the file are free, as are pairs listed with cost 0; a
-    pair listed twice is rejected either way. A line whose in-arc or
-    out-arc is a self-loop is skipped once its IDs and cost are checked,
-    as ``load_dimacs_gr`` drops that arc.
+    Fills the free table ``TurnTable(g)`` and returns it, with FORBIDDEN
+    for ``x``, so it fits ``g`` as built. Pairs absent from the file are
+    free, as are pairs listed with cost 0; a pair listed twice is
+    rejected either way. A line whose in-arc or out-arc is a self-loop is
+    skipped once its IDs and cost are checked, as ``load_dimacs_gr``
+    drops that arc.
     """
-    table = TurnTable.free(g)
+    table = TurnTable(g)
     first, cost = table.first, table.cost
     first_out, head = g.first_out, g.head
     n = g.vertex_count

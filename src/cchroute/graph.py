@@ -7,8 +7,10 @@ present with weight INFINITY. This keeps one-way streets representable
 while the topology itself stays undirected.
 
 All weights are 32-bit unsigned integers. INFINITY is the largest
-representable value and all additions saturate there, so unreachability
-never wraps around into a finite distance.
+representable value and never a weight: stored weights lie in
+[0, INFINITY), the customization kernels cap their sums at INFINITY, and
+the query loops compare against it, so unreachability never wraps around
+into a finite distance.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ from .errors import ConsistencyError
 
 INFINITY = 0xFFFFFFFF
 """Reserved sentinel: maximum 32-bit unsigned value, never a real weight."""
-
-
-def saturating_add(a: int, b: int) -> int:
-    """Add two weights, clamping the result at INFINITY."""
-    c = a + b
-    return c if c < INFINITY else INFINITY
 
 
 def find_arc(first: array, head: array, u: int, v: int) -> int | None:
@@ -76,29 +72,20 @@ class InputGraph:
 
     @classmethod
     def from_arcs(cls, vertex_count: int, arcs) -> InputGraph:
-        """Build a graph from (tail, head, weight) triples in any order:
-        ``from_sorted_arcs`` over them sorted."""
-        return cls.from_sorted_arcs(vertex_count, sorted(arcs))
+        """Build a graph from (tail, head, weight) triples in any order.
 
-    @classmethod
-    def from_sorted_arcs(cls, vertex_count: int, arcs) -> InputGraph:
-        """Build a graph from (tail, head, weight) triples in ascending order.
-
-        ``arcs`` may be any iterable, a generator included, and is read
-        once, so the triples need never be held at once. The pass keeps
-        the first, lightest, arc of each (tail, head) run, so parallel arcs
-        collapse to their minimum weight and each tail's heads ascend
-        strictly. Self-loops are dropped (counted in
-        ``dropped_self_loops``). A vertex out of range, a weight outside
-        [0, INFINITY), or an order that would change the graph raises
-        ConsistencyError: a (tail, head) pair below the one kept before it,
-        or a parallel arc lighter than the first of its run.
+        ``arcs`` may be any iterable. One pass over the triples sorted
+        keeps the first, lightest, arc of each (tail, head) run, so
+        parallel arcs collapse to their minimum weight and each tail's
+        heads ascend strictly. Self-loops are dropped (counted in
+        ``dropped_self_loops``). A vertex out of range or a weight outside
+        [0, INFINITY) raises ConsistencyError.
         """
         out_degree = [0] * vertex_count
         head, weight, tail = array("i"), array("I"), array("i")
         dropped = 0
         last_t = last_h = -1
-        for t, h, w in arcs:
+        for t, h, w in sorted(arcs):
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ConsistencyError(f"arc ({t}, {h}) out of vertex range [0, {vertex_count})")
             if not (0 <= w < INFINITY):
@@ -106,15 +93,11 @@ class InputGraph:
             if t == h:
                 dropped += 1
             elif h != last_h or t != last_t:
-                if t < last_t or t == last_t and h < last_h:
-                    raise ConsistencyError(f"arc ({t}, {h}, {w}) out of ascending order")
                 last_t, last_h = t, h
                 out_degree[t] += 1
                 tail.append(t)
                 head.append(h)
                 weight.append(w)
-            elif w < weight[-1]:
-                raise ConsistencyError(f"arc ({t}, {h}, {w}) out of ascending order")
         return cls(vertex_count, array("i", accumulate(out_degree, initial=0)), head, weight, tail,
                    dropped_self_loops=dropped)
 
@@ -155,7 +138,8 @@ def dijkstra(g: InputGraph, source: int, targets=None, stats: dict | None = None
     """One-to-all (or early-terminated one-to-many) exact distances.
 
     This is the correctness oracle for every accelerated query in the
-    toolkit: plain Dijkstra on the stored arcs with saturating arithmetic.
+    toolkit: plain Dijkstra on the stored arcs; a sum at or past INFINITY
+    never improves a distance.
     When ``targets`` is given the search stops once all of them are
     settled. ``stats["settled"]`` receives the settle count if provided.
     """

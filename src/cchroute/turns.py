@@ -32,30 +32,30 @@ def _candidate_offsets(g: InputGraph) -> array:
 class TurnTable:
     """Turn costs of ``graph`` as two columns, one entry per candidate turn.
 
+    ``TurnTable(g)`` is the table of ``g`` in which every turn is free.
     The candidate out-arcs of in-arc a are the out-arcs of ``head[a]``,
     the contiguous range ``first_out[head[a]]:first_out[head[a] + 1]``, so
     the cost of turn (a, b) sits at ``first[a] + (b - first_out[head[a]])``
-    of ``cost``. ``first`` holds m + 1 offsets (``'i'``) and ``cost`` one
-    ``'q'`` per candidate: 0 for a free turn, FORBIDDEN for one that may
-    not be taken. The table fits every graph with ``graph``'s topology.
+    of ``cost``. Both columns are derived at construction: ``first`` holds
+    m + 1 offsets (``'i'``) and ``cost`` one ``'q'`` per candidate, 0 for a
+    free turn and FORBIDDEN for one that may not be taken. The table fits
+    every graph with ``graph``'s topology.
     """
 
     graph: InputGraph = field(repr=False)
-    first: array
-    cost: array
+    first: array = field(init=False)
+    cost: array = field(init=False)
 
-    @classmethod
-    def free(cls, g: InputGraph) -> TurnTable:
-        """The table of ``g`` in which every turn is free."""
-        first = _candidate_offsets(g)
-        return cls(g, first, array("q", bytes(8 * first[-1])))
+    def __post_init__(self):
+        self.first = _candidate_offsets(self.graph)
+        self.cost = array("q", bytes(8 * self.first[-1]))
 
     @classmethod
     def from_dict(cls, g: InputGraph, turns: dict[tuple[int, int], int]) -> TurnTable:
         """The table of a mapping (in-arc id, out-arc id) -> cost, or
         FORBIDDEN; pairs absent from it are free. Both arcs of a pair must
         share a via vertex: head(in) == tail(out)."""
-        table = cls.free(g)
+        table = cls(g)
         first, cost = table.first, table.cost
         first_out, head, tail, m = g.first_out, g.head, g.tail, g.arc_count
         for (a, b), c in turns.items():
@@ -92,26 +92,26 @@ class TurnExpansion:
     arc_of_vertex: range
 
 
-def expand_turns(g: InputGraph, turns: TurnTable | dict[tuple[int, int], int]) -> TurnExpansion:
+def expand_turns(g: InputGraph, turns: TurnTable) -> TurnExpansion:
     """Expand ``g`` into its turn-aware graph.
 
-    ``turns`` is a ``TurnTable`` that fits ``g``, or a mapping that
-    ``TurnTable.from_dict`` converts. A table whose offsets do not fit
-    ``g`` raises ConsistencyError.
+    ``turns`` must fit ``g``: its graph is ``g``, or has ``g``'s
+    ``first_out`` and ``head`` values, and its ``cost`` has one entry per
+    candidate turn. Any other table raises ConsistencyError.
 
     One pass over the in-arcs writes the expanded columns, reading each
     candidate turn's cost by index. Tails ascend, heads ascend strictly
     within an in-arc and every ID lies in [0, m), so of the rules of
-    ``InputGraph.from_sorted_arcs`` only two can apply, and they apply as
-    there: a weight at or above INFINITY raises, and the (a, a) turn of a
+    ``InputGraph.from_arcs`` only two can apply, and they apply as there:
+    a weight at or above INFINITY raises, and the (a, a) turn of a
     self-loop arc a is dropped and counted in ``dropped_self_loops``.
     """
-    if not isinstance(turns, TurnTable):
-        turns = TurnTable.from_dict(g, turns)
-    first, cost = turns.first, turns.cost
-    if first != _candidate_offsets(g) or len(cost) != first[-1]:
-        raise ConsistencyError("turn table does not fit the graph: "
-                               "its offsets are not those of the graph's candidate turns")
+    first, cost, built = turns.first, turns.cost, turns.graph
+    same_topology = built is g or (list(built.first_out) == list(g.first_out)
+                                   and list(built.head) == list(g.head))
+    if not same_topology or len(cost) != first[-1]:
+        raise ConsistencyError("turn table does not fit the graph: it was built for "
+                               "another topology, or its cost column was resized")
     first_out, head, weight = g.first_out, g.head, g.weight
     m = g.arc_count
     x_first, x_head, x_weight, x_tail = array("i", [0]), array("i"), array("I"), array("i")

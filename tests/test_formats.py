@@ -130,8 +130,17 @@ def package_imports(path: Path):
                     yield alias.name.split(".")[1], None
 
 
+def opens_files(path: Path) -> bool:
+    """Whether ``path`` calls ``open`` or any ``.open`` attribute."""
+    return any(isinstance(node, ast.Call) and
+               (isinstance(node.func, ast.Name) and node.func.id == "open" or
+                isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def layering_faults(package: Path) -> list[str]:
-    """Every import in ``package`` that breaks the layering rules."""
+    """Every import in ``package`` that breaks the layering rules, and
+    every module but ``formats`` that opens a file."""
     faults = []
     for path in sorted(package.glob("*.py")):
         for module, name in package_imports(path):
@@ -141,6 +150,8 @@ def layering_faults(package: Path) -> list[str]:
                 faults.append(f"{path.name} uses {module}.{name}, a private name")
             if path.stem in ALGORITHM_MODULES and module not in ALGORITHM_MODULES | {"errors"}:
                 faults.append(f"{path.name} imports {module}")
+        if path.stem != "formats" and opens_files(path):
+            faults.append(f"{path.name} opens a file")
     return faults
 
 
@@ -151,12 +162,16 @@ def test_package_layering():
 
 
 def test_layering_check_sees_every_import_form(tmp_path):
-    for name, text in [("__init__", ""), ("formats", ""),
+    for name, text in [("__init__", ""), ("formats", "def f(p):\n    return open(p)\n"),
                        ("order", "def f():\n    from .formats import load\n"),
                        ("turns", "from . import formats\n"),
-                       ("query", "import cchroute.formats\nfrom cchroute.customize import _hidden\n")]:
+                       ("query", "import cchroute.formats\nfrom cchroute.customize import _hidden\n"),
+                       ("cli", "def f(p):\n    with open(p) as a, p.open() as b:\n        pass\n"),
+                       ("graph", "def f(p):\n    return p.open('rb')\n")]:
         (tmp_path / f"{name}.py").write_text(text)
     assert layering_faults(tmp_path) == [
+        "cli.py opens a file",
+        "graph.py opens a file",
         "order.py imports formats",
         "query.py imports formats",
         "query.py uses customize._hidden, a private name",

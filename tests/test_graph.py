@@ -1,4 +1,4 @@
-"""Graph core: loaders, saturation, turn expansion, Dijkstra baseline."""
+"""Graph core: loaders, the arc builder, turn expansion, Dijkstra baseline."""
 
 from __future__ import annotations
 
@@ -11,7 +11,8 @@ import pytest
 from cchroute import (ConsistencyError, FORBIDDEN, INFINITY,
                       InputGraph, ParseError, TurnTable, dijkstra, expand_turns,
                       load_dimacs_co, load_dimacs_gr, load_metric,
-                      load_turn_table, saturating_add, store_dimacs_gr)
+                      load_turn_table, store_dimacs_gr)
+from cchroute import turns as turns_module
 from helpers import (diamond, enumerate_path_distance, perfbench_instance,
                      turn_respecting_distance)
 import oracles
@@ -21,20 +22,6 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
-
-
-class TestSaturation:
-    def test_infinity_absorbs(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            a = rng.randrange(0, INFINITY)
-            assert saturating_add(INFINITY, a) == INFINITY
-            assert saturating_add(a, INFINITY) == INFINITY
-
-    def test_finite_sums(self):
-        assert saturating_add(3, 4) == 7
-        assert saturating_add(INFINITY - 1, 1) == INFINITY
-        assert saturating_add(INFINITY - 2, 1) == INFINITY - 1
 
 
 class TestLoadGr:
@@ -134,7 +121,7 @@ class TestMetricFile:
 class TestTurnExpansion:
     def test_empty_table_two_arc_path(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
-        exp = expand_turns(g, {})
+        exp = expand_turns(g, TurnTable(g))
         assert exp.graph.vertex_count == 2
         assert exp.graph.arc_count == 1
         a01 = g.arc_index(0, 1)
@@ -145,7 +132,7 @@ class TestTurnExpansion:
     def test_forbidden_turn_disconnects(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
         a01, a12 = g.arc_index(0, 1), g.arc_index(1, 2)
-        exp = expand_turns(g, {(a01, a12): FORBIDDEN})
+        exp = expand_turns(g, TurnTable.from_dict(g, {(a01, a12): FORBIDDEN}))
         dist = dijkstra(exp.graph, a01)
         assert dist[a12] == INFINITY
 
@@ -161,7 +148,7 @@ class TestTurnExpansion:
             rev = g.arc_index(g.head[i], g.tail[i])
             if rev is not None:
                 turns[(i, rev)] = 100
-        exp = expand_turns(g, turns)
+        exp = expand_turns(g, TurnTable.from_dict(g, turns))
         a01 = g.arc_index(0, 1)
         a23 = g.arc_index(2, 3)
         dist = dijkstra(exp.graph, a01)
@@ -174,16 +161,16 @@ class TestTurnExpansion:
     def test_table_referencing_missing_arc(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
         with pytest.raises(ConsistencyError):
-            expand_turns(g, {(0, 5): 3})
+            TurnTable.from_dict(g, {(0, 5): 3})
         with pytest.raises(ConsistencyError):
-            expand_turns(g, {(1, 0): 3})  # arcs do not share a via vertex
+            TurnTable.from_dict(g, {(1, 0): 3})  # arcs do not share a via vertex
 
     def test_weight_reaching_infinity_raises_like_from_arcs(self):
         g = InputGraph.from_arcs(3, [(0, 1, INFINITY - 6), (1, 2, 6)])
         a01, a12 = g.arc_index(0, 1), g.arc_index(1, 2)
-        assert expand_turns(g, {(a01, a12): 5}).graph.weight[0] == INFINITY - 1
+        assert expand_turns(g, TurnTable.from_dict(g, {(a01, a12): 5})).graph.weight[0] == INFINITY - 1
         with pytest.raises(ConsistencyError) as got:
-            expand_turns(g, {(a01, a12): 6})
+            expand_turns(g, TurnTable.from_dict(g, {(a01, a12): 6}))
         with pytest.raises(ConsistencyError) as want:
             InputGraph.from_arcs(2, [(a01, a12, INFINITY)])
         assert str(got.value) == str(want.value)
@@ -204,7 +191,7 @@ class TestTurnExpansion:
         arcs = [(a, b, g.weight[a] + turns.get((a, b), 0))
                 for a in range(3) for b in range(3)
                 if g.head[a] == g.tail[b] and turns.get((a, b), 0) != FORBIDDEN]
-        got = expand_turns(g, turns).graph
+        got = expand_turns(g, TurnTable.from_dict(g, turns)).graph
         assert got == InputGraph.from_arcs(3, arcs)
         assert got.dropped_self_loops == (self_turn != FORBIDDEN)
 
@@ -226,9 +213,21 @@ class TestTurnExpansion:
         assert expanded.arc_count > 2 * g.arc_count
         assert peak < 2 * sum(len(column) * column.itemsize for column in columns)
 
+    def test_candidate_offsets_computed_once(self, tmp_path, monkeypatch):
+        # the loader derives them with the table; the expansion compares
+        # topologies instead of deriving them again
+        paths = perfbench_instance(tmp_path)
+        g = load_dimacs_gr(paths["grid.gr"])
+        calls = []
+        offsets = turns_module._candidate_offsets
+        monkeypatch.setattr(turns_module, "_candidate_offsets",
+                            lambda graph: calls.append(graph) or offsets(graph))
+        expand_turns(g, load_turn_table(paths["grid.turns"], g))
+        assert len(calls) == 1
+
     def test_columns_are_arrays(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 1, 6)])
-        exp = expand_turns(g, {})
+        exp = expand_turns(g, TurnTable(g))
         for graph in (g, exp.graph):
             assert [graph.first_out.typecode, graph.head.typecode, graph.weight.typecode,
                     graph.tail.typecode] == ["i", "i", "I", "i"]
@@ -248,7 +247,6 @@ class TestTurnExpansion:
             assert len(table.first) == g.arc_count + 1 and len(table.cost) == table.first[-1]
             assert table.to_dict() == {pair: c for pair, c in turns.items() if c}
             assert TurnTable.from_dict(g, table.to_dict()) == table
-            assert expand_turns(g, table) == expand_turns(g, turns)
 
     # the largest cost the column holds fails expansion, a larger one the conversion
     @pytest.mark.parametrize("cost, error", [(2**63 - 1, f"weight {2**63 + 3} outside"),
@@ -257,23 +255,35 @@ class TestTurnExpansion:
     def test_cost_from_infinity_up_raises(self, cost, error):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
         with pytest.raises(ConsistencyError, match=error):
-            expand_turns(g, {(g.arc_index(0, 1), g.arc_index(1, 2)): cost})
+            expand_turns(g, TurnTable.from_dict(g, {(g.arc_index(0, 1), g.arc_index(1, 2)): cost}))
 
     def test_table_of_another_graph_raises(self):
         path = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6)])
         both_ways = InputGraph.from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 6)])
         cycle = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 0, 5)])
-        table = TurnTable.free(both_ways)
+        table = TurnTable(both_ways)
         for g in (path, cycle):  # fewer arcs; as many arcs and candidates, spread otherwise
             with pytest.raises(ConsistencyError, match="turn table does not fit the graph"):
                 expand_turns(g, table)
-        assert len(table.cost) == len(TurnTable.free(cycle).cost)
-        short = TurnTable(both_ways, table.first, table.cost[:-1])
+        assert len(table.cost) == len(TurnTable(cycle).cost)
+        short = TurnTable(both_ways)
+        del short.cost[-1]
         with pytest.raises(ConsistencyError, match="turn table does not fit the graph"):
             expand_turns(both_ways, short)
-        # a table fits every graph of its graph's topology
+        # the reverse cycle has the cycle's candidate offsets, but there
+        # the entry that bans 0 -> 1 -> 2 would ban 0 -> 2 -> 1
+        reverse = InputGraph.from_arcs(3, [(0, 2, 4), (2, 1, 6), (1, 0, 5)])
+        banned = TurnTable.from_dict(cycle, {(cycle.arc_index(0, 1), cycle.arc_index(1, 2)): FORBIDDEN})
+        assert banned.first == TurnTable(reverse).first
+        with pytest.raises(ConsistencyError, match="turn table does not fit the graph"):
+            expand_turns(reverse, banned)
+        # a table fits every graph of its graph's topology, whatever its
+        # weights and whether its columns are arrays or lists
         heavier = InputGraph.from_arcs(3, [(0, 1, 9), (1, 0, 9), (1, 2, 9)])
-        assert expand_turns(heavier, table).graph.head == expand_turns(both_ways, table).graph.head
+        as_lists = InputGraph(3, *map(list, (both_ways.first_out, both_ways.head,
+                                             both_ways.weight, both_ways.tail)))
+        for g in (heavier, as_lists):
+            assert expand_turns(g, table).graph.head == expand_turns(both_ways, table).graph.head
 
     def test_metric_equivalence_random(self):
         rng = random.Random(42)
@@ -296,33 +306,13 @@ class TestTurnExpansion:
                         turns[(a, b)] = FORBIDDEN
                     elif r < 0.4:
                         turns[(a, b)] = rng.randint(1, 10)
-            exp = expand_turns(g, turns)
+            exp = expand_turns(g, TurnTable.from_dict(g, turns))
             pairs = [(rng.randrange(g.arc_count), rng.randrange(g.arc_count))
                      for _ in range(8)]
             for a, b in pairs:
                 got = dijkstra(exp.graph, a)[b]
                 want = turn_respecting_distance(g, turns, a, b)
                 assert got == want, (a, b, got, want)
-
-
-class TestFromSortedArcs:
-    def test_reads_a_generator_once_like_from_arcs(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            n = rng.randint(1, 6)
-            arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 5))
-                    for _ in range(rng.randint(0, 4 * n))]
-            got = InputGraph.from_sorted_arcs(n, (arc for arc in sorted(arcs)))
-            assert got == InputGraph.from_arcs(n, map(list, arcs)) == oracles.from_arcs(n, arcs)
-
-    @pytest.mark.parametrize("arcs", [
-        [(1, 0, 1), (0, 1, 1)], [(0, 2, 1), (0, 1, 1)], [(0, 1, 5), (0, 1, 3)],
-        [(0, 1, 5), (0, 0, 1), (0, 1, 3)], [(0, 1, 1), (0, 2, 1), (0, 1, 1)],
-    ], ids=["tail", "head", "parallel-weight", "parallel-after-self-loop", "run-resumed"])
-    def test_arc_out_of_order_raises(self, arcs):
-        with pytest.raises(ConsistencyError, match="out of ascending order"):
-            InputGraph.from_sorted_arcs(3, arcs)
-        assert InputGraph.from_arcs(3, arcs) == oracles.from_arcs(3, arcs)
 
 
 class TestFromArcsOracle:
@@ -366,6 +356,22 @@ class TestFromArcsOracle:
             with pytest.raises(ConsistencyError):
                 build(n, arcs)
 
+    def test_reads_a_generator_and_lists_of_lists(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            arcs = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 5))
+                    for _ in range(rng.randint(0, 4 * n))]
+            got = InputGraph.from_arcs(n, (arc for arc in arcs))
+            assert got == InputGraph.from_arcs(n, map(list, arcs)) == oracles.from_arcs(n, arcs)
+
+    @pytest.mark.parametrize("arcs", [
+        [(1, 0, 1), (0, 1, 1)], [(0, 2, 1), (0, 1, 1)], [(0, 1, 5), (0, 1, 3)],
+        [(0, 1, 5), (0, 0, 1), (0, 1, 3)], [(0, 1, 1), (0, 2, 1), (0, 1, 1)],
+    ], ids=["tail", "head", "parallel-weight", "parallel-after-self-loop", "run-resumed"])
+    def test_arcs_out_of_order(self, arcs):
+        self._check(3, arcs)
+
     def test_expand_turns_on_random_turn_tables(self):
         rng = random.Random(8)
         for _ in range(80):
@@ -386,7 +392,7 @@ class TestFromArcsOracle:
                     for a in range(g.arc_count) for b in range(g.arc_count)
                     if g.head[a] == g.tail[b] and turns.get((a, b), 0) != FORBIDDEN]
             rng.shuffle(arcs)
-            assert expand_turns(g, turns).graph == self._check(g.arc_count, arcs)
+            assert expand_turns(g, TurnTable.from_dict(g, turns)).graph == self._check(g.arc_count, arcs)
 
 
 class TestTurnTableFile:
@@ -476,7 +482,7 @@ class TestTurnTableOracle:
                 continue
             table = load_turn_table(path, g)
             assert table.to_dict() == {pair: c for pair, c in want.items() if c}, (case, applied)
-            assert expand_turns(g, table) == expand_turns(g, want), (case, applied)
+            assert expand_turns(g, table) == expand_turns(g, TurnTable.from_dict(g, want)), (case, applied)
             loaded += 1
         # every mutation kind, every error but a non-integer cost, and loads
         assert len(kinds) == 6 and len(messages) == 7 and loaded >= 30, (kinds, messages, loaded)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from cchroute import (FORBIDDEN, ConsistencyError, INFINITY, InputGraph, QueryState,
-                      RankOrder, RphastState, StateError,
+                      RankOrder, RphastState, StateError, TurnTable,
                       astar_with_cch_potential, build_cch, customize, dijkstra,
                       expand_turns, knn_dijkstra, knn_query, knn_select,
                       load_customized, query,
@@ -239,7 +239,7 @@ class TestAstar:
             rev = g.arc_index(g.head[a], g.tail[a])
             if rev is not None:
                 turns[(a, rev)] = 100
-        exp = expand_turns(g, turns)
+        exp = expand_turns(g, TurnTable.from_dict(g, turns))
         vertex_map = [cch.order.rank_of[g.tail[e]] for e in range(exp.graph.vertex_count)]
         st = RphastState(c.graphs, cch.parent, reverse=True)
         for _ in range(25):
@@ -264,7 +264,7 @@ class TestAstar:
                     turns[(a, b)] = FORBIDDEN
                 elif rng.random() < 0.3:
                     turns[(a, b)] = rng.randint(1, 300)
-        exp = expand_turns(g, turns)
+        exp = expand_turns(g, TurnTable.from_dict(g, turns))
         cch = build_cch(g, coords)
         c = customize(cch, list(g.weight))
         vertex_map = [cch.order.rank_of[t] for t in g.tail]
@@ -600,7 +600,7 @@ class TestTurnExpandedPipeline:
             for b in range(g.first_out[via], g.first_out[via + 1]):
                 if b != rev and rng.random() < 0.1:
                     turns[(a, b)] = -1  # FORBIDDEN
-        exp = expand_turns(g, turns)
+        exp = expand_turns(g, TurnTable.from_dict(g, turns))
         eco = expanded_coordinates(g, coords)
         cch = build_cch(exp.graph, eco)
         p = rank_relabeled(exp.graph, cch.order)
