@@ -89,7 +89,7 @@ def import_order(path: str, n: int) -> RankOrder:
     vertex_at = read_id_lines(path, n)
     if len(vertex_at) != n:
         raise ConsistencyError(f"order file has {len(vertex_at)} lines, expected {n}")
-    return RankOrder.from_vertex_at(vertex_at)
+    return RankOrder(vertex_at)
 
 
 def export_order(order: RankOrder, path: str) -> None:

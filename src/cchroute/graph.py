@@ -20,7 +20,9 @@ import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
+from operator import sub
 
 from .errors import ConsistencyError
 
@@ -38,6 +40,14 @@ def find_arc(first: array, head: array, u: int, v: int) -> int | None:
     return None
 
 
+def tails(first: array) -> array:
+    """The tail of every arc of an adjacency array, as ``array('i')``."""
+    tail = array("i")
+    for u, count in enumerate(map(sub, first[1:], first)):
+        tail += array("i", [u]) * count
+    return tail
+
+
 def le_bytes(arr: array) -> bytes:
     """Little-endian bytes of a 4-byte ``array``: the encoding of every
     artifact column and of ``graph_fingerprint``'s input."""
@@ -52,23 +62,23 @@ class InputGraph:
     """Immutable weighted graph in adjacency-array form.
 
     ``first_out[u]:first_out[u+1]`` is the arc range of vertex ``u`` into
-    the parallel ``head``/``weight``/``tail`` arrays. Every column is an
-    ``array``: ``'i'`` for ``first_out``, ``head`` and ``tail``, ``'I'``
-    for ``weight``, about 12 bytes per arc. Instances are treated as
-    immutable after construction and may be shared across threads.
+    the parallel ``head`` (``array('i')``, as ``first_out``) and ``weight``
+    (``array('I')``) columns; ``tail`` is derived from ``first_out`` on
+    first read. Instances are immutable and may be shared across threads.
     """
 
     vertex_count: int
     first_out: array
     head: array
     weight: array
-    tail: array
-    dropped_self_loops: int = 0
-    _undirected: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    dropped_self_loops: int = field(default=0, kw_only=True)
+    _undirected: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def arc_count(self) -> int:
         return len(self.head)
+
+    tail = cached_property(lambda self: tails(self.first_out))
 
     @classmethod
     def from_arcs(cls, vertex_count: int, arcs) -> InputGraph:
@@ -82,7 +92,7 @@ class InputGraph:
         [0, INFINITY) raises ConsistencyError.
         """
         out_degree = [0] * vertex_count
-        head, weight, tail = array("i"), array("I"), array("i")
+        head, weight = array("i"), array("I")
         dropped = 0
         last_t = last_h = -1
         for t, h, w in sorted(arcs):
@@ -95,10 +105,9 @@ class InputGraph:
             elif h != last_h or t != last_t:
                 last_t, last_h = t, h
                 out_degree[t] += 1
-                tail.append(t)
                 head.append(h)
                 weight.append(w)
-        return cls(vertex_count, array("i", accumulate(out_degree, initial=0)), head, weight, tail,
+        return cls(vertex_count, array("i", accumulate(out_degree, initial=0)), head, weight,
                    dropped_self_loops=dropped)
 
     def arc_index(self, u: int, v: int) -> int | None:
@@ -109,8 +118,7 @@ class InputGraph:
         """Sorted neighbor lists of the undirected topology (cached)."""
         if self._undirected is None:
             nbrs: list[set[int]] = [set() for _ in range(self.vertex_count)]
-            for i in range(len(self.head)):
-                t, h = self.tail[i], self.head[i]
+            for t, h in zip(self.tail, self.head):
                 nbrs[t].add(h)
                 nbrs[h].add(t)
             self._undirected = [sorted(s) for s in nbrs]
@@ -125,10 +133,14 @@ class InputGraph:
 
 @dataclass
 class Coordinates:
-    """Per-vertex fixed-point geographic coordinates."""
+    """Per-vertex fixed-point geographic coordinates, ``x`` and ``y`` of one length."""
 
     x: list[int]
     y: list[int]
+
+    def __post_init__(self):
+        if len(self.x) != len(self.y):
+            raise ConsistencyError(f"coordinates have {len(self.x)} x and {len(self.y)} y values")
 
     def __len__(self) -> int:
         return len(self.x)

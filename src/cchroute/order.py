@@ -46,28 +46,28 @@ class SeparatorDecomposition:
 
 @dataclass
 class RankOrder:
-    """Mutually inverse vertex<->rank permutations."""
+    """The vertex ``vertex_at[r]`` of each rank r and, derived at
+    construction, the inverse ``rank_of``: ConsistencyError unless
+    ``vertex_at`` is a permutation of [0, n). ``decomposition`` is the one
+    ``nested_dissection_order`` records, or None."""
 
-    rank_of: list[int]
-    vertex_at: list[int]
-    decomposition: SeparatorDecomposition | None = None
+    rank_of: list[int] = field(init=False)
+    vertex_at: Sequence[int]
+    decomposition: SeparatorDecomposition | None = field(default=None, kw_only=True)
 
-    @classmethod
-    def from_vertex_at(cls, vertex_at: Sequence[int]) -> RankOrder:
-        n = len(vertex_at)
-        rank_of = [-1] * n
-        for r, v in enumerate(vertex_at):
+    def __post_init__(self):
+        n = len(self.vertex_at)
+        self.rank_of = rank_of = [-1] * n
+        for r, v in enumerate(self.vertex_at):
             if not (0 <= v < n):
                 raise ConsistencyError(f"rank {r}: vertex {v} out of range [0, {n})")
             if rank_of[v] != -1:
                 raise ConsistencyError(f"vertex {v} appears at ranks {rank_of[v]} and {r}")
             rank_of[v] = r
-        return cls(rank_of=rank_of, vertex_at=list(vertex_at))
 
     @classmethod
     def identity(cls, n: int) -> RankOrder:
-        ids = list(range(n))
-        return cls(rank_of=list(ids), vertex_at=ids)
+        return cls(range(n))
 
 
 @dataclass
@@ -227,7 +227,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
     if len(coords) != n:
         raise ConsistencyError(f"coordinates cover {len(coords)} vertices, graph has {n}")
     adj = g.undirected_adjacency()
-    rank_of = [-1] * n
+    vertex_at = [-1] * n
     # Each work item appends its own node to the parent's child list when
     # popped; children are pushed in reverse so cells come off in order.
     root_children: list[SeparatorDecomposition] = []
@@ -238,9 +238,8 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
         hi = lo + len(cell)
         if len(cell) <= CELL_CUTOFF:
             allowed = set(cell)
-            by_degree = sorted(cell, key=lambda v: (sum(1 for w in adj[v] if w in allowed), v))
-            for offset, v in enumerate(by_degree):
-                rank_of[v] = lo + offset
+            vertex_at[lo:hi] = sorted(
+                cell, key=lambda v: (sum(1 for w in adj[v] if w in allowed), v))
             out.append(SeparatorDecomposition(lo, hi, lo))
             continue
         # Every child cell is a component already; only the root may split.
@@ -250,8 +249,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
         else:
             sep = inertial_flow_separator(g, coords, cell)
         sep_lo = hi - len(sep.vertices)
-        for offset, v in enumerate(sep.vertices):
-            rank_of[v] = sep_lo + offset
+        vertex_at[sep_lo:hi] = sep.vertices
         node = SeparatorDecomposition(lo, hi, sep_lo)
         out.append(node)
         # The cells tile [lo, sep_lo) in order.
@@ -260,11 +258,7 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
             child_hi -= len(child)
             stack.append((child, child_hi, node.children))
 
-    root = root_children[0]
-    vertex_at = [-1] * n
-    for v, r in enumerate(rank_of):
-        vertex_at[r] = v
-    return RankOrder(rank_of=rank_of, vertex_at=vertex_at, decomposition=root)
+    return RankOrder(vertex_at, decomposition=root_children[0])
 
 
 def subtree_sizes(parent: Sequence[int]) -> list[int]:
@@ -305,15 +299,13 @@ def dfs_postorder_reorder(order: RankOrder, parent: Sequence[int]) -> RankOrder:
     # free[p] bounds the ranks still free for p's children; the extra last
     # entry, free[-1], plays that part for the roots.
     free = [0] * n + [n]
-    post = [0] * n
+    vertex_at = [-1] * n
     for r in range(n - 1, -1, -1):
         p = parent[r]
-        post[r] = free[r] = free[p] - 1
+        free[r] = free[p] - 1
+        vertex_at[free[r]] = order.vertex_at[r]
         free[p] -= size[r]
-    vertex_at = [-1] * n
-    for r, v in enumerate(order.vertex_at):
-        vertex_at[post[r]] = v
-    return RankOrder(rank_of=[post[r] for r in order.rank_of], vertex_at=vertex_at)
+    return RankOrder(vertex_at)
 
 
 def postorder_subtree_sizes(parent: Sequence[int]) -> list[int]:

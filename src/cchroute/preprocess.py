@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import ConsistencyError
-from .graph import InputGraph, find_arc, le_bytes
+from .graph import InputGraph, find_arc, le_bytes, tails
 from .order import (RankOrder, SeparatorDecomposition, decomposition_from_subtree_sizes,
                     dfs_postorder_reorder, nested_dissection_order, postorder_subtree_sizes)
 
@@ -49,9 +49,7 @@ class UpwardGraph:
     input_arc_count: int
 
     def __post_init__(self):
-        self.tail = array("i")
-        for u, count in enumerate(map(operator.sub, self.first_arc[1:], self.first_arc)):
-            self.tail += array("i", [u]) * count
+        self.tail = tails(self.first_arc)
 
     @property
     def arc_count(self) -> int:
@@ -194,7 +192,7 @@ class Cch:
             if orig and (min(orig) < SENTINEL or max(orig) >= input_arc_count):
                 raise ConsistencyError("input arc ID outside [0, input arc count)")
         cch = cls(ug=UpwardGraph(n, first_arc, head, orig_up, orig_down, input_arc_count),
-                  order=RankOrder.from_vertex_at(vertex_at), fingerprint=fingerprint)
+                  order=RankOrder(list(vertex_at)), fingerprint=fingerprint)
         # each head must lie above prev: the head before it, or its tail at
         # a range start
         prev = head[-1:] + head[:-1]

@@ -35,16 +35,16 @@ class QueryState:
     itself restores that invariant while it runs. ``parent_up[v]`` and
     ``parent_down[v]`` hold the vertex whose search arc last improved v;
     they are only meaningful along the chains written by the most recent
-    query.
+    query, whose (s, t, distance, meeting vertex) is ``last``.
     """
 
     d_up: list[int]
     d_down: list[int]
     parent_up: list[int]
     parent_down: list[int]
-    visited: int = 0
-    relaxed: int = 0
-    last: tuple[int, int, int, int] | None = None
+    visited: int = field(default=0, init=False)
+    relaxed: int = field(default=0, init=False)
+    last: tuple[int, int, int, int] | None = field(default=None, init=False)
 
     @classmethod
     def for_vertex_count(cls, n: int) -> QueryState:
@@ -203,28 +203,27 @@ def unpack_path(state: QueryState, graphs: SearchGraphs) -> list[int] | None:
 
 @dataclass
 class RphastState:
-    """Incremental one-to-many (or many-to-one) workspace.
-
-    After ``rphast_source`` establishes the fixed endpoint, every
-    ``rphast_distance`` call memoizes exact distances along the queried
-    vertex's root path, so later queries descend only into unexplored
-    territory. ``reverse=True`` swaps the roles of the two search graphs
-    and computes distances *to* the fixed endpoint instead.
+    """Incremental one-to-many (or many-to-one) workspace over ``graphs``
+    and the elimination tree ``parent``; its memos, sized from ``parent``,
+    and its counters are no arguments. After ``rphast_source`` fixes the
+    endpoint, every ``rphast_distance`` call memoizes exact distances along
+    the queried vertex's root path, so later queries descend only into
+    unexplored territory. ``reverse=True`` swaps the two search graphs and
+    computes distances *to* the fixed endpoint instead.
     """
 
     graphs: SearchGraphs
     parent: Sequence[int]
     reverse: bool = False
-    d_climb: list[int] = field(default_factory=list)
-    known: list[int] = field(default_factory=list)
-    relaxations: int = 0
-    source: int = SENTINEL
-    _touched: list[int] = field(default_factory=list)
+    d_climb: list[int] = field(init=False)
+    known: list[int] = field(init=False)
+    relaxations: int = field(default=0, init=False)
+    source: int = field(default=SENTINEL, init=False)
+    _touched: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        n = len(self.parent)
-        self.d_climb = [INFINITY] * n
-        self.known = [UNKNOWN] * n
+        self.d_climb = [INFINITY] * len(self.parent)
+        self.known = [UNKNOWN] * len(self.parent)
 
 
 def rphast_source(s: int, state: RphastState) -> None:

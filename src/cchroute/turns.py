@@ -85,11 +85,11 @@ class TurnTable:
 
 @dataclass
 class TurnExpansion:
-    """Expanded graph plus the input arc of every arc-vertex. Arc-vertex i
-    is input arc i, so ``arc_of_vertex`` is ``range(m)``."""
+    """Expanded graph of an input graph with m arcs. Arc-vertex i is input
+    arc i, so ``arc_of_vertex``, derived on read, is ``range(m)``."""
 
     graph: InputGraph
-    arc_of_vertex: range
+    arc_of_vertex = property(lambda self: range(self.graph.vertex_count))
 
 
 def expand_turns(g: InputGraph, turns: TurnTable) -> TurnExpansion:
@@ -112,10 +112,9 @@ def expand_turns(g: InputGraph, turns: TurnTable) -> TurnExpansion:
     if not same_topology or len(cost) != first[-1]:
         raise ConsistencyError("turn table does not fit the graph: it was built for "
                                "another topology, or its cost column was resized")
-    first_out, head, weight = g.first_out, g.head, g.weight
-    m = g.arc_count
-    x_first, x_head, x_weight, x_tail = array("i", [0]), array("i"), array("I"), array("i")
-    add_head, add_weight, add_tail = x_head.append, x_weight.append, x_tail.append
+    first_out, head, weight, m = g.first_out, g.head, g.weight, g.arc_count
+    x_first, x_head, x_weight = array("i", [0]), array("i"), array("I")
+    add_head, add_weight = x_head.append, x_weight.append
     dropped = 0
     for a in range(m):
         lo = first_out[head[a]]
@@ -133,14 +132,14 @@ def expand_turns(g: InputGraph, turns: TurnTable) -> TurnExpansion:
                 continue
             add_head(b)
             add_weight(w)
-            add_tail(a)
         x_first.append(len(x_head))
-    expanded = InputGraph(m, x_first, x_head, x_weight, x_tail, dropped_self_loops=dropped)
-    return TurnExpansion(graph=expanded, arc_of_vertex=range(m))
+    return TurnExpansion(InputGraph(m, x_first, x_head, x_weight, dropped_self_loops=dropped))
 
 
-def expanded_coordinates(g: InputGraph, coords):
+def expanded_coordinates(g: InputGraph, coords: Coordinates) -> Coordinates:
     """Midpoint coordinates for arc-vertices, usable by inertial ordering:
-    arc-vertex i is input arc i of ``g``."""
+    arc-vertex i is input arc i of ``g``, whose vertices ``coords`` cover."""
+    if len(coords) != g.vertex_count:
+        raise ConsistencyError(f"coordinates cover {len(coords)} vertices, graph has {g.vertex_count}")
     return Coordinates(x=[(coords.x[t] + coords.x[h]) // 2 for t, h in zip(g.tail, g.head)],
                        y=[(coords.y[t] + coords.y[h]) // 2 for t, h in zip(g.tail, g.head)])

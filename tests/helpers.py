@@ -128,7 +128,7 @@ def random_order(rng: random.Random, n: int):
 
     vertex_at = list(range(n))
     rng.shuffle(vertex_at)
-    return RankOrder.from_vertex_at(vertex_at)
+    return RankOrder(vertex_at)
 
 
 # Small weights make ties frequent, between triangles and with the
@@ -149,7 +149,7 @@ def hierarchies_with_metrics(draw):
         if both:
             arcs.append((h, t, 1))
     g = InputGraph.from_arcs(n, arcs)
-    order = RankOrder.from_vertex_at(list(draw(st.permutations(range(n)))))
+    order = RankOrder(list(draw(st.permutations(range(n)))))
     weights = draw(st.lists(METRIC_WEIGHTS, min_size=g.arc_count, max_size=g.arc_count))
     return build_cch(g, order=order), weights
 

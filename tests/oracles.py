@@ -7,10 +7,11 @@ element: weights, witnesses and deletion marks
 (``test_customize.py::TestKernelsMatchLoopOracles``). Edmonds-Karp, one
 shortest augmenting path per BFS, gives the source side that
 ``order._min_cut`` must return (``test_order.py::TestMinCut``).
-``from_arcs`` collapses parallel arcs through a dict before it sorts, and
-``undirected_edges`` collects each arc's endpoints in a set; the one-pass
-``InputGraph`` methods must match them field for field
-(``test_graph.py::TestFromArcsOracle``). ``turn_table`` is the turn-file
+``from_arcs`` collapses parallel arcs through a dict before it sorts,
+``undirected_edges`` collects each arc's endpoints in a set, and
+``tails`` finds each arc's tail by bisecting ``first_out``; the one-pass
+``InputGraph`` methods and ``graph.tails`` must match them field for
+field (``test_graph.py::TestFromArcsOracle``). ``turn_table`` is the turn-file
 loader as a dict keyed by arc pairs; ``load_turn_table``'s columns must
 hold its entries and raise its errors
 (``test_graph.py::TestTurnTableOracle``). One climb per target through
@@ -21,6 +22,7 @@ the backward search graph gives the k-NN bucket table that
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 
 from cchroute import (FORBIDDEN, INFINITY, SENTINEL, ConsistencyError, CustomizedMetric,
@@ -198,16 +200,21 @@ def from_arcs(vertex_count: int, arcs) -> InputGraph:
         if prev is None or w < prev:
             best[key] = w
     first_out = [0] * (vertex_count + 1)
-    head, weight, tail = [], [], []
+    head, weight = [], []
     for (t, h), w in sorted(best.items()):
         first_out[t + 1] += 1
-        tail.append(t)
         head.append(h)
         weight.append(w)
     for u in range(vertex_count):
         first_out[u + 1] += first_out[u]
     return InputGraph(vertex_count, array("i", first_out), array("i", head), array("I", weight),
-                      array("i", tail), dropped_self_loops=dropped)
+                      dropped_self_loops=dropped)
+
+
+def tails(first_out) -> array:
+    """``graph.tails`` by a bisection per arc: the tail of arc a is the last
+    vertex u with ``first_out[u] <= a``."""
+    return array("i", [bisect_right(first_out, a) - 1 for a in range(first_out[-1])])
 
 
 def turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
@@ -258,7 +265,7 @@ def turn_table(path: str, g: InputGraph) -> dict[tuple[int, int], int]:
 
 def undirected_edges(g: InputGraph) -> list[tuple[int, int]]:
     """``InputGraph.undirected_edges`` by a set of every arc's endpoints."""
-    return sorted({(t, h) if t < h else (h, t) for t, h in zip(g.tail, g.head)})
+    return sorted({(t, h) if t < h else (h, t) for t, h in zip(tails(g.first_out), g.head)})
 
 
 def knn_buckets(graphs: SearchGraphs, parent, targets, k: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1,4 +1,5 @@
-"""On-disk formats: artifact round trips, vertex-ID files, module layering."""
+"""On-disk formats: artifact round trips, vertex-ID files, module layering,
+and the construction rule of the package's dataclasses."""
 
 from __future__ import annotations
 
@@ -159,6 +160,105 @@ def test_package_layering():
     assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(
         ALGORITHM_MODULES | {"__init__", "cli", "errors", "formats"})
     assert layering_faults(PACKAGE) == []
+
+
+def _named(node: ast.expr, name: str) -> bool:
+    """Whether ``node`` is ``name``, or an attribute of that name."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _init_fields(cls: ast.ClassDef) -> dict[str, bool]:
+    """Whether each annotated field of a dataclass body is an ``__init__``
+    parameter, that is not declared ``field(..., init=False)``."""
+    fields = {}
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            value = node.value
+            fields[node.target.id] = not (
+                isinstance(value, ast.Call) and _named(value.func, "field")
+                and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in value.keywords))
+    return fields
+
+
+def _self_attributes_assigned(function: ast.FunctionDef):
+    """Every ``self.<name>`` that ``function`` assigns, in tuples too."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                if isinstance(t, ast.Attribute) and _named(t.value, "self"):
+                    yield t.attr
+
+
+def construction_faults(package: Path) -> list[str]:
+    """Every dataclass field in ``package`` that breaks the construction
+    rule: a class takes only what it stores. A field named ``_...`` is a
+    cache or a workspace, so it must be ``init=False``; a field that
+    ``__post_init__`` assigns is derived, so it must be ``init=False`` too."""
+    faults = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _named(d.func if isinstance(d, ast.Call) else d, "dataclass")
+                    for d in cls.decorator_list)):
+                continue
+            init = _init_fields(cls)
+            derived = {name for f in cls.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "__post_init__" for name in _self_attributes_assigned(f)}
+            for name, is_parameter in init.items():
+                if is_parameter and name.startswith("_"):
+                    faults.append(f"{path.name}: {cls.name}.{name} is private but a parameter")
+                if is_parameter and name in derived:
+                    faults.append(f"{path.name}: {cls.name}.{name} is a parameter "
+                                  f"that __post_init__ assigns")
+    return faults
+
+
+def test_dataclasses_take_only_what_they_store():
+    assert construction_faults(PACKAGE) == []
+
+
+def test_construction_check_sees_every_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class Cache:\n"
+        "    size: int\n"
+        "    _memo: dict = field(default_factory=dict, repr=False)\n"
+        "    _kept: dict = field(default_factory=dict, init=False)\n"
+        "@dataclasses.dataclass(eq=False)\n"
+        "class Work:\n"
+        "    n: int\n"
+        "    dist: list = field(default_factory=list)\n"
+        "    lo: int = 0\n"
+        "    hi: int = 0\n"
+        "    count: int = field(default=0, init=True)\n"
+        "    seen: list = field(init=False)\n"
+        "    def __post_init__(self):\n"
+        "        self.dist = self.seen = [0] * self.n\n"
+        "        (self.lo, [self.hi, _]) = (0, [self.n, 0])\n"
+        "        self.count += 1\n"
+        "    def reset(self):\n"
+        "        self.dist = []\n"
+        "class Plain:\n"
+        "    _x: int\n"
+        "    def __post_init__(self):\n"
+        "        self._x = 1\n")
+    assert construction_faults(tmp_path) == [
+        "a.py: Cache._memo is private but a parameter",
+        "a.py: Work.dist is a parameter that __post_init__ assigns",
+        "a.py: Work.lo is a parameter that __post_init__ assigns",
+        "a.py: Work.hi is a parameter that __post_init__ assigns",
+        "a.py: Work.count is a parameter that __post_init__ assigns",
+    ]
 
 
 def test_layering_check_sees_every_import_form(tmp_path):

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 import tracemalloc
 from array import array
 
 import pytest
 
-from cchroute import (ConsistencyError, FORBIDDEN, INFINITY,
-                      InputGraph, ParseError, TurnTable, dijkstra, expand_turns,
-                      load_dimacs_co, load_dimacs_gr, load_metric,
-                      load_turn_table, store_dimacs_gr)
+from cchroute import (ConsistencyError, Coordinates, FORBIDDEN, INFINITY, InputGraph,
+                      ParseError, QueryState, TurnExpansion, TurnTable, build_cch, customize,
+                      dijkstra, expand_turns, expanded_coordinates, load_dimacs_co,
+                      load_dimacs_gr, load_metric, load_turn_table, query, store_dimacs_gr)
 from cchroute import turns as turns_module
-from helpers import (diamond, enumerate_path_distance, perfbench_instance,
+from helpers import (SAMPLE, diamond, enumerate_path_distance, perfbench_instance,
                      turn_respecting_distance)
 import oracles
 
@@ -180,11 +182,10 @@ class TestTurnExpansion:
                              ids=["absent", "free", "costed", "forbidden"])
     def test_self_loop_arc_expands_as_from_arcs(self, columns, self_turn):
         # built directly, since from_arcs drops self-loops: arc 0 is 0 -> 0
-        first_out, head, weight, tail = [0, 2, 3], [0, 1, 0], [3, 4, 5], [0, 0, 1]
+        first_out, head, weight = [0, 2, 3], [0, 1, 0], [3, 4, 5]
         if columns is array:
-            first_out, head, weight, tail = (array("i", first_out), array("i", head),
-                                             array("I", weight), array("i", tail))
-        g = InputGraph(2, first_out, head, weight, tail)
+            first_out, head, weight = array("i", first_out), array("i", head), array("I", weight)
+        g = InputGraph(2, first_out, head, weight)
         turns = {} if self_turn is None else {(0, 0): self_turn}
         # every permitted turn (a, b) at head(a) == tail(b) as an arc,
         # collapsed by from_arcs
@@ -209,7 +210,7 @@ class TestTurnExpansion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        columns = (expanded.first_out, expanded.head, expanded.weight, expanded.tail)
+        columns = (expanded.first_out, expanded.head, expanded.weight)
         assert expanded.arc_count > 2 * g.arc_count
         assert peak < 2 * sum(len(column) * column.itemsize for column in columns)
 
@@ -225,6 +226,15 @@ class TestTurnExpansion:
         expand_turns(g, load_turn_table(paths["grid.turns"], g))
         assert len(calls) == 1
 
+    def test_coordinates_of_another_graph_raise(self):
+        # unchecked, the midpoint loop would index past the coordinates
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        co = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        with pytest.raises(ConsistencyError) as info:
+            expanded_coordinates(g, Coordinates(co.x[:10], co.y[:10]))
+        assert str(info.value) == "coordinates cover 10 vertices, graph has 200"
+        assert len(expanded_coordinates(g, co)) == g.arc_count
+
     def test_columns_are_arrays(self):
         g = InputGraph.from_arcs(3, [(0, 1, 4), (1, 2, 6), (2, 1, 6)])
         exp = expand_turns(g, TurnTable(g))
@@ -232,6 +242,10 @@ class TestTurnExpansion:
             assert [graph.first_out.typecode, graph.head.typecode, graph.weight.typecode,
                     graph.tail.typecode] == ["i", "i", "I", "i"]
         assert exp.arc_of_vertex == range(g.arc_count)
+        with pytest.raises(TypeError):
+            TurnExpansion(exp.graph, range(g.arc_count))
+        with pytest.raises(AttributeError):
+            exp.arc_of_vertex = range(1)
 
     def test_table_round_trips_through_a_dict(self):
         rng = random.Random(11)
@@ -281,7 +295,7 @@ class TestTurnExpansion:
         # weights and whether its columns are arrays or lists
         heavier = InputGraph.from_arcs(3, [(0, 1, 9), (1, 0, 9), (1, 2, 9)])
         as_lists = InputGraph(3, *map(list, (both_ways.first_out, both_ways.head,
-                                             both_ways.weight, both_ways.tail)))
+                                             both_ways.weight)))
         for g in (heavier, as_lists):
             assert expand_turns(g, table).graph.head == expand_turns(both_ways, table).graph.head
 
@@ -316,13 +330,15 @@ class TestTurnExpansion:
 
 
 class TestFromArcsOracle:
-    """``from_arcs`` and ``undirected_edges`` against the dict- and
-    set-based oracles, on every field including ``dropped_self_loops``."""
+    """``from_arcs``, its derived ``tail`` and ``undirected_edges`` against
+    the dict-, bisection- and set-based oracles, on every field including
+    ``dropped_self_loops``."""
 
     @staticmethod
     def _check(n, arcs):
         got, want = InputGraph.from_arcs(n, arcs), oracles.from_arcs(n, arcs)
         assert got == want
+        assert got.tail.typecode == "i" and got.tail == oracles.tails(want.first_out)
         assert got.undirected_edges() == oracles.undirected_edges(want)
         return got
 
@@ -393,6 +409,66 @@ class TestFromArcsOracle:
                     if g.head[a] == g.tail[b] and turns.get((a, b), 0) != FORBIDDEN]
             rng.shuffle(arcs)
             assert expand_turns(g, TurnTable.from_dict(g, turns)).graph == self._check(g.arc_count, arcs)
+
+
+class TestDerivedTail:
+    """``tail`` is no constructor argument: every graph reads it off its own
+    ``first_out``, so no tail column can disagree with the arc ranges."""
+
+    def test_tail_is_not_a_parameter(self):
+        g = InputGraph.from_arcs(3, [(0, 1, 5), (1, 2, 7)])
+        for args, kwargs in [((g.first_out, g.head, g.weight, array("i", [2, 1])), {}),
+                             ((g.first_out, g.head, g.weight), {"tail": array("i", [2, 1])}),
+                             ((g.first_out, g.head, g.weight, 0), {}),
+                             ((g.first_out, g.head, g.weight), {"_undirected": [[1], [0, 2], [1]]})]:
+            with pytest.raises(TypeError):
+                InputGraph(3, *args, **kwargs)
+        # the columns alone answer as the graph does, through the hierarchy
+        # and through Dijkstra
+        again = InputGraph(3, g.first_out, g.head, g.weight)
+        cch = build_cch(again, Coordinates(x=[0, 1, 2], y=[0, 0, 0]))
+        c = customize(cch, list(again.weight))
+        rank = cch.order.rank_of
+        assert query(rank[0], rank[2], QueryState.for_vertex_count(3), c.graphs, cch.parent) \
+            == dijkstra(again, 0)[2] == 12
+
+    def test_tail_matches_the_oracle_on_every_builder(self, tmp_path):
+        paths = perfbench_instance(tmp_path, side=12)
+        road = load_dimacs_gr(paths["grid.gr"])
+        graphs = [road, expand_turns(road, load_turn_table(paths["grid.turns"], road)).graph,
+                  InputGraph(2, [0, 2, 3], [0, 1, 0], [3, 4, 5]),
+                  InputGraph(2, array("i", [0, 2, 3]), array("i", [0, 1, 0]), array("I", [3, 4, 5])),
+                  InputGraph(4, [0, 0, 2, 2, 3], [0, 3, 1], [1, 1, 1]),
+                  InputGraph.from_arcs(0, [])]
+        for g in graphs:
+            assert g.tail.typecode == "i"
+            assert g.tail == oracles.tails(g.first_out)
+
+    def test_racing_first_reads_agree(self, tmp_path):
+        # cached_property may let racing threads each build the column;
+        # every reader must still get the graph's own tails
+        paths = perfbench_instance(tmp_path, side=12)
+        road = load_dimacs_gr(paths["grid.gr"])
+        want = oracles.tails(road.first_out)
+        got = []
+
+        def read(g):
+            got.append(g.tail == want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = InputGraph(road.vertex_count, road.first_out, road.head, road.weight)
+                threads = [threading.Thread(target=read, args=(g,)) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * 120
 
 
 class TestTurnTableFile:

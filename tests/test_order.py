@@ -339,6 +339,48 @@ class TestNestedDissection:
         with pytest.raises(ConsistencyError):
             nested_dissection_order(g, Coordinates(x=[0, 1], y=[0, 1]))
 
+    def test_coordinates_of_unequal_length_raise(self):
+        # the graph's length check reads x only; unchecked, a short y would
+        # be indexed past its end inside inertial_flow_separator
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        co = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        with pytest.raises(ConsistencyError) as info:
+            nested_dissection_order(g, Coordinates(co.x, co.y[:-5]))
+        assert str(info.value) == "coordinates have 200 x and 195 y values"
+
+
+class TestRankOrder:
+    """``rank_of`` is derived from ``vertex_at``, so the two can never
+    disagree; a ``vertex_at`` that is no permutation raises."""
+
+    def test_rank_of_is_the_inverse(self):
+        rng = random.Random(25)
+        for n in [0, 1, 2, 7, 40]:
+            vertex_at = list(range(n))
+            rng.shuffle(vertex_at)
+            for given in (vertex_at, tuple(vertex_at)):
+                order = RankOrder(given)
+                assert order.vertex_at is given
+                assert [order.rank_of[v] for v in vertex_at] == list(range(n))
+        assert RankOrder.identity(3).rank_of == [0, 1, 2]
+
+    def test_derived_values_are_not_parameters(self):
+        with pytest.raises(TypeError):
+            RankOrder(rank_of=[1, 0], vertex_at=[0, 1])
+        with pytest.raises(TypeError):
+            RankOrder([0, 1], None)
+
+    @pytest.mark.parametrize("vertex_at, message", [
+        ([0, 3, 1], "rank 1: vertex 3 out of range [0, 3)"),
+        ([0, -1, 1], "rank 1: vertex -1 out of range [0, 3)"),
+        ([2, 0, 2], "vertex 2 appears at ranks 0 and 2"),
+        ([1, 1, 5], "vertex 1 appears at ranks 0 and 1"),
+    ], ids=["past-n", "negative", "repeated", "repeat-before-range"])
+    def test_not_a_permutation_raises(self, vertex_at, message):
+        with pytest.raises(ConsistencyError) as info:
+            RankOrder(vertex_at)
+        assert str(info.value) == message
+
 
 class TestOrderFiles:
     def test_identity(self, tmp_path):
@@ -397,7 +439,7 @@ class TestDfsPostorderReorder:
         new = dfs_postorder_reorder(order, parent)
         assert new.rank_of == [0, 1, 2]
         # under reversed child ranks the children swap their range order
-        order2 = RankOrder.from_vertex_at([1, 0, 2])
+        order2 = RankOrder([1, 0, 2])
         parent2 = [2, 2, -1]  # in rank space: ranks 0,1 children of rank 2
         new2 = dfs_postorder_reorder(order2, parent2)
         assert new2.rank_of[1] == 0 and new2.rank_of[0] == 1 and new2.rank_of[2] == 2
@@ -471,6 +513,22 @@ def _random_forest(rng: random.Random, n: int, postorder: bool) -> list[int]:
     return parent
 
 
+def _dfs_postorder_ranks(parent) -> list[int]:
+    """The rank of each old rank in the DFS post-order of the forest that
+    visits roots, and each vertex's children, in ascending old rank."""
+    children = [[u for u in range(len(parent)) if parent[u] == v] for v in range(len(parent))]
+
+    def visit(v):
+        for c in children[v]:
+            yield from visit(c)
+        yield v
+
+    rank = [-1] * len(parent)
+    for new, old in enumerate(v for r, p in enumerate(parent) if p == -1 for v in visit(r)):
+        rank[old] = new
+    return rank
+
+
 def _assert_nodes_follow_tree(parent, decomp) -> None:
     """Each node's separator is the chain of single children down from its
     subtree root, and its child cells are the subtrees below the chain,
@@ -523,8 +581,8 @@ class TestTreeLayout:
 
             order = random_order(rng, n)
             new = dfs_postorder_reorder(order, parent)
-            assert RankOrder.from_vertex_at(new.vertex_at).rank_of == new.rank_of
             post = [new.rank_of[v] for v in order.vertex_at]
+            assert post == _dfs_postorder_ranks(parent)
             new_parent = [-1] * n
             for r, p in enumerate(parent):
                 new_parent[post[r]] = -1 if p == -1 else post[p]

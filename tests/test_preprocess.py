@@ -32,7 +32,7 @@ class TestPermute:
 
     def test_reversal_on_two_path(self):
         g = InputGraph.from_arcs(2, [(0, 1, 7)])
-        order = RankOrder.from_vertex_at([1, 0])
+        order = RankOrder([1, 0])
         p = rank_relabeled(g, order)
         assert (p.tail[0], p.head[0], p.weight[0]) == (1, 0, 7)
 
@@ -126,7 +126,7 @@ class TestContract:
 
     def test_orig_arc_mapping(self):
         g = diamond()
-        order = RankOrder.from_vertex_at([3, 2, 1, 0])
+        order = RankOrder([3, 2, 1, 0])
         ug = contract(g, order)
         for i in range(ug.arc_count):
             u, v = ug.tail[i], ug.head[i]

@@ -144,6 +144,23 @@ class TestUnpack:
                 assert path_weight(p, path) == d
 
 
+def test_workspaces_take_only_their_inputs():
+    _, cch, c = customized_diamond()
+    st = QueryState.for_vertex_count(4)
+    assert (st.visited, st.relaxed, st.last) == (0, 0, None)
+    fresh = [INFINITY] * 4, [INFINITY] * 4, [-1] * 4, [-1] * 4
+    for extra in [{"visited": 5}, {"relaxed": 5}, {"last": (0, 1, 2, 3)}]:
+        with pytest.raises(TypeError):
+            QueryState(*fresh, **extra)
+    rs = RphastState(c.graphs, cch.parent, reverse=True)
+    assert (rs.d_climb, rs.known, rs.relaxations, rs.source) == ([INFINITY] * 4, [-1] * 4, 0, -1)
+    with pytest.raises(TypeError):
+        RphastState(c.graphs, cch.parent, False, [0] * 4)
+    for name in ("d_climb", "known", "relaxations", "source", "_touched"):
+        with pytest.raises(TypeError):
+            RphastState(c.graphs, cch.parent, **{name: []})
+
+
 class TestRphast:
     def test_source_is_target(self):
         _, cch, c = customized_diamond()
@@ -286,8 +303,7 @@ class TestAstar:
         cch = build_cch(g, coords)
         p = rank_relabeled(g, cch.order)
         c = customize(cch, list(g.weight))
-        doubled = InputGraph(p.vertex_count, p.first_out, p.head,
-                             [2 * w for w in p.weight], p.tail)
+        doubled = InputGraph(p.vertex_count, p.first_out, p.head, [2 * w for w in p.weight])
         st = RphastState(c.graphs, cch.parent, reverse=True)
         astar_total = dijkstra_total = 0
         for _ in range(25):
@@ -310,7 +326,7 @@ class TestAstar:
         c = customize(cch, list(g.weight))
         # halving the search weights breaks the lower-bound contract
         halved = InputGraph(p.vertex_count, p.first_out, p.head,
-                            [max(1, w // 4) for w in p.weight], p.tail)
+                            [max(1, w // 4) for w in p.weight])
         st = RphastState(c.graphs, cch.parent, reverse=True)
         saw_violation = False
         for _ in range(15):
