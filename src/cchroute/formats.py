@@ -38,6 +38,13 @@ CCHP_VERSION = 2
 CCHM_MAGIC = b"CCHM"
 CCHM_VERSION = 2
 
+MAX_VERTICES = 1 << 25
+"""Most vertices a ``.gr`` problem line may declare: 33,554,432, above
+the 23,947,347 of the largest DIMACS road graph (USA). Loading allocates
+about 12 bytes per declared vertex, isolated ones included, whatever the
+file's arcs; the ceiling bounds that at about 400 MB. A larger count
+raises ConsistencyError (exit 3) before anything is allocated."""
+
 
 def _tokens(path: str):
     with open(path, "r", encoding="utf-8") as f:
@@ -117,7 +124,8 @@ def load_dimacs_gr(path: str) -> InputGraph:
     """Load a DIMACS .gr shortest-path instance.
 
     Duplicate arcs collapse to the minimum weight and self-loops are
-    dropped (the count is kept on the returned graph).
+    dropped (the count is kept on the returned graph). A problem line
+    declaring more than ``MAX_VERTICES`` vertices raises ConsistencyError.
     """
     n = m = None
     arcs: list[tuple[int, int, int]] = []
@@ -135,6 +143,9 @@ def load_dimacs_gr(path: str) -> InputGraph:
             # every artifact column is int32
             if not (0 <= n < 2**31 and 0 <= m < 2**31):
                 raise ParseError("vertex or arc count outside [0, 2**31)", lineno)
+            if n > MAX_VERTICES:
+                raise ConsistencyError(
+                    f"line {lineno}: {n} vertices declared, more than the {MAX_VERTICES} admitted")
         elif kind == "a":
             if n is None:
                 raise ParseError("arc line before problem line", lineno)

@@ -1,17 +1,21 @@
 """Rank orders via nested dissection with inertial-flow separators.
 
 A rank order drives the contraction: vertices are eliminated by ascending
-rank, and separator vertices always rank above the cells they split. The
-recursion tree of the dissection is kept as a separator decomposition,
-the structure whose cells the nearest-neighbor search prunes. Once an
-order is improved to a DFS post-order of its elimination tree, every
-subtree is one contiguous rank range, fixed by the subtree sizes alone,
-and the decomposition follows from the tree.
+rank, and separator vertices always rank above the cells they split.
+Each separator is a minimum vertex cut between the two ends of a cell
+along one of four axes, read off a maximum flow in which every vertex
+carries one unit, as the flow-based orders FlowCutter (Hamann and
+Strasser, JEA 2018) and InertialFlowCutter (Gottesbüren, Hamann, Uhl and
+Wagner, Algorithms 2019) compute them. The recursion tree of the
+dissection is kept as a separator decomposition, the structure whose
+cells the nearest-neighbor search prunes. Once an order is improved to a
+DFS post-order of its elimination tree, every subtree is one contiguous
+rank range, fixed by the subtree sizes alone, and the decomposition
+follows from the tree.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -78,66 +82,125 @@ class Separator:
     cells: list[list[int]]
 
 
-def _min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list[bool]:
-    """Source side of a minimum edge cut between two disjoint vertex sets.
+_ROOT = -2
+"""Search predecessor of a source's in-state, and of the out-state of every
+source that does not carry a unit through a capacity."""
 
-    A maximum flow on the unit-capacity undirected graph ``adj``, with the
-    sources contracted into one terminal and the sinks into another. The
-    flow is the set ``used`` of arcs (u, v) carrying a unit from u to v;
-    arc (u, v) has residual capacity exactly when it is not in ``used``.
-    Returns flags marking the vertices reachable from the sources in the
-    final residual graph: the smallest source side of a minimum cut, the
-    same for every maximum flow and so equal to Edmonds-Karp's.
 
-    Each round runs one full residual BFS from the sources with a
-    non-source neighbour (the others add nothing) and never expands a
-    sink. Walking the BFS tree back from each popped sink, in pop order,
-    it augments every path that shares no vertex but its source with a
-    path augmented earlier in the round: vertex-disjoint paths share no
-    arc in either direction. A round that pops no sink ends the flow.
+def _min_cut(adj: list[list[int]], sources: list[int], sinks: list[int],
+             limit: int | None = None) -> tuple[list[bool], list[bool]] | None:
+    """Reachable states of a minimum vertex cut between two disjoint
+    vertex sets, or None once the flow exceeds ``limit``.
+
+    A maximum flow from the sources to the sinks through the undirected
+    graph ``adj`` in which every vertex carries at most one unit. The
+    exception is a terminal with no neighbour among the other side's
+    terminals: it has no capacity, as if contracted into its terminal.
+    Each vertex is split into an in-state, which its edges enter, and an
+    out-state, which they leave; the arc between them carries its unit.
+    The flow is one list ``prv``: ``prv[v]`` is the vertex whose unit
+    enters v, -1 if v carries none, and v itself for a source with
+    capacity, whose unit comes from the terminal.
+
+    In the residual graph an out-state reaches every neighbour's in-state,
+    and an in-state has exactly one arc: to its own out-state if the
+    vertex is free, else back to the out-state of ``prv[v]``. So the
+    search steps from out-state to out-state and takes each in-state in
+    passing; a saturated vertex's out-state also steps back through its
+    own in-state. ``pin[v]`` is the vertex whose out-state reached v's
+    in-state, and ``pout[v]`` the vertex whose in-state reached v's
+    out-state.
+
+    Returns flags marking the in-states and the out-states reachable from
+    the sources in the final residual graph, the same for every maximum
+    flow. The vertices whose in-state is reached and whose out-state is
+    not are a minimum vertex separator: one vertex per unit of flow.
+
+    Each round runs one full residual search from the sources that have a
+    non-source neighbour (the others add nothing) and never passes a sink.
+    Walking the search tree back from each sink reached, in the order
+    reached, it augments every path that shares no vertex with a path
+    augmented earlier in the round, except a source without capacity:
+    such paths change the flow of none but their own vertices. Augmenting
+    sets ``prv`` of each in-state on the path to the vertex it was reached
+    from, or to -1 if that is its own out-state. A path that enters v from
+    u while v's unit enters u leaves a unit circling between the two,
+    which changes no reachable state. A round that reaches no sink ends
+    the flow.
     """
     n = len(adj)
-    is_sink = [False] * n
-    for t in sinks:
-        is_sink[t] = True
-    is_source = [False] * n
+    # kind: 1 for a source with capacity, 2 for a sink, 3 for a sink with
+    # capacity, 0 for every other vertex.
+    kind = [0] * n
     for s in sources:
-        is_source[s] = True
-    frontier = [s for s in sources if not all(is_source[v] for v in adj[s])]
-    used: set[tuple[int, int]] = set()
+        kind[s] = -1
+    for t in sinks:
+        kind[t] = 3 if any(kind[w] == -1 for w in adj[t]) else 2
+    roots = [s for s in sources if not all(kind[w] == -1 for w in adj[s])]
+    for s in sources:
+        kind[s] = 1 if any(kind[w] >= 2 for w in adj[s]) else 0
+    prv = [-1] * n
+    flow = 0
     while True:
-        reached = is_source[:]
-        pred = [-1] * n
-        queue = deque(frontier)
+        pin = [-1] * n
+        pout = [-1] * n
+        for s in sources:
+            pin[s] = pout[s] = _ROOT
+        queue = []
+        for s in roots:
+            if prv[s] == -1:
+                queue.append(s)
+            else:
+                # Reached only back from the vertex its unit enters.
+                pout[s] = -1
         hits = []
-        while queue:
-            u = queue.popleft()
-            if is_sink[u]:
-                hits.append(u)
-                continue
+        for u in queue:
             for v in adj[u]:
-                if not reached[v] and (u, v) not in used:
-                    reached[v] = True
-                    pred[v] = u
-                    queue.append(v)
+                if pin[v] == -1:
+                    pin[v] = u
+                    p = prv[v]
+                    if p == -1:
+                        if kind[v]:
+                            hits.append(v)
+                        else:
+                            pout[v] = v
+                            queue.append(v)
+                    elif pout[p] == -1:
+                        pout[p] = v
+                        queue.append(p)
+            p = prv[u]
+            if p != -1 and pin[u] == -1:
+                pin[u] = u
+                if pout[p] == -1:
+                    pout[p] = u
+                    queue.append(p)
         if not hits:
-            return reached
-        # pred[v] == -2 marks a vertex taken by a path augmented this round.
+            return [p != -1 for p in pin], [p != -1 for p in pout]
+        taken = bytearray(n)
         for t in hits:
+            # Each step goes back from the in-state of v to the out-state
+            # of u = pin[v], then to the in-state of pout[u].
+            steps = []
             v = t
-            while pred[v] >= 0:
-                v = pred[v]
-            if pred[v] == -2:
+            while v != _ROOT and not taken[v] and not taken[pin[v]]:
+                u = pin[v]
+                steps.append((v, u))
+                v = pout[u]
+            if v != _ROOT:
                 continue
-            v = t
-            while pred[v] != -1:
-                u = pred[v]
-                if (v, u) in used:
-                    used.remove((v, u))
-                else:
-                    used.add((u, v))
-                pred[v] = -2
-                v = u
+            for v, u in steps:
+                if u == v:
+                    prv[v] = -1
+                elif kind[v] != 2:
+                    prv[v] = u
+                taken[v] = taken[u] = 1
+            if kind[u] == 1:
+                prv[u] = u
+            else:
+                taken[u] = 0
+            flow += 1
+            if limit is not None and flow > limit:
+                return None
 
 
 def inertial_flow_separator(g: InputGraph, coords: Coordinates, cell: list[int]) -> Separator:
@@ -146,13 +209,14 @@ def inertial_flow_separator(g: InputGraph, coords: Coordinates, cell: list[int])
     ``cell`` lists the cell's vertex IDs in ascending order; it is worked
     in local indices, position in ``cell``, which ascend with the IDs. For
     each of the four axis keys y, x, x+y and x-y, the cell is sorted by
-    key, ties broken by ID, the first and last quarter are contracted into
-    terminals, and a minimum cut on the unit-capacity undirected topology
-    is computed. The candidate separator consists of the cut edges'
-    endpoints on the smaller side; the smallest candidate wins, ties
-    broken by better balance and then by axis order. The cells are the
-    components left when the separator is removed, as ``_components``
-    gives them.
+    key, ties broken by ID, and ``_min_cut`` computes a minimum vertex cut
+    between the first and last quarter. The candidate separator is the
+    set of vertices whose in-state is reached from the first quarter and
+    whose out-state is not, as large as the flow. The smallest candidate
+    wins, ties broken by better balance between the vertices on either
+    side and then by axis order; an axis whose flow exceeds the best size
+    so far is dropped. The cells are the components left when the
+    separator is removed, as ``_components`` gives them.
     """
     adj = g.undirected_adjacency()
     n = len(cell)
@@ -168,24 +232,20 @@ def inertial_flow_separator(g: InputGraph, coords: Coordinates, cell: list[int])
     for proj in (ys, xs, [x + y for x, y in zip(xs, ys)], [x - y for x, y in zip(xs, ys)]):
         # A stable sort of ascending local indices breaks ties by ID.
         by_proj = sorted(range(n), key=proj.__getitem__)
-        source_side = _min_cut(local_adj, by_proj[:quarter], by_proj[-quarter:])
-        side_a = sum(source_side)
-        side_b = n - side_a
-        take_source_side = side_a <= side_b
-        sep_local = set()
-        for u in range(n):
-            if not source_side[u]:
-                continue
-            for w in local_adj[u]:
-                if not source_side[w]:
-                    sep_local.add(u if take_source_side else w)
-        score = (len(sep_local), abs(side_a - side_b))
+        cut = _min_cut(local_adj, by_proj[:quarter], by_proj[-quarter:],
+                       None if best is None else best[0][0])
+        if cut is None:
+            continue
+        in_reached, out_reached = cut
+        in_sep = [a and not b for a, b in zip(in_reached, out_reached)]
+        size = sum(in_sep)
+        side_a = sum(out_reached)
+        score = (size, abs(2 * side_a + size - n))
         if best is None or score < best[0]:
-            best = (score, sep_local)
+            best = (score, in_sep)
 
-    sep_local = best[1]
-    in_sep = [i in sep_local for i in range(n)]
-    return Separator(vertices=[cell[i] for i in sorted(sep_local)],
+    in_sep = best[1]
+    return Separator(vertices=[cell[i] for i in range(n) if in_sep[i]],
                      cells=[[cell[i] for i in comp] for comp in _components(local_adj, in_sep)])
 
 

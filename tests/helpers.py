@@ -376,12 +376,33 @@ def brute_force_min_cut(adj: list[list[int]], sources: set[int], sinks: set[int]
     return min(cut for cut, _ in _bipartitions(adj, sources, sinks))
 
 
-def brute_force_min_cut_sides(adj: list[list[int]], sources: set[int],
-                              sinks: set[int]) -> list[set[int]]:
-    """Source sides of all minimum s-t edge cuts, by exhaustive enumeration."""
-    cuts = list(_bipartitions(adj, sources, sinks))
-    best = min(cut for cut, _ in cuts)
-    return [side for cut, side in cuts if cut == best]
+def disconnects(adj: list[list[int]], sources, sinks, removed) -> bool:
+    """Whether no path joins a source to a sink once ``removed`` is gone."""
+    seen = set(removed)
+    todo = [s for s in sources if s not in seen]
+    seen.update(todo)
+    for u in todo:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return not any(t in seen and t not in removed for t in sinks)
+
+
+def brute_force_min_vertex_cut(adj: list[list[int]], sources: list[int],
+                               sinks: list[int]) -> int:
+    """Fewest vertices whose removal leaves no source-sink path, by
+    trying every set in order of size. A terminal with no neighbour among
+    the other side's terminals may not be removed."""
+    source_set, sink_set = set(sources), set(sinks)
+    fixed = {v for v in source_set if not any(w in sink_set for w in adj[v])}
+    fixed |= {v for v in sink_set if not any(w in source_set for w in adj[v])}
+    removable = [v for v in range(len(adj)) if v not in fixed]
+    for size in range(len(removable) + 1):
+        for removed in combinations(removable, size):
+            if disconnects(adj, sources, sinks, set(removed)):
+                return size
+    raise AssertionError("no vertex set disconnects the terminals")
 
 
 def turn_respecting_distance(g: InputGraph, turns, start_arc: int, end_arc: int) -> int:

@@ -4,9 +4,10 @@ graph construction.
 Respect, the basic sweep and the perfect step run one triangle at a time
 on plain lists; ``cchroute.kernels`` must reproduce them element for
 element: weights, witnesses and deletion marks
-(``test_customize.py::TestKernelsMatchLoopOracles``). Edmonds-Karp, one
-shortest augmenting path per BFS, gives the source side that
-``order._min_cut`` must return (``test_order.py::TestMinCut``).
+(``test_customize.py::TestKernelsMatchLoopOracles``). Edmonds-Karp on the
+split graph spelled out, one shortest augmenting path per BFS, gives the
+flow and the reached states that ``order._min_cut`` must return
+(``test_order.py::TestMinCut``).
 ``from_arcs`` collapses parallel arcs through a dict before it sorts,
 ``undirected_edges`` collects each arc's endpoints in a set, and
 ``tails`` finds each arc's tail by bisecting ``first_out``; the one-pass
@@ -137,49 +138,69 @@ def perfect(m: CustomizedMetric, ug: UpwardGraph) -> CustomizedMetric:
     return m
 
 
-def edmonds_karp_min_cut(adj: list[list[int]], sources: list[int], sinks: list[int]) -> list[bool]:
-    """Source side of a minimum edge cut between two disjoint vertex sets.
+def edmonds_karp_vertex_cut(adj: list[list[int]], sources: list[int],
+                            sinks: list[int]) -> tuple[int, list[bool], list[bool]]:
+    """Flow value and reached states of a minimum vertex cut between two
+    disjoint vertex sets.
 
-    Edmonds-Karp on the unit-capacity undirected graph ``adj``, with the
-    sources contracted into one terminal and the sinks into another. The
-    flow is the set ``used`` of arcs (u, v) carrying a unit from u to v;
-    arc (u, v) has residual capacity exactly when it is not in ``used``.
-    Returns flags marking the vertices reachable from the sources in the
-    final residual graph: the smallest source side of a minimum cut, the
-    same for every maximum flow.
+    Edmonds-Karp, one shortest augmenting path per BFS, on the split
+    graph spelled out: node 2v is v's in-state and 2v + 1 its out-state,
+    joined by an arc of capacity 1, or unbounded for a terminal with no
+    neighbour among the other side's terminals. Every edge of ``adj``
+    gives an unbounded arc from each end's out-state to the other end's
+    in-state, a super-source feeds every source's in-state and every
+    sink's out-state drains into a super-sink. Residual capacities live in one dict keyed by
+    node pairs. Returns the flow and flags marking the in-states and
+    out-states reachable from the super-source in the final residual
+    graph.
     """
     n = len(adj)
-    is_sink = [False] * n
+    unbounded = n + 1
+    source, sink = 2 * n, 2 * n + 1
+    residual: dict[tuple[int, int], int] = {}
+    out: list[list[int]] = [[] for _ in range(2 * n + 2)]
+
+    def arc(a: int, b: int, cap: int) -> None:
+        for key in ((a, b), (b, a)):
+            if key not in residual:
+                residual[key] = 0
+                out[key[0]].append(key[1])
+        residual[(a, b)] += cap
+
+    source_set, sink_set = set(sources), set(sinks)
+    for v in range(n):
+        other = sink_set if v in source_set else source_set if v in sink_set else None
+        free = other is not None and not any(w in other for w in adj[v])
+        arc(2 * v, 2 * v + 1, unbounded if free else 1)
+        for w in adj[v]:
+            arc(2 * v + 1, 2 * w, unbounded)
+    for s in sources:
+        arc(source, 2 * s, unbounded)
     for t in sinks:
-        is_sink[t] = True
-    used: set[tuple[int, int]] = set()
+        arc(2 * t + 1, sink, unbounded)
+    flow = 0
     while True:
-        reached = [False] * n
-        for s in sources:
-            reached[s] = True
-        pred = [-1] * n
-        queue = deque(sources)
-        sink = -1
-        while queue:
-            u = queue.popleft()
-            if is_sink[u]:
-                sink = u
-                break
-            for v in adj[u]:
-                if not reached[v] and (u, v) not in used:
-                    reached[v] = True
-                    pred[v] = u
-                    queue.append(v)
-        if sink == -1:
-            return reached
-        v = sink
-        while pred[v] != -1:
-            u = pred[v]
-            if (v, u) in used:
-                used.remove((v, u))
-            else:
-                used.add((u, v))
-            v = u
+        pred = {source: source}
+        queue = deque([source])
+        while queue and sink not in pred:
+            a = queue.popleft()
+            for b in out[a]:
+                if b not in pred and residual[(a, b)] > 0:
+                    pred[b] = a
+                    queue.append(b)
+        if sink not in pred:
+            return (flow, [2 * v in pred for v in range(n)],
+                    [2 * v + 1 in pred for v in range(n)])
+        path = []
+        b = sink
+        while b != source:
+            path.append((pred[b], b))
+            b = pred[b]
+        push = min(residual[key] for key in path)
+        for a, b in path:
+            residual[(a, b)] -= push
+            residual[(b, a)] += push
+        flow += push
 
 
 def from_arcs(vertex_count: int, arcs) -> InputGraph:

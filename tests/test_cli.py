@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from cchroute import (INFINITY, ConsistencyError, FormatError, InputGraph, dijkstra, load_cch,
-                      load_customized, reconstruct_separator_decomposition)
+                      load_customized, load_dimacs_gr, reconstruct_separator_decomposition)
 from cchroute import cli
 from cchroute.cli import EXIT_CODES, main
+from cchroute.formats import MAX_VERTICES
 from helpers import (SAMPLE, ArtifactEditor, diamond, grid_graph, head_moves, search_arcs,
                      swappable_heads)
 
@@ -104,6 +108,30 @@ class TestPreprocessCmd:
         assert main(["preprocess", "--graph", str(gr), flag, str(source),
                      "--out", str(tmp_path / "e.cchp")]) == 3
         assert "empty elimination tree" in capsys.readouterr().err
+
+    def test_vertex_count_above_the_ceiling_exits_3(self, tmp_path):
+        # The problem line is checked before anything is allocated. Under a
+        # 1 GiB address-space limit, 10**9 declared vertices used to end in
+        # a MemoryError traceback (exit 1).
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from cchroute.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        gr = tmp_path / "big.gr"
+        for n in (10**9, MAX_VERTICES + 1):
+            gr.write_text(f"p sp {n} 1\na 1 2 5\n")
+            out = subprocess.run(
+                [sys.executable, "-c", script, "preprocess", "--graph", str(gr),
+                 "--order", os.devnull, "--out", str(tmp_path / "big.cchp")],
+                capture_output=True, text=True, env={"PYTHONPATH": ":".join(sys.path)})
+            assert (out.returncode, out.stderr) == (
+                3, f"error: line 1: {n} vertices declared, more than the 33554432 admitted\n")
+
+    def test_many_isolated_vertices_load(self, tmp_path):
+        gr = tmp_path / "sparse.gr"
+        gr.write_text("p sp 1000000 2\na 1 1000000 5\na 1000000 1 5\n")
+        g = load_dimacs_gr(str(gr))
+        assert (g.vertex_count, g.arc_count) == (10**6, 2)
 
     def test_decomposition_dump(self, tmp_path, capsys):
         rng = random.Random(223)
@@ -375,13 +403,15 @@ class TestQueryCmd:
         assert path.split() == ["0", "1", "3"] and d == "2"
 
     @pytest.mark.parametrize("extra, cchm_digest", [
-        ((), "180de30b7986fbcc8b52ce5ac5a81528c0e3e06e0def9a0560d7f95e032495d4"),
-        (("--no-perfect",), "40df3da187a1bbad5083cbae8dcc09b122fe2abc0069118af359adc03cff1670"),
+        ((), "766a9d25b81c9653aa61228e24b7392560ed39cdcadcb059baa20339332fb1f2"),
+        (("--no-perfect",), "b960bada0063d831cbf6bae3668110e0900ddafc23dbc4c9114395f0588548d5"),
     ], ids=["perfect", "no-perfect"])
     def test_sample_paths_pinned(self, tmp_path, capsys, extra, cchm_digest):
         # Digests of sample/grid.gr's CCHM and of `query --paths` on 300
         # seeded pairs. How search graphs are built and paths unpacked may
-        # change; these outputs may not.
+        # change; these outputs may not. The CCHM digests were recorded
+        # anew when the ordering moved to vertex cuts, which changes the
+        # order it stores; the answers kept their digest.
         cchm = self._pipeline(tmp_path, str(SAMPLE / "grid.gr"), str(SAMPLE / "grid.co"), extra)
         rng = random.Random(7)
         pairs = tmp_path / "pairs.txt"
@@ -608,21 +638,34 @@ class TestBenchCmd:
             got = INFINITY if payload["distance"] is None else payload["distance"]
             assert got == want
 
-    @pytest.mark.parametrize("extra, digest", [
-        ((), "68da712bd4ca4f12cadf2535e7777bd99b00ee5602a1e1a1631682ce7fb40346"),
-        (("--no-perfect",), "26d3e6c2b38c2b0cc33a60938bd0875488aa301fdc3c2a97ef92ca10284f0734"),
+    @pytest.mark.parametrize("extra, work_digest, relaxed_before", [
+        ((), "360118305aa641d66828185cedd4781180a0eef31fe0deaa521729c75659edde", 39893),
+        (("--no-perfect",), "f409261f07ae64a12bca69b2635f4e2376fac6c8b41ac30662b23e4d8a442280",
+         96068),
     ], ids=["perfect", "no-perfect"])
-    def test_sample_counters_pinned(self, tmp_path, capsys, extra, digest):
-        # Digest of every bench sample on sample/grid.gr without its timing:
-        # pair, distance, vertices visited, arcs relaxed and path length.
+    def test_sample_counters_pinned(self, tmp_path, capsys, extra, work_digest, relaxed_before):
+        # Digests of every bench sample on sample/grid.gr without its
+        # timing: pair, distance and path length in one, which no order
+        # may change, and the vertices visited and arcs relaxed in the
+        # other. The order sets the work: the work digest was recorded anew
+        # when the ordering moved to vertex cuts, and the sums must stay
+        # below the edge cut's, 8,302 vertices visited in both modes.
         capsys.readouterr()
         assert main(["bench", "--graph", str(SAMPLE / "grid.gr"), "--coords", str(SAMPLE / "grid.co"),
                      "--seed", "3", "--count", "200", "--json", *extra]) == 0
         samples = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        samples = [{k: v for k, v in p.items() if k != "ns"} for p in samples if p["kind"] == "sample"]
+        samples = [p for p in samples if p["kind"] == "sample"]
         assert len(samples) == 200
-        blob = json.dumps(samples, sort_keys=True).encode()
-        assert hashlib.sha256(blob).hexdigest() == digest
+
+        def digest(data) -> str:
+            return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+        assert digest([{k: v for k, v in p.items() if k not in ("ns", "visited", "relaxed")}
+                       for p in samples]) == (
+            "f651d2f82d09739ef962f7e2f72873b26308a484efe3bc643facd427f51f6296")
+        assert digest([[p["visited"], p["relaxed"]] for p in samples]) == work_digest
+        assert sum(p["visited"] for p in samples) < 8302
+        assert sum(p["relaxed"] for p in samples) < relaxed_before
 
     def test_non_positive_count_exits_3(self, tmp_path, capsys):
         g, (gr, co) = diamond_files(tmp_path)

@@ -12,12 +12,13 @@ from cchroute import (ConsistencyError, Coordinates, InputGraph, ParseError, Ran
                       export_order, import_order, inertial_flow_separator, load_dimacs_co,
                       load_dimacs_gr, nested_dissection_order,
                       reconstruct_separator_decomposition)
+from cchroute import order
 from cchroute.order import _min_cut
 from cchroute.formats import serialize_cch
 from helpers import (SAMPLE, assert_cells_are_components, brute_force_min_cut,
-                     brute_force_min_cut_sides, grid_graph, is_postorder, perturbed_grid,
-                     random_connected_graph, random_order, subtree_members)
-from oracles import edmonds_karp_min_cut
+                     brute_force_min_vertex_cut, disconnects, grid_graph, is_postorder,
+                     perturbed_grid, random_connected_graph, random_order, subtree_members)
+from oracles import edmonds_karp_vertex_cut
 
 
 def line_coords(n):
@@ -121,7 +122,7 @@ class TestInertialFlowSeparator:
 
 def _random_cut_instances(rng, count):
     for _ in range(count):
-        n = rng.randint(2, 12)
+        n = rng.randint(4, 11)
         density = rng.uniform(0.15, 0.6)
         nbrs = [set() for _ in range(n)]
         for u in range(n):
@@ -145,37 +146,71 @@ def _quarter_bands(g, coords):
         yield by_proj[:quarter], by_proj[-quarter:]
 
 
+def _separator(cut) -> list[int]:
+    in_reached, out_reached = cut
+    return [v for v, (a, b) in enumerate(zip(in_reached, out_reached)) if a and not b]
+
+
+def _assert_matches_edmonds_karp(adj, sources, sinks) -> None:
+    """Same reached states as the split-graph oracle, and a separator as
+    large as its flow."""
+    cut = _min_cut(adj, sources, sinks)
+    flow, in_reached, out_reached = edmonds_karp_vertex_cut(adj, sources, sinks)
+    assert cut == (in_reached, out_reached)
+    assert len(_separator(cut)) == flow
+
+
 class TestMinCut:
-    # The second augmenting path here runs against the first one's flow on
-    # edge 0-4, so the flow must cancel there; random small graphs rarely
-    # need that.
+    # An edge case of the earlier edge cut: the second augmenting path runs
+    # against the first one's flow on edge 0-4.
     CANCELLING = ([[1, 4, 8, 10], [0, 6], [4, 6], [4, 8, 10], [0, 2, 3], [], [1, 2], [],
                    [0, 3], [], [0, 3]], [3], [1])
+    # Found on a cell of a 50x50 grid and shrunk. A path to sink 11 steps
+    # back along the unit 1-3-4-5-7-13 from 7 to 5, forward from 5 into 4,
+    # whose unit enters 5, back to 3 and on through 12: the unit on edge
+    # 4-5 then runs both ways, a circulation that must change no
+    # reachable state.
+    CANCELLING_VERTICES = ([[10], [3], [6], [1, 4, 12], [3, 5], [4, 7], [2, 9], [5, 8, 13],
+                            [7, 9], [6, 8], [0, 11], [10, 12], [3, 11], [7]],
+                           [1, 2, 0], [11, 13])
 
     def test_smallest_source_side_of_a_minimum_cut(self):
-        cases = [self.CANCELLING, *_random_cut_instances(random.Random(7), 150)]
+        # The flow is the smallest limit that keeps the cut, and equals the
+        # separator's size and the brute-force minimum vertex cut; the
+        # separator leaves no source-sink path.
+        cases = [self.CANCELLING, self.SHARED_VERTEX, self.SHARED_SOURCE_VERTEX,
+                 self.CANCELLING_VERTICES, *_random_cut_instances(random.Random(7), 1000)]
         for adj, sources, sinks in cases:
-            n = len(adj)
-            side = _min_cut(adj, sources, sinks)
-            assert all(side[s] for s in sources)
-            assert not any(side[t] for t in sinks)
-            cut = sum(1 for u in range(n) for v in adj[u] if side[u] and not side[v])
-            assert cut == brute_force_min_cut(adj, set(sources), set(sinks))
-            smallest = set.intersection(*brute_force_min_cut_sides(adj, set(sources), set(sinks)))
-            assert {v for v in range(n) if side[v]} == smallest
+            cut = _min_cut(adj, sources, sinks)
+            separator = _separator(cut)
+            flow = brute_force_min_vertex_cut(adj, sources, sinks)
+            assert len(separator) == flow
+            assert _min_cut(adj, sources, sinks, flow) == cut
+            assert flow == 0 or _min_cut(adj, sources, sinks, flow - 1) is None
+            assert disconnects(adj, sources, sinks, set(separator))
+            assert cut == edmonds_karp_vertex_cut(adj, sources, sinks)[1:]
 
     # Vertex 1 is on the shortest paths to both sinks 2 and 3, so one BFS
     # tree holds two shortest augmenting paths that share it. Only one may
     # augment; the other sink waits for the next round and its detour
-    # 0-4-5-1. Augmenting both would push two units over edge 0-1 and
-    # return the larger source side {0, 1, 4, 5}.
+    # 0-4-5-1, which the unit on vertex 1 closes.
     SHARED_VERTEX = ([[1, 4], [0, 2, 3, 5], [1], [1], [0, 5], [1, 4]], [0], [2, 3])
+    # The sources 2 and 3 have capacity, as they touch the sink 4. The
+    # tree paths to the sinks 1 and 4 share a vertex; augmenting both would
+    # leave a flow no maximum flow has.
+    SHARED_SOURCE_VERTEX = ([[1, 4, 6], [0], [4], [4, 6], [0, 2, 3], [], [0, 3]], [3, 2], [1, 4])
 
     def test_shared_vertex_waits_for_next_round(self):
+        for adj, sources, sinks in (self.SHARED_VERTEX, self.SHARED_SOURCE_VERTEX):
+            _assert_matches_edmonds_karp(adj, sources, sinks)
         adj, sources, sinks = self.SHARED_VERTEX
-        side = _min_cut(adj, sources, sinks)
-        assert side == edmonds_karp_min_cut(adj, sources, sinks)
-        assert side == [True, False, False, False, False, False]
+        assert _separator(_min_cut(adj, sources, sinks)) == [1]
+
+    def test_cancelling_units_match_edmonds_karp(self):
+        for adj, sources, sinks in (self.CANCELLING, self.CANCELLING_VERTICES):
+            _assert_matches_edmonds_karp(adj, sources, sinks)
+        adj, sources, sinks = self.CANCELLING_VERTICES
+        assert _separator(_min_cut(adj, sources, sinks)) == [3, 6, 10]
 
     def test_grid_quarter_bands_match_edmonds_karp(self):
         # Grids hold many augmenting paths of equal length per BFS tree.
@@ -184,7 +219,7 @@ class TestMinCut:
             g, coords = grid_graph(rng, rng.randint(10, 30), rng.randint(10, 30))
             adj = g.undirected_adjacency()
             for sources, sinks in _quarter_bands(g, coords):
-                assert _min_cut(adj, sources, sinks) == edmonds_karp_min_cut(adj, sources, sinks)
+                _assert_matches_edmonds_karp(adj, sources, sinks)
 
     def test_random_graphs_match_edmonds_karp(self):
         rng = random.Random(43)
@@ -196,7 +231,34 @@ class TestMinCut:
             split = rng.randint(1, len(terminals) - 1)
             cases = [*_quarter_bands(g, coords), (terminals[:split], terminals[split:])]
             for sources, sinks in cases:
-                assert _min_cut(adj, sources, sinks) == edmonds_karp_min_cut(adj, sources, sinks)
+                _assert_matches_edmonds_karp(adj, sources, sinks)
+
+    def test_abandoned_axis_has_flow_above_the_best_size(self, monkeypatch):
+        # Each cut inertial_flow_separator gives up on has a flow above the
+        # limit it was given, each cut it keeps has not, and the separator
+        # is the one the four full cuts give.
+        calls = []
+
+        def recorded(adj, sources, sinks, limit=None):
+            cut = _min_cut(adj, sources, sinks, limit)
+            calls.append((limit, cut, edmonds_karp_vertex_cut(adj, sources, sinks)[0]))
+            return cut
+
+        def unlimited(adj, sources, sinks, limit=None):
+            return _min_cut(adj, sources, sinks)
+
+        rng = random.Random(47)
+        for _ in range(25):
+            g, coords = random_connected_graph(rng, rng.randint(12, 120),
+                                               extra_factor=rng.uniform(0.2, 1.5))
+            cell = list(range(g.vertex_count))
+            monkeypatch.setattr(order, "_min_cut", recorded)
+            sep = inertial_flow_separator(g, coords, cell)
+            monkeypatch.setattr(order, "_min_cut", unlimited)
+            assert inertial_flow_separator(g, coords, cell) == sep
+        for limit, cut, flow in calls:
+            assert (cut is None) == (limit is not None and flow > limit)
+        assert sum(cut is None for _, cut, _ in calls) > 10
 
 
 class TestNestedDissection:
@@ -258,7 +320,9 @@ class TestNestedDissection:
         # Digests of the order, its recursion tree, the CCHP artifact of
         # sample/grid.gr and the decomposition reconstructed from the
         # hierarchy's elimination tree. How the cuts are computed may
-        # change; these outputs may not.
+        # change; these outputs may not, except where the cut itself
+        # changes, as when the edge cut gave way to the vertex cut and
+        # every digest here was recorded anew.
         g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
         coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
         order = nested_dissection_order(g, coords)
@@ -268,29 +332,29 @@ class TestNestedDissection:
             return hashlib.sha256(data).hexdigest()
 
         assert digest(" ".join(map(str, order.vertex_at)).encode()) == (
-            "bd7d487b2a77b7bf9dd0c97308922ae57316943795a78ae4b966eb98b3879197")
+            "81359d1447d601da10548fdb9b6b01e45776d6f6d24d424c35f98efd7e77fc20")
         assert digest(_tree_repr(order.decomposition)) == (
-            "05a2d905775a4098145b5274f3e51e94c6fed1cdd6a75ae1cb9e423e124a7872")
+            "ac785ca693666ffc543b71818e144b97e915890a267697cb1fb142ddc8383924")
         assert digest(serialize_cch(cch)) == (
-            "772385ac9ad44cece70a68001275fadefbdcaf99edd70fef45c0d693fee1dff4")
+            "9280e88bf2e513ea19c9adcb00ee3046df4cec89b9f6e0da649d3e1a9573e2a2")
         assert digest(_tree_repr(cch.decomposition)) == (
-            "410424e3930b09118940dcf0e725009d52b81387c8b8beda6376bbeb05e50c4a")
+            "4ff0acb1805e0eac3b0a7829085e6517d9c378af0b940e6294211ab605255dfb")
 
     # Digests of vertex_at, of the recursion tree's preorder (cell_lo,
     # cell_hi, sep_lo, child count) and of the decomposition build_cch
     # reconstructs, on seeded 40x40 perturbed grids, large enough that one
     # BFS tree often holds many augmenting paths. Seeds 2 and 3 fall apart
-    # at the root.
+    # at the root. Recorded anew for the vertex cut, as above.
     PERTURBED_PINS = {
-        1: ("e358d855b07f134ccb19e5d6ce9775f36d186fcaaa8e7d154646f076e55490d9",
-            "16ce9e0965b89361a1d053657a2402d311dd32d0f78ece1a0d1cd81f2f2d6a3d",
-            "77babf4ad5173e2a145203aaca1099ae04c0168aad76b6dcff841730d8417fa8"),
-        2: ("2d8868b1cd234eac568e5f90692b0934c3ebca7d319a36e0dde621f5a633ed85",
-            "7ab45e918564195e5a8d5e7f9b5cd1340d6c5beb444b082149c5cae9b4f0ec55",
-            "876155477747fb9a14c0c06c95bd56f59f16a1299ebd9254f9f2e5d86fbb0603"),
-        3: ("0a64d7974edb0d622b3aea43f48e901685da9bdf2249eaec51f1ac40601a5ca9",
-            "48a7dfc1df371adcdbbd5635fa790e2e1788332879dd254781bb96313421f49f",
-            "32144b420850445a064edad23107ab00877d47a3cceee66b3f84b1a40731e0d8"),
+        1: ("b5b82554d535cca1f808da523ab539b1662b17be8e89b070310581a64fb9db1f",
+            "17897de8f8dad9bcede392b99fa8ee3a01539f270c92e6fdbda05049b8c4900f",
+            "fd77da3a7fb23866261a69a2f2407b4937b64fcf5f8b81766bd4d746081bbd97"),
+        2: ("83f4c1df19f3d5b3d2acee852309c2b747b328d71c3e4407e4b01e42ed4d1ed8",
+            "915b9ae39c0309e96cdbb7de38d4f13bb3683db6924abec36d4d4811b6e0d039",
+            "a35eaf0c2e4ab0e3de52d92110a736b8975db5721a308ac0753b5312290e41cb"),
+        3: ("a4bef85bb1138b50aa7c3a3830f96e7d6fd3347e441b70d4812701bd081203ac",
+            "c82872304b9691fd4a720cd54cabbc9a74b4e0b0cd14306bcb9772f930b10d81",
+            "208e79ca813d518867d2a425a3337dedda36c63147f78743b4a3d002a038c4fa"),
     }
 
     @pytest.mark.parametrize("seed", sorted(PERTURBED_PINS))
@@ -302,17 +366,33 @@ class TestNestedDissection:
                    hashlib.sha256(_tree_repr(build_cch(g, order=order).decomposition)).hexdigest())
         assert digests == self.PERTURBED_PINS[seed]
 
+    def test_perturbed_grid_structure_pinned(self):
+        # Upward arcs, triangles and elimination-tree height of the
+        # hierarchy on seed 1's 40x40 perturbed grid, and the edge cut's
+        # values before them: the vertex cut must keep its gain.
+        g, coords = perturbed_grid(random.Random(1), 40)
+        ug = build_cch(g, order=nested_dissection_order(g, coords)).ug
+        up_degree = [ug.first_arc[u + 1] - ug.first_arc[u] for u in range(ug.vertex_count)]
+        height = [1] * ug.vertex_count
+        for u in range(ug.vertex_count):
+            if up_degree[u]:
+                parent = ug.head[ug.first_arc[u]]
+                height[parent] = max(height[parent], height[u] + 1)
+        counts = (ug.arc_count, sum(d * (d - 1) // 2 for d in up_degree), max(height))
+        assert counts == (13388, 93556, 86)
+        assert all(now < before for now, before in zip(counts, (17435, 169695, 129)))
+
     # Digests as above on seeded exact 30x30 lattices (grid_graph, 30% one-way
     # arcs) whose vertex IDs are shuffled: every projection ties along
     # whole rows, columns or diagonals, and the ties break by IDs that do
-    # not follow the lattice.
+    # not follow the lattice. Recorded anew for the vertex cut, as above.
     RELABELED_LATTICE_PINS = {
-        1: ("5bde9eec985a7d36839b210cf8b044bd63ca7b1ceea866b525269a29cffdcd82",
-            "44e14553e96968eb78792a27a216364360bdcae38e2e07e9f5e2a59decaa220d"),
-        2: ("9e3e23d0ca78b1129eb18942a44a40aaacf03b9f41766fd589d928fd8fc93bf0",
-            "6922cd6a2fda5aa5b2556c0b539362cc002c320d7c6a47d4c736b18be2d853b1"),
-        3: ("83c0847ef6f865e920e01f5096a51e6a6a5a298270d95e711320412be1472035",
-            "dd67bb0624b111405f3493d8329cd89662e37b9aa2562ae261af1631db13f49a"),
+        1: ("68b9354a9f63aa8c41b6becff5f30892b82ed9ac8b6b0ba2fcbc266c2333435b",
+            "1216e72fc4ea7b0b4ac869c75ecbb8eac1dbfa635c1a55cdf31d3378527e7f97"),
+        2: ("fadea8ccf4b7a05b776164c38d713527ed384e2fcba5ef9dc85ebb5a8ca2e697",
+            "2df8ab2bde954821736d190dacf41f76aa84c9bbe9ff91e51d60746e20d10557"),
+        3: ("5b104942243be36bd2bcabab69d5618211725597569d5321f631dd207e0f4355",
+            "240c205e4b42a00b78e1c418ae75bbb4309ab694aac65bc68f7362e19dd4f740"),
     }
 
     @pytest.mark.parametrize("seed", sorted(RELABELED_LATTICE_PINS))
