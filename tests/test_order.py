@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 import random
+import signal
+import threading
 
 import pytest
 
@@ -427,6 +431,161 @@ class TestNestedDissection:
         with pytest.raises(ConsistencyError) as info:
             nested_dissection_order(g, Coordinates(co.x, co.y[:-5]))
         assert str(info.value) == "coordinates have 200 x and 195 y values"
+
+
+def _digests(order) -> tuple[str, str]:
+    return (hashlib.sha256(" ".join(map(str, order.vertex_at)).encode()).hexdigest(),
+            hashlib.sha256(_tree_repr(order.decomposition)).hexdigest())
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Two CPUs, whatever the host has, and the pid of every child that
+    ``nested_dissection_order`` forks, in order."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+class TestWorkers:
+    """Forked children order cells; the order never depends on them."""
+
+    @pytest.mark.parametrize("seed", sorted(TestNestedDissection.PERTURBED_PINS))
+    def test_pinned_orders_fork_a_child(self, forked, seed):
+        g, coords = perturbed_grid(random.Random(seed), 40)
+        order = nested_dissection_order(g, coords)
+        assert len(forked) == 1
+        assert _digests(order) == TestNestedDissection.PERTURBED_PINS[seed][:2]
+        _assert_no_child_left()
+
+    def test_small_cells_fork_and_keep_the_pins(self, forked, monkeypatch):
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 20)
+        for seed, pins in TestNestedDissection.PERTURBED_PINS.items():
+            g, coords = perturbed_grid(random.Random(seed), 40)
+            assert _digests(nested_dissection_order(g, coords)) == pins[:2]
+        g = load_dimacs_gr(str(SAMPLE / "grid.gr"))
+        coords = load_dimacs_co(str(SAMPLE / "grid.co"), g.vertex_count)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            "81359d1447d601da10548fdb9b6b01e45776d6f6d24d424c35f98efd7e77fc20",
+            "ac785ca693666ffc543b71818e144b97e915890a267697cb1fb142ddc8383924")
+        assert len(forked) >= 4
+        _assert_no_child_left()
+
+    def test_four_cpus_keep_the_pins(self, forked, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 100)
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert len(forked) == 3
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["killed", "truncated"])
+    def test_child_without_a_complete_answer(self, forked, monkeypatch, failure):
+        # The parent orders the child's cells itself and gets the same order.
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        real_fork, real_dumps = os.fork, order.marshal.dumps
+
+        def fork():
+            pid = real_fork()
+            if pid == 0 and failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(order.marshal, "dumps", lambda value: real_dumps(value)[:-3])
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        _assert_no_child_left()
+
+    def test_exception_in_the_parents_share_propagates(self, forked, monkeypatch):
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        parent = os.getpid()
+        real_separator = order.inertial_flow_separator
+
+        def separator(g, coords, cell):
+            if forked and os.getpid() == parent:
+                raise RuntimeError("separator failed")
+            return real_separator(g, coords, cell)
+
+        monkeypatch.setattr(order, "inertial_flow_separator", separator)
+        g, coords = perturbed_grid(random.Random(1), 40)
+        with pytest.raises(RuntimeError, match="separator failed"):
+            nested_dissection_order(g, coords)
+        assert len(forked) == 1
+        _assert_no_child_left()
+
+    def test_failed_fork_orders_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_children_reaped_by_the_system(self, forked, monkeypatch):
+        # With SIGCHLD ignored, children are reaped as they exit and
+        # waiting for them raises ChildProcessError.
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            g, coords = perturbed_grid(random.Random(1), 40)
+            digests = _digests(nested_dissection_order(g, coords))
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert digests == TestNestedDissection.PERTURBED_PINS[1][:2]
+        assert len(forked) == 1
+        _assert_no_child_left()
+
+    def test_one_cpu_starts_no_child(self, forked, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert forked == []
+
+    def test_second_thread_starts_no_child(self, forked):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            g, coords = perturbed_grid(random.Random(1), 40)
+            order = nested_dissection_order(g, coords)
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert _digests(order) == TestNestedDissection.PERTURBED_PINS[1][:2]
+        assert forked == []
+
+    def test_isolated_vertices_start_no_child(self, forked):
+        # Every component below the root is a cell too small to hand out.
+        n = 20000
+        g = undirected(n, [(0, 1)])
+        order = nested_dissection_order(g, Coordinates(x=list(range(n)), y=[0] * n))
+        assert forked == []
+        assert order.vertex_at[:2] == [0, 1]
+        assert len(order.decomposition.children) == n - 1
 
 
 class TestRankOrder:
