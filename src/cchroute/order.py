@@ -38,6 +38,12 @@ WORKER_MIN_CELL = 500
 costs about 2 ms plus 3 ms per 100 MB of the forking process, and a
 500-vertex cell takes about 20 ms to order."""
 
+WORKERS_MAX = 2
+"""Processes that order cells at once at most, the caller included: the
+count measured, on two CPUs. More shares would make the caller cut more
+cells alone before it forks, which measured slower at 40,000 vertices,
+and the affinity mask this is set against ignores a cgroup's CPU quota."""
+
 
 @dataclass
 class SeparatorDecomposition:
@@ -325,13 +331,22 @@ def _dissect(g: InputGraph, coords: Coordinates, adj: list[list[int]],
 
 def _worker_count() -> int:
     """Processes that may order cells at once: one per CPU this process
-    may run on, or 1 where forking is unavailable or unsafe (another
-    thread could hold a lock the child would inherit taken)."""
+    may run on, at most ``WORKERS_MAX``, or 1 where forking is unavailable,
+    the kernel makes no pidfds (children are signalled only through one,
+    never by a pid that may have been reused) or a second Python thread
+    runs (it could hold a lock the child would inherit taken). Native
+    threads that extension libraries start are not seen; the child takes
+    no lock of theirs, as it runs only this module's pure-Python ordering,
+    writes its pipe and leaves by ``os._exit``."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return len(os.sched_getaffinity(0))
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return 1
+    return min(WORKERS_MAX, len(os.sched_getaffinity(0)))
 
 
 def _deal(g: InputGraph, coords: Coordinates, adj: list[list[int]], top: list,
@@ -395,10 +410,12 @@ def _unflatten(flat: list[int]) -> SeparatorDecomposition:
 
 
 def _fork_worker(g: InputGraph, coords: Coordinates, adj: list[list[int]],
-                 items: list[tuple], vertex_at: list[int]) -> tuple[int, int]:
+                 items: list[tuple], vertex_at: list[int]) -> tuple[int, int, int]:
     """Fork a child that works the items and writes their ``vertex_at``
-    slices and flattened nodes, marshalled, to a pipe; return its pid and
-    the pipe's read end."""
+    slices and flattened nodes, marshalled, to a pipe; return its pid, a
+    pidfd of it and the pipe's read end. Without a pidfd the child is not
+    kept: the read end is closed, so its write fails and it ends, and
+    OSError is raised once it is reaped."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -408,7 +425,12 @@ def _fork_worker(g: InputGraph, coords: Coordinates, adj: list[list[int]],
         raise
     if pid:
         os.close(w)
-        return pid, r
+        try:
+            return pid, os.pidfd_open(pid), r
+        except OSError:
+            os.close(r)
+            _reap(pid)
+            raise
     status = 1
     try:
         _dissect(g, coords, adj, list(items), vertex_at)
@@ -442,6 +464,15 @@ def _reap(pid: int) -> None:
         os.waitpid(pid, 0)
 
 
+def _end(pid: int, pidfd: int, r: int) -> None:
+    """Close a child's pipe, reap it and close its pidfd."""
+    os.close(r)
+    try:
+        _reap(pid)
+    finally:
+        os.close(pidfd)
+
+
 def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
     """Compute a nested dissection order, recording the recursion tree.
 
@@ -454,14 +485,14 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
 
     Cells are ordered independently of each other, so forked child
     processes share the work, one per CPU of ``os.sched_getaffinity``
-    beyond the first. The largest pending cell is split here while it
+    beyond the first, ``WORKERS_MAX`` processes in all at most. The largest pending cell is split here while it
     holds more than its share of the pending vertices; the cells of at
     least ``WORKER_MIN_CELL`` vertices are then dealt out, and each child
     sends back its cells' ranks and nodes through a pipe. A child that
     ends without a complete answer has its cells ordered here. The order
     is the same for any number of children, including none: one CPU, a
-    second thread, no ``os.fork`` or no cell of ``WORKER_MIN_CELL``
-    vertices starts none. Every child is reaped before this returns or
+    second Python thread, no ``os.fork`` or pidfds, or no cell of
+    ``WORKER_MIN_CELL`` vertices starts none. Every child is reaped before this returns or
     raises.
     """
     n = g.vertex_count
@@ -482,21 +513,21 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
         del shares
         _dissect(g, coords, adj, own, vertex_at)
         while children:
-            pid, r, items = children[-1]
+            pid, pidfd, r, items = children[-1]
             chunks = []
             while chunk := os.read(r, 1 << 16):
                 chunks.append(chunk)
-            _reap(pid)
             children.pop()
-            os.close(r)
+            _end(pid, pidfd, r)
             if not _place(b"".join(chunks), items, vertex_at):
                 _dissect(g, coords, adj, items, vertex_at)
     finally:
-        for pid, r, _ in children:
-            os.close(r)
+        for pid, pidfd, r, _ in children:
+            # A pidfd signals its own process or, once that is reaped,
+            # raises ProcessLookupError, whoever holds the pid by then.
             with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            _reap(pid)
+                signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+            _end(pid, pidfd, r)
 
     return RankOrder(vertex_at, decomposition=top[0])
 

@@ -39,7 +39,7 @@ def git(repo: Path, *args: str) -> str:
 FAKE_RUN = '''import json, sys
 value = float(open("value.txt").read())
 failed = int(value < 0)
-print("perfbench fake")
+print("perfbench build seed=1 seconds=25 trace=0 schema=fake")
 print(json.dumps({"correct": True, "attempted": 10, "failed": failed,
                   "metrics": {"throughput_ops_s": {"value": value, "unit": "1/s"},
                               "setup_s": {"value": 1 / abs(value), "unit": "s"}}}))
@@ -79,15 +79,15 @@ def test_checkout_is_a_worktree_of_the_revision(tmp_path):
 
 
 def test_pairs_alternate_and_are_summarised(tmp_path):
-    repo, parent, change = make_repo(tmp_path, 100.0, 125.0)
+    repo, parent, _ = make_repo(tmp_path, 100.0, 125.0)
     out = tmp_path / "BENCH_x.json"
-    assert bench_pairs.main(["--repo", str(repo), "--parent", parent, "--change", change,
-                             "--label", "x", "--workload", "build", "--pairs", "3",
-                             "--seconds", "1", "--out", str(out)]) == 0
+    assert bench_pairs.main(["--repo", str(repo), "--parent", parent, "--label", "x",
+                             "--workload", "build", "--pairs", "3", "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["parent"] == parent[:len(report["parent"])]
     entry = report["workloads"]["build"]
     assert entry["first"] == {"parent": [1, 3], "change": [2]}
+    assert entry["seconds"] == 25.0
     assert entry["attempted"] == {"parent": 30, "change": 30}
     assert entry["correct"] is True
     assert entry["metrics"]["throughput_ops_s"]["change_wins"] == 3
@@ -97,11 +97,10 @@ def test_pairs_alternate_and_are_summarised(tmp_path):
 
 
 def test_failed_run_blocks_the_write(tmp_path, capsys):
-    repo, parent, change = make_repo(tmp_path, 100.0, -1.0)
+    repo, parent, _ = make_repo(tmp_path, 100.0, -1.0)
     out = tmp_path / "BENCH_x.json"
-    assert bench_pairs.main(["--repo", str(repo), "--parent", parent, "--change", change,
-                             "--label", "x", "--workload", "build", "--pairs", "2",
-                             "--seconds", "1", "--out", str(out)]) == 1
+    assert bench_pairs.main(["--repo", str(repo), "--parent", parent, "--label", "x",
+                             "--workload", "build", "--pairs", "2", "--out", str(out)]) == 1
     assert not out.exists()
     assert "build pair 1 change failed" in capsys.readouterr().err
     assert git(repo, "worktree", "list").count("\n") == 0

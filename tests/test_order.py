@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -486,13 +489,18 @@ class TestWorkers:
         _assert_no_child_left()
 
     def test_four_cpus_keep_the_pins(self, forked, monkeypatch):
+        # At most WORKERS_MAX processes order at once; with it raised,
+        # four CPUs take four shares.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(order, "WORKER_MIN_CELL", 100)
         g, coords = perturbed_grid(random.Random(1), 40)
-        assert _digests(nested_dissection_order(g, coords)) == (
-            TestNestedDissection.PERTURBED_PINS[1][:2])
-        assert len(forked) == 3
-        _assert_no_child_left()
+        for workers_max, children in [(order.WORKERS_MAX, 1), (4, 3)]:
+            monkeypatch.setattr(order, "WORKERS_MAX", workers_max)
+            forked.clear()
+            assert _digests(nested_dissection_order(g, coords)) == (
+                TestNestedDissection.PERTURBED_PINS[1][:2])
+            assert len(forked) == children
+            _assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["killed", "truncated"])
     def test_child_without_a_complete_answer(self, forked, monkeypatch, failure):
@@ -543,17 +551,61 @@ class TestWorkers:
             TestNestedDissection.PERTURBED_PINS[1][:2])
         assert len(os.listdir("/proc/self/fd")) == fds
 
-    def test_children_reaped_by_the_system(self, forked, monkeypatch):
+    def test_child_without_a_pidfd_is_ordered_in_process(self, forked, monkeypatch):
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        real_pidfd_open = os.pidfd_open
+
+        def pidfd_open(pid):
+            if pid != os.getpid():
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real_pidfd_open(pid)
+
+        monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        fds = len(os.listdir("/proc/self/fd"))
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert len(forked) == 1
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_child_left()
+
+    def test_no_pidfds_starts_no_child(self, forked, monkeypatch):
+        def pidfd_open(pid):
+            raise OSError(errno.ENOSYS, "Function not implemented")
+
+        monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        g, coords = perturbed_grid(random.Random(1), 40)
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert forked == []
+
+    @pytest.mark.parametrize("share", ["child", "parent"])
+    def test_children_reaped_by_the_system(self, forked, monkeypatch, share):
         # With SIGCHLD ignored, children are reaped as they exit and
         # waiting for them raises ChildProcessError.
         monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        # On the parent's exception the child's pid may be reaped and
+        # reused already; the kill goes through the child's pidfd.
+        parent = os.getpid()
+        real_separator = order.inertial_flow_separator
+
+        def separator(g, coords, cell):
+            if share == "parent" and forked and os.getpid() == parent:
+                raise RuntimeError("separator failed")
+            return real_separator(g, coords, cell)
+
+        monkeypatch.setattr(order, "inertial_flow_separator", separator)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             g, coords = perturbed_grid(random.Random(1), 40)
-            digests = _digests(nested_dissection_order(g, coords))
+            if share == "parent":
+                with pytest.raises(RuntimeError, match="separator failed"):
+                    nested_dissection_order(g, coords)
+            else:
+                assert _digests(nested_dissection_order(g, coords)) == (
+                    TestNestedDissection.PERTURBED_PINS[1][:2])
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert digests == TestNestedDissection.PERTURBED_PINS[1][:2]
         assert len(forked) == 1
         _assert_no_child_left()
 
@@ -577,6 +629,34 @@ class TestWorkers:
         assert not thread.is_alive()
         assert _digests(order) == TestNestedDissection.PERTURBED_PINS[1][:2]
         assert forked == []
+
+    def test_blas_threads_stop_before_a_fork(self):
+        # threading does not count the native threads of numpy's BLAS pool,
+        # which customization loads; the pool stops itself around a fork,
+        # so the process forks single-threaded, and Python 3.12+ warns of
+        # no fork in a multi-threaded process.
+        script = """if True:
+            import hashlib, json, os, random
+            import numpy
+            from cchroute import order
+            from helpers import perturbed_grid
+            a = numpy.ones((64, 64))
+            a @ a
+            threads = []
+            os.register_at_fork(
+                after_in_parent=lambda: threads.append(len(os.listdir("/proc/self/task"))))
+            os.sched_getaffinity = lambda pid: {0, 1}
+            g, coords = perturbed_grid(random.Random(1), 40)
+            vertex_at = order.nested_dissection_order(g, coords).vertex_at
+            print(json.dumps([threads, hashlib.sha256(
+                " ".join(map(str, vertex_at)).encode()).hexdigest()]))
+        """
+        out = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": ":".join(sys.path)})
+        threads, digest = json.loads(out.stdout)
+        assert threads == [1]
+        assert digest == TestNestedDissection.PERTURBED_PINS[1][0]
 
     def test_isolated_vertices_start_no_child(self, forked):
         # Every component below the root is a cell too small to hand out.

@@ -5,14 +5,15 @@ Run from the root of a checkout, after committing the change:
     python3 tools/bench_pairs.py --parent 117bd63 --label parallel_dissection \\
         --note "what the change does" --workload build --pairs 10
 
-The parent and the change (default HEAD) are checked out with
-``git worktree`` under ``.perfbench_work/pairs/``. For each workload and
-pair, both checkouts run
+The parent and the change, HEAD, are checked out with ``git worktree``
+under ``.perfbench_work/pairs/``. For each workload and pair, both
+checkouts run
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed S --trace 0
 
 the parent first in odd pairs and the change first in even pairs, and
-each run's JSON line is read. The result is written to
+each run's JSON line is read. The run length is perfbench's own; it is
+recorded as the runs state it in their header line. The result is written to
 ``BENCH_<label>.json`` in the layout of the committed ``BENCH_*.json``
 files: per workload the runs each side went first in, the operations
 attempted and failed, and per end-to-end metric of ``BENCHMARK.json`` its
@@ -32,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -70,14 +72,13 @@ def run_failed(run: dict) -> bool:
             or line["failed"] != 0)
 
 
-def workload_entry(seed: int, seconds: float, directions: dict[str, str],
-                   runs: dict[str, list[dict]]) -> dict:
+def workload_entry(seed: int, directions: dict[str, str], runs: dict[str, list[dict]]) -> dict:
     """A workload's entry from the JSON lines of its runs, pair by pair."""
     pairs = len(runs["parent"])
     return {
         "pairs": pairs,
         "seed": seed,
-        "seconds": seconds,
+        "seconds": runs["change"][0]["seconds"],
         "first": {"parent": list(range(1, pairs + 1, 2)), "change": list(range(2, pairs + 1, 2))},
         "attempted": {side: sum(r["json"]["attempted"] for r in runs[side]) for side in runs},
         "failed": {side: sum(r["json"]["failed"] for r in runs[side]) for side in runs},
@@ -103,20 +104,24 @@ def remove_checkout(repo: str, dest: str) -> None:
     subprocess.run(["git", "-C", repo, "worktree", "prune"], capture_output=True)
 
 
-def run_perfbench(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """Run perfbench once in a checkout; its exit code and JSON line."""
+def run_perfbench(tree: str, workload: str, seed: int) -> dict:
+    """Run perfbench once in a checkout; its exit code, JSON line and the
+    run length its header line states."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
-    line = None
+    line = seconds = None
     lines = proc.stdout.strip().splitlines()
     if lines:
         try:
             line = json.loads(lines[-1])
         except json.JSONDecodeError:
             pass
-    return {"returncode": proc.returncode, "json": line, "stderr": proc.stderr[-2000:]}
+        if header := re.search(r"\bseconds=([0-9.]+)", lines[0]):
+            seconds = float(header[1])
+    return {"returncode": proc.returncode, "json": line, "seconds": seconds,
+            "stderr": proc.stderr[-2000:]}
 
 
 def machine() -> str:
@@ -135,14 +140,12 @@ def machine() -> str:
 def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     p.add_argument("--parent", required=True, help="revision to compare against")
-    p.add_argument("--change", default="HEAD", help="revision measured (default HEAD)")
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     p.add_argument("--note", default="", help="what the change does, stored as 'change'")
     p.add_argument("--workload", action="append", choices=("serve", "recustomize", "build"),
                    required=True, help="repeat for several workloads")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--key", default="workloads", help="key the workloads are stored under")
     p.add_argument("--repo", default=ROOT, help="repository holding both revisions")
     p.add_argument("--out", help="output path (default <repo>/BENCH_<label>.json)")
@@ -162,7 +165,7 @@ def main(argv=None) -> int:
                                 check=True, capture_output=True, text=True).stdout.strip()
     results = {}
     try:
-        for side, rev in (("parent", args.parent), ("change", args.change)):
+        for side, rev in (("parent", args.parent), ("change", "HEAD")):
             remove_checkout(repo, trees[side])
             checkout(repo, rev, trees[side])
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as f:
@@ -171,7 +174,7 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for pair in range(1, args.pairs + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                    run = run_perfbench(trees[side], workload, args.seed, args.seconds)
+                    run = run_perfbench(trees[side], workload, args.seed)
                     runs[side].append(run)
                     if run_failed(run):
                         print(f"error: {workload} pair {pair} {side} failed "
@@ -181,7 +184,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} {side}: " + ", ".join(
                         f"{name}={m['value']:.4g}" for name, m in run["json"]["metrics"].items()),
                         file=sys.stderr)
-            results[workload] = workload_entry(args.seed, args.seconds, directions, runs)
+            results[workload] = workload_entry(args.seed, directions, runs)
     finally:
         for tree in trees.values():
             remove_checkout(repo, tree)
@@ -195,8 +198,8 @@ def main(argv=None) -> int:
             "change": args.note,
             "parent": parent_rev,
             "machine": machine(),
-            "method": (f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} "
-                       "--trace 0, parent and change alternating, the parent first in odd "
+            "method": (f"perfbench/run.py --seed {args.seed} --trace 0, its default run "
+                       "length, parent and change alternating, the parent first in odd "
                        "pairs and the change first in even pairs, each from its own git "
                        "worktree; metrics from each run's JSON line"),
         }
