@@ -11,9 +11,10 @@ dissection is kept as a separator decomposition, the structure whose
 cells the nearest-neighbor search prunes. Once an order is improved to a
 DFS post-order of its elimination tree, every subtree is one contiguous
 rank range, fixed by the subtree sizes alone, and the decomposition
-follows from the tree. Cells are ordered independently of each other,
-so forked child processes order some of them on the other CPUs; the
-order does not depend on how many do.
+follows from the tree. Both record each node as its rank ranges, and
+one builder links the nodes into the tree. Cells are ordered
+independently of each other, so a forked child process may order some
+of them on a second CPU; neither the order nor the tree depends on it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import marshal
 import os
 import signal
 import threading
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ConsistencyError
 from .graph import Coordinates, InputGraph
@@ -37,12 +39,6 @@ WORKER_MIN_CELL = 500
 """Cells of fewer vertices are never handed to a worker process: a fork
 costs about 2 ms plus 3 ms per 100 MB of the forking process, and a
 500-vertex cell takes about 20 ms to order."""
-
-WORKERS_MAX = 2
-"""Processes that order cells at once at most, the caller included: the
-count measured, on two CPUs. More shares would make the caller cut more
-cells alone before it forks, which measured slower at 40,000 vertices,
-and the affinity mask this is set against ignores a cgroup's CPU quota."""
 
 
 @dataclass
@@ -293,129 +289,93 @@ def _components(adj: list[list[int]], removed: list[bool]) -> list[list[int]]:
 
 
 def _expand(g: InputGraph, coords: Coordinates, adj: list[list[int]],
-            item: tuple[list[int], int, list, int], vertex_at: list[int]) -> list[tuple]:
-    """Work one item (cell, lo, slots, index): rank the cell's separator,
-    or a small cell whole, at the top of its range [lo, lo + len(cell))
-    of ``vertex_at``, put its node in ``slots[index]`` and return the
-    items of its child cells, which tile the rest of the range in order.
-    Only the whole graph is split into its components."""
-    cell, lo, out, i = item
+            item: tuple[list[int], int], vertex_at: list[int], nodes: list) -> list[tuple]:
+    """Work one item (cell, lo): rank the cell's separator, or a small
+    cell whole, at the top of its range [lo, lo + len(cell)) of
+    ``vertex_at``, append its node's (lo, hi, sep_lo) to ``nodes`` and
+    return the items of its child cells, which tile the rest of the range
+    in order. Only the whole graph is split into its components."""
+    cell, lo = item
     hi = lo + len(cell)
     if len(cell) <= CELL_CUTOFF:
         allowed = set(cell)
         vertex_at[lo:hi] = sorted(cell, key=lambda v: (sum(1 for w in adj[v] if w in allowed), v))
-        out[i] = SeparatorDecomposition(lo, hi, lo)
+        nodes.append((lo, hi, lo))
         return []
-    comps = _components(adj, [False] * len(adj)) if len(cell) == len(adj) else [cell]
-    if len(comps) > 1:
+    if len(cell) == len(adj) and len(comps := _components(adj, [False] * len(adj))) > 1:
         sep = Separator(vertices=[], cells=comps)
     else:
         sep = inertial_flow_separator(g, coords, cell)
     sep_lo = hi - len(sep.vertices)
     vertex_at[sep_lo:hi] = sep.vertices
-    out[i] = node = SeparatorDecomposition(lo, hi, sep_lo, [None] * len(sep.cells))
-    items = []
-    for j, child in enumerate(sep.cells):
-        items.append((child, lo, node.children, j))
-        lo += len(child)
-    return items
+    nodes.append((lo, hi, sep_lo))
+    return list(zip(sep.cells, accumulate(map(len, sep.cells), initial=lo)))
 
 
 def _dissect(g: InputGraph, coords: Coordinates, adj: list[list[int]],
-             stack: list[tuple], vertex_at: list[int]) -> None:
+             stack: list[tuple], vertex_at: list[int], nodes: list) -> None:
     """Work the items on ``stack`` and, below them, every child cell's
     item, emptying it; each cell is let go once worked."""
     while stack:
-        stack += _expand(g, coords, adj, stack.pop(), vertex_at)
+        stack += _expand(g, coords, adj, stack.pop(), vertex_at, nodes)
 
 
-def _worker_count() -> int:
-    """Processes that may order cells at once: one per CPU this process
-    may run on, at most ``WORKERS_MAX``, or 1 where forking is unavailable,
-    the kernel makes no pidfds (children are signalled only through one,
-    never by a pid that may have been reused) or a second Python thread
-    runs (it could hold a lock the child would inherit taken). Native
-    threads that extension libraries start are not seen; the child takes
-    no lock of theirs, as it runs only this module's pure-Python ordering,
-    writes its pipe and leaves by ``os._exit``."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if threading.active_count() > 1:
-        return 1
+def _can_fork() -> bool:
+    """Whether a child process may order cells: this process may run on
+    more than one CPU, can fork, gets pidfds (the child is signalled only
+    through one, never by a pid that may have been reused) and runs no
+    second Python thread (it could hold a lock the child would inherit
+    taken). Native threads of extension libraries are not seen; the child
+    takes no lock of theirs, as it runs only this module's pure-Python
+    ordering, writes its pipe and leaves by ``os._exit``. One child is the
+    count measured, on two CPUs; the affinity mask ignores CPU quotas."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
     try:
         os.close(os.pidfd_open(os.getpid()))
+        return len(os.sched_getaffinity(0)) > 1
     except (AttributeError, OSError):
-        return 1
-    return min(WORKERS_MAX, len(os.sched_getaffinity(0)))
+        return False
 
 
-def _deal(g: InputGraph, coords: Coordinates, adj: list[list[int]], top: list,
-          vertex_at: list[int], count: int) -> list[list[tuple]]:
-    """Split the graph into ``count`` shares of pending items, the root's
-    node going to ``top[0]``; share 0 is this process's.
-
-    Cells of fewer than ``WORKER_MIN_CELL`` vertices go to share 0. The
-    largest of the others is worked while it holds more than its share of
-    the pending vertices; then they are dealt out largest first, each to
-    the share with the fewest vertices so far."""
+def _deal(g: InputGraph, coords: Coordinates, adj: list[list[int]], vertex_at: list[int],
+          nodes: list, fork: bool) -> tuple[list[tuple], list[tuple]]:
+    """Split the graph into this process's share of pending items and a
+    child's, which stays empty unless ``fork``. Cells of fewer than
+    ``WORKER_MIN_CELL`` vertices stay here. The largest of the others is
+    worked while it holds more than half of the pending vertices; then
+    they are dealt out largest first, each to the share with fewer
+    vertices so far, this process's on a tie."""
     n = len(vertex_at)
-    shares: list[list[tuple]] = [[] for _ in range(count)]
-    root = (list(range(n)), 0, top, 0)
+    root = (list(range(n)), 0)
     # The items of cells to deal, in a heap, largest first.
-    big = []
-    if count > 1 and n >= WORKER_MIN_CELL:
-        big.append((-n, 0, root))
-    else:
-        shares[0].append(root)
+    own, big = ([], [(-n, 0, root)]) if fork and n >= WORKER_MIN_CELL else ([root], [])
     pending = n
-    while big and -big[0][0] * count > pending:
+    while big and -big[0][0] * 2 > pending:
         item = heapq.heappop(big)[2]
         pending -= len(item[0])
-        for child in _expand(g, coords, adj, item, vertex_at):
+        for child in _expand(g, coords, adj, item, vertex_at, nodes):
             pending += len(child[0])
             if len(child[0]) >= WORKER_MIN_CELL:
                 heapq.heappush(big, (-len(child[0]), child[1], child))
             else:
-                shares[0].append(child)
-    load = [sum(len(item[0]) for item in shares[0])] + [0] * (count - 1)
+                own.append(child)
+    shares = (own, [])
+    load = [sum(len(cell) for cell, _ in own), 0]
     for _, _, item in sorted(big):
-        k = load.index(min(load))
+        k = load[1] < load[0]
         shares[k].append(item)
         load[k] += len(item[0])
     return shares
 
 
-def _flatten(node: SeparatorDecomposition) -> list[int]:
-    """(cell_lo, cell_hi, sep_lo, child count) of each node, preorder."""
-    flat = []
-    for d in node.preorder():
-        flat += (d.cell_lo, d.cell_hi, d.sep_lo, len(d.children))
-    return flat
-
-
-def _unflatten(flat: list[int]) -> SeparatorDecomposition:
-    """The tree ``_flatten`` wrote."""
-    root = SeparatorDecomposition(flat[0], flat[1], flat[2])
-    # Nodes whose children are still to come, and how many they take.
-    open_ = [(root, flat[3])] if flat[3] else []
-    for k in range(4, len(flat), 4):
-        node = SeparatorDecomposition(flat[k], flat[k + 1], flat[k + 2])
-        up, count = open_[-1]
-        up.children.append(node)
-        if len(up.children) == count:
-            open_.pop()
-        if flat[k + 3]:
-            open_.append((node, flat[k + 3]))
-    return root
-
-
 def _fork_worker(g: InputGraph, coords: Coordinates, adj: list[list[int]],
                  items: list[tuple], vertex_at: list[int]) -> tuple[int, int, int]:
     """Fork a child that works the items and writes their ``vertex_at``
-    slices and flattened nodes, marshalled, to a pipe; return its pid, a
-    pidfd of it and the pipe's read end. Without a pidfd the child is not
-    kept: the read end is closed, so its write fails and it ends, and
-    OSError is raised once it is reaped."""
+    slices and its nodes' rank ranges, marshalled, to a pipe; return its
+    pid, a pidfd of it and the pipe's read end. Without a pidfd the child
+    is not kept: the read end is closed, so its write fails and it ends,
+    and OSError is raised once it is reaped."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -433,9 +393,10 @@ def _fork_worker(g: InputGraph, coords: Coordinates, adj: list[list[int]],
             raise
     status = 1
     try:
-        _dissect(g, coords, adj, list(items), vertex_at)
+        nodes: list = []
+        _dissect(g, coords, adj, list(items), vertex_at, nodes)
         view = memoryview(marshal.dumps(
-            [(vertex_at[lo:lo + len(cell)], _flatten(out[i])) for cell, lo, out, i in items]))
+            ([vertex_at[lo:lo + len(cell)] for cell, lo in items], nodes)))
         while view:
             view = view[os.write(w, view):]
         status = 0
@@ -443,23 +404,22 @@ def _fork_worker(g: InputGraph, coords: Coordinates, adj: list[list[int]],
         os._exit(status)
 
 
-def _place(data: bytes, items: list[tuple], vertex_at: list[int]) -> bool:
+def _place(data: bytes, items: list[tuple], vertex_at: list[int], nodes: list) -> bool:
     """Place a child's answer for the items; False, with nothing placed,
     unless it is complete. A cut short answer does not unmarshal: every
     list in it states its length."""
     try:
-        answer = marshal.loads(data)
+        ranks, their_nodes = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
         return False
-    for (cell, lo, out, i), (ranks, flat) in zip(items, answer):
-        vertex_at[lo:lo + len(cell)] = ranks
-        out[i] = _unflatten(flat)
+    for (cell, lo), cell_ranks in zip(items, ranks):
+        vertex_at[lo:lo + len(cell)] = cell_ranks
+    nodes += their_nodes
     return True
 
 
 def _reap(pid: int) -> None:
-    """Wait for a child to end, unless the system or a handler of the
-    caller's reaped it already."""
+    """Wait for a child to end, unless the system or a handler reaped it."""
     with contextlib.suppress(ChildProcessError):
         os.waitpid(pid, 0)
 
@@ -483,53 +443,47 @@ def nested_dissection_order(g: InputGraph, coords: Coordinates) -> RankOrder:
     root every cell is connected. Every cell lists its vertex IDs in
     ascending order, as ``inertial_flow_separator`` requires.
 
-    Cells are ordered independently of each other, so forked child
-    processes share the work, one per CPU of ``os.sched_getaffinity``
-    beyond the first, ``WORKERS_MAX`` processes in all at most. The largest pending cell is split here while it
-    holds more than its share of the pending vertices; the cells of at
-    least ``WORKER_MIN_CELL`` vertices are then dealt out, and each child
-    sends back its cells' ranks and nodes through a pipe. A child that
-    ends without a complete answer has its cells ordered here. The order
-    is the same for any number of children, including none: one CPU, a
-    second Python thread, no ``os.fork`` or pidfds, or no cell of
-    ``WORKER_MIN_CELL`` vertices starts none. Every child is reaped before this returns or
-    raises.
+    Cells are ordered independently of each other, so one forked child
+    process shares the work where ``_can_fork`` allows it. The largest
+    pending cell is split here while it holds more than half of the
+    pending vertices; the cells of at least ``WORKER_MIN_CELL`` vertices
+    are then dealt out between the two. Each node is recorded as its
+    (cell_lo, cell_hi, sep_lo), and the child sends its cells' ranks and
+    its nodes back as they are through a pipe; if it ends without a
+    complete answer, its cells are ordered here. The order and the tree,
+    which ``decomposition_from_ranges`` links, are the same with or
+    without the child, which is reaped before this returns or raises.
     """
     n = g.vertex_count
     if len(coords) != n:
         raise ConsistencyError(f"coordinates cover {len(coords)} vertices, graph has {n}")
     adj = g.undirected_adjacency()
     vertex_at = [-1] * n
-    top: list = [None]
-    own, *shares = _deal(g, coords, adj, top, vertex_at, _worker_count())
-    children = []
+    nodes: list[tuple[int, int, int]] = []
+    own, theirs = _deal(g, coords, adj, vertex_at, nodes, _can_fork())
+    child = None
     try:
-        for items in shares:
-            if items:
-                try:
-                    children.append((*_fork_worker(g, coords, adj, items, vertex_at), items))
-                except OSError:
-                    own += items
-        del shares
-        _dissect(g, coords, adj, own, vertex_at)
-        while children:
-            pid, pidfd, r, items = children[-1]
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            children.pop()
-            _end(pid, pidfd, r)
-            if not _place(b"".join(chunks), items, vertex_at):
-                _dissect(g, coords, adj, items, vertex_at)
+        if theirs:
+            try:
+                child = _fork_worker(g, coords, adj, theirs, vertex_at)
+            except OSError:
+                own += theirs
+        _dissect(g, coords, adj, own, vertex_at, nodes)
+        if child:
+            data = b"".join(iter(lambda: os.read(child[2], 1 << 16), b""))
+            ended, child = child, None
+            _end(*ended)
+            if not _place(data, theirs, vertex_at, nodes):
+                _dissect(g, coords, adj, theirs, vertex_at, nodes)
     finally:
-        for pid, pidfd, r, _ in children:
+        if child:
             # A pidfd signals its own process or, once that is reaped,
             # raises ProcessLookupError, whoever holds the pid by then.
             with contextlib.suppress(ProcessLookupError):
-                signal.pidfd_send_signal(pidfd, signal.SIGKILL)
-            _end(pid, pidfd, r)
+                signal.pidfd_send_signal(child[1], signal.SIGKILL)
+            _end(*child)
 
-    return RankOrder(vertex_at, decomposition=top[0])
+    return RankOrder(vertex_at, decomposition=decomposition_from_ranges(nodes))
 
 
 def subtree_sizes(parent: Sequence[int]) -> list[int]:
@@ -604,37 +558,42 @@ def reconstruct_separator_decomposition(parent: Sequence[int]) -> SeparatorDecom
 def decomposition_from_subtree_sizes(size: Sequence[int]) -> SeparatorDecomposition:
     """The separator decomposition of a tree whose ranks are its DFS
     post-order, from the sizes ``postorder_subtree_sizes`` returned for
-    it. Each node's separator is the chain
-    of single children down from its subtree root (v's only child is v - 1
-    when size[v - 1] = size[v] - 1); the subtrees below the chain's last
-    vertex, found by stepping from its top child down by subtree sizes,
-    become the child cells. A subtree that is a bare path is a leaf whose
-    separator is the whole path. Several roots hang as cells under a node
-    with an empty separator spanning all ranks.
+    it. Each node's separator is a chain of single children (v's only
+    child is v - 1 when size[v - 1] = size[v] - 1), and its cell is the
+    subtree of the chain's top r, where r + 1 == n or r is not the only
+    child of r + 1. The subtrees below the chain's last vertex are the
+    child cells; a bare path is a leaf. Several roots hang as cells under
+    a node with an empty separator spanning all ranks.
     """
     n = len(size)
+    nodes = []
+    sep_lo = 0
+    for r in range(n):
+        if r == 0 or size[r] != size[r - 1] + 1:
+            sep_lo = r
+        if r + 1 == n or size[r + 1] != size[r] + 1:
+            nodes.append((r - size[r] + 1, r + 1, sep_lo))
+    if size[-1] != n:
+        nodes.append((0, n, n))
+    return decomposition_from_ranges(nodes)
 
-    def tiling(lo: int, hi: int) -> list[int]:
-        """Roots of the subtrees that tile ranks [lo, hi), ascending."""
-        roots = []
-        c = hi - 1
-        while c >= lo:
-            roots.append(c)
-            c -= size[c]
-        roots.reverse()
-        return roots
 
-    roots = tiling(0, n)
-    top = SeparatorDecomposition(0, n, n)
-    # Each entry is a subtree root and the node its own node hangs under;
-    # the loop reads the entries it appends, so siblings keep their order.
-    work = [(r, top) for r in roots]
-    for r, up in work:
-        lo = r - size[r] + 1
-        v = r
-        while size[v - 1] == size[v] - 1:  # never true at a leaf, whose size is 1
-            v -= 1
-        node = SeparatorDecomposition(lo, r + 1, v)
-        up.children.append(node)
-        work.extend((c, node) for c in tiling(lo, v))
-    return top if len(roots) > 1 else top.children[0]
+def decomposition_from_ranges(nodes: Iterable[tuple[int, int, int]]) -> SeparatorDecomposition:
+    """The tree of a separator decomposition's (cell_lo, cell_hi, sep_lo)
+    triples, given in any order. Cells nest, each child is strictly
+    smaller than its node and a node's children tile [cell_lo, sep_lo) in
+    ascending order, so sorted by (cell_lo, -cell_hi) the nodes come in
+    preorder. Each hangs under the nearest node still open whose child
+    range [cell_lo, sep_lo) holds its cell_lo; every open node above that
+    one holds only ranks below it, and is closed.
+    """
+    ordered = iter(sorted(nodes, key=lambda t: (t[0], -t[1])))
+    root = SeparatorDecomposition(*next(ordered))
+    open_ = [root]
+    for lo, hi, sep_lo in ordered:
+        while open_[-1].sep_lo <= lo:
+            open_.pop()
+        node = SeparatorDecomposition(lo, hi, sep_lo)
+        open_[-1].children.append(node)
+        open_.append(node)
+    return root

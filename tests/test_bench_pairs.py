@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: summary arithmetic, worktree checkouts, and the
-refusal to write a report when a run failed."""
+refusal to write a report when a run failed or the file holds runs
+against another parent."""
 
 from __future__ import annotations
 
@@ -94,6 +95,23 @@ def test_pairs_alternate_and_are_summarised(tmp_path):
     assert entry["metrics"]["setup_s"] == bench_pairs.summarize(
         "lower", [0.01] * 3, [0.008] * 3)
     assert not (repo / ".perfbench_work" / "pairs" / "parent").exists()
+
+
+def test_key_adds_runs_only_against_the_same_parent(tmp_path, capsys):
+    repo, parent, change = make_repo(tmp_path, 100.0, 125.0)
+    out = tmp_path / "BENCH_x.json"
+    common = ["--repo", str(repo), "--label", "x", "--workload", "build", "--pairs", "1",
+              "--out", str(out)]
+    assert bench_pairs.main([*common, "--parent", parent]) == 0
+    assert bench_pairs.main([*common, "--parent", parent[:10], "--key", "seed2"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["workloads"]["build"]["pairs"] == report["seed2"]["build"]["pairs"] == 1
+    written = out.read_text(encoding="utf-8")
+    for key in ("seed2", "workloads"):
+        assert bench_pairs.main([*common, "--parent", change, "--key", key]) == 1
+        assert "holds runs against parent" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == written
+    assert git(repo, "worktree", "list").count("\n") == 0
 
 
 def test_failed_run_blocks_the_write(tmp_path, capsys):

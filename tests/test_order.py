@@ -47,6 +47,16 @@ def _tree_repr(decomposition) -> bytes:
                  for node in decomposition.preorder()]).encode()
 
 
+def _ranges(decomposition) -> list[tuple[int, int, int]]:
+    return [(node.cell_lo, node.cell_hi, node.sep_lo) for node in decomposition.preorder()]
+
+
+def _assert_rebuilt_from_shuffled_ranges(rng, decomposition) -> None:
+    nodes = _ranges(decomposition)
+    rng.shuffle(nodes)
+    assert order.decomposition_from_ranges(nodes) == decomposition
+
+
 def check_separator_validity(g, sep):
     """No edge may join two distinct cells."""
     cell_of = {}
@@ -323,6 +333,27 @@ class TestNestedDissection:
         assert [(c.cell_lo, c.cell_hi) for c in decomp.children] == [(0, 5), (5, 10)]
         assert sorted(order.vertex_at[:5]) == [0, 1, 2, 3, 4]
 
+    def test_children_tile_their_cell_below_its_separator(self):
+        # The invariant decomposition_from_ranges links nodes by: a node's
+        # children tile [cell_lo, sep_lo) in ascending order, and each is
+        # strictly smaller than the node.
+        rng = random.Random(29)
+        graphs = [random_connected_graph(rng, rng.randint(20, 200)) for _ in range(10)]
+        graphs.append((undirected(10, [(v, v + 1) for v in (0, 1, 2, 3, 5, 6, 7, 8)]),
+                       Coordinates(x=[0, 1, 2, 3, 4, 10, 11, 12, 13, 14], y=[0] * 10)))
+        graphs += [perturbed_grid(random.Random(seed), 40) for seed in self.PERTURBED_PINS]
+        for g, coords in graphs:
+            decomp = nested_dissection_order(g, coords).decomposition
+            assert (decomp.cell_lo, decomp.cell_hi) == (0, g.vertex_count)
+            for node in decomp.preorder():
+                kids = node.children
+                assert node.cell_lo <= node.sep_lo <= node.cell_hi
+                assert [c.cell_lo for c in kids] + [node.sep_lo] == (
+                    [node.cell_lo] + [c.cell_hi for c in kids])
+                assert all(c.cell_lo < c.cell_hi for c in kids)
+                assert all(c.cell_hi - c.cell_lo < node.cell_hi - node.cell_lo for c in kids)
+            _assert_rebuilt_from_shuffled_ranges(rng, decomp)
+
     def test_sample_outputs_pinned(self):
         # Digests of the order, its recursion tree, the CCHP artifact of
         # sample/grid.gr and the decomposition reconstructed from the
@@ -489,18 +520,31 @@ class TestWorkers:
         _assert_no_child_left()
 
     def test_four_cpus_keep_the_pins(self, forked, monkeypatch):
-        # At most WORKERS_MAX processes order at once; with it raised,
-        # four CPUs take four shares.
+        # One child orders cells at most, however many CPUs there are.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(order, "WORKER_MIN_CELL", 100)
         g, coords = perturbed_grid(random.Random(1), 40)
-        for workers_max, children in [(order.WORKERS_MAX, 1), (4, 3)]:
-            monkeypatch.setattr(order, "WORKERS_MAX", workers_max)
-            forked.clear()
-            assert _digests(nested_dissection_order(g, coords)) == (
-                TestNestedDissection.PERTURBED_PINS[1][:2])
-            assert len(forked) == children
-            _assert_no_child_left()
+        assert _digests(nested_dissection_order(g, coords)) == (
+            TestNestedDissection.PERTURBED_PINS[1][:2])
+        assert len(forked) == 1
+        _assert_no_child_left()
+
+    def test_child_nodes_in_any_order_keep_the_pins(self, forked, monkeypatch):
+        # The tree is linked from its nodes' rank ranges, not from the
+        # order in which the child reports them.
+        monkeypatch.setattr(order, "WORKER_MIN_CELL", 50)
+        real_dumps, real_place = order.marshal.dumps, order._place
+        placed = []
+        monkeypatch.setattr(order.marshal, "dumps",
+                            lambda value: real_dumps((value[0], value[1][::-1])))
+        monkeypatch.setattr(order, "_place",
+                            lambda *args: placed.append(real_place(*args)) or placed[-1])
+        for seed, pins in TestNestedDissection.PERTURBED_PINS.items():
+            g, coords = perturbed_grid(random.Random(seed), 40)
+            assert _digests(nested_dissection_order(g, coords)) == pins[:2]
+        assert len(forked) == 3
+        assert placed == [True] * 3  # each child's reversed answer was used
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("failure", ["killed", "truncated"])
     def test_child_without_a_complete_answer(self, forked, monkeypatch, failure):
@@ -880,10 +924,12 @@ def _assert_nodes_follow_tree(parent, decomp) -> None:
 
 class TestTreeLayout:
     """reconstruct_separator_decomposition and dfs_postorder_reorder against
-    the subtree member sets found by walking parents."""
+    the subtree member sets found by walking parents; each reconstructed
+    tree is also rebuilt from its nodes' rank ranges, shuffled."""
 
     def test_random_forests_against_member_sets(self):
         rng = random.Random(67)
+        shuffle_rng = random.Random(71)
         kinds = {True: 0, False: 0}
         for _ in range(800):
             n = rng.randint(1, 10)
@@ -897,6 +943,7 @@ class TestTreeLayout:
             else:
                 assert laid_out, parent
                 _assert_nodes_follow_tree(parent, decomp)
+                _assert_rebuilt_from_shuffled_ranges(shuffle_rng, decomp)
 
             order = random_order(rng, n)
             new = dfs_postorder_reorder(order, parent)

@@ -20,7 +20,8 @@ attempted and failed, and per end-to-end metric of ``BENCHMARK.json`` its
 direction, both raw lists, both medians and quartile pairs (inclusive
 method, as ``statistics.quantiles`` computes it) and the pairs the change
 won. ``--key`` stores the workloads under another key of an existing
-file, as for a confirming run on another seed.
+file, as for a confirming run on another seed; the harness refuses to
+add runs to a file whose parent is another revision than ``--parent``.
 
 Nothing is written when any run failed: a nonzero exit, a failed
 operation, an answer the oracles rejected or no JSON line. The
@@ -88,6 +89,13 @@ def workload_entry(seed: int, directions: dict[str, str], runs: dict[str, list[d
                                        for r in runs[side]] for side in ("parent", "change")))
             for name, better in directions.items()},
     }
+
+
+def commit_of(repo: str, rev: str) -> str | None:
+    """The full hash of the commit ``rev`` names in ``repo``, or None."""
+    proc = subprocess.run(["git", "-C", repo, "rev-parse", "--verify", "--quiet",
+                           f"{rev}^{{commit}}"], capture_output=True, text=True)
+    return proc.stdout.strip() or None
 
 
 def checkout(repo: str, rev: str, dest: str) -> None:
@@ -163,6 +171,14 @@ def main(argv=None) -> int:
     trees = {side: os.path.join(work, side) for side in ("parent", "change")}
     parent_rev = subprocess.run(["git", "-C", repo, "rev-parse", "--short", args.parent],
                                 check=True, capture_output=True, text=True).stdout.strip()
+    report = None
+    if os.path.exists(out):
+        with open(out, encoding="utf-8") as f:
+            report = json.load(f)
+        if commit_of(repo, str(report.get("parent"))) != commit_of(repo, args.parent):
+            print(f"error: {out} holds runs against parent {report.get('parent')}, "
+                  f"not {parent_rev}; no file written", file=sys.stderr)
+            return 1
     results = {}
     try:
         for side, rev in (("parent", args.parent), ("change", "HEAD")):
@@ -189,10 +205,7 @@ def main(argv=None) -> int:
         for tree in trees.values():
             remove_checkout(repo, tree)
 
-    if os.path.exists(out):
-        with open(out, encoding="utf-8") as f:
-            report = json.load(f)
-    else:
+    if report is None:
         report = {
             "label": args.label,
             "change": args.note,
